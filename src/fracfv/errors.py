@@ -65,10 +65,6 @@ class SingularMatrixError(SolverError):
     """The system matrix is singular or numerically near-singular."""
 
 
-class MatrixSizeError(SolverError):
-    """A dense operation was requested on a matrix above the size threshold."""
-
-
 class EliminationError(FracfvError):
     """Intersection-cell elimination failed."""
 

@@ -23,7 +23,7 @@ from ..elimination import (
 )
 from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
-from ..linsolve import condition_number, direct_solve
+from ..linsolve import condition_number, direct_solve, factorize
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 from ..tensors import PermeabilityTensor, tensor_field
 from ..transport import (
@@ -108,6 +108,12 @@ def _kept_l2(mesh, reference_full, values_kept, kept, subset=None) -> float:
     return l2_error(values_kept, ref, volumes, subset)
 
 
+def _solve_with_condition(matrix, rhs) -> tuple[np.ndarray, float]:
+    """Solution and 2-norm condition number of one system, from one LU factor."""
+    lu = factorize(matrix)
+    return direct_solve(matrix, rhs, factor=lu), condition_number(matrix, factor=lu)
+
+
 def zero_tracer_bcs(mesh):
     """Dirichlet zero tracer on every external boundary face."""
     bcs = []
@@ -187,8 +193,7 @@ def run_case11_point(
     """Solve one permeability combination with both eliminations."""
     problem, mesh = case11_problem(resolution, k_h, k_v, k_i, aperture)
     system = problem.assemble()
-    p_full = direct_solve(system.matrix, system.rhs)
-    cond_full = condition_number(system.matrix)
+    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
     out = {
         "k_h": k_h,
         "k_v": k_v,
@@ -201,8 +206,7 @@ def run_case11_point(
     }
     for tag, reducer in (("schur", schur_reduce), ("star_delta", star_delta_reduce)):
         reduced = reducer(system)
-        p_kept = direct_solve(reduced.matrix, reduced.rhs)
-        cond_red = condition_number(reduced.matrix)
+        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
         out[tag] = {
             "pressure_error": _kept_l2(mesh, p_full, p_kept, reduced.kept),
             "cond": cond_red,
@@ -318,8 +322,7 @@ def _run_case_13(spec: CaseSpec) -> tuple[dict, dict, dict]:
     timings["assembly"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p_full = direct_solve(system.matrix, system.rhs)
-    cond_full = condition_number(system.matrix)
+    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
     timings["full_solve"] = time.perf_counter() - t0
 
     h = 1.0 / n
@@ -356,8 +359,7 @@ def _run_case_13(spec: CaseSpec) -> tuple[dict, dict, dict]:
         reducer = schur_reduce if tag == "schur" else star_delta_reduce
         t0 = time.perf_counter()
         reduced = reducer(system)
-        p_kept = direct_solve(reduced.matrix, reduced.rhs)
-        cond_red = condition_number(reduced.matrix)
+        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
         graph_red = flux_graph_from_reduced(reduced, p_kept)
         kept_local = np.flatnonzero(np.isin(reduced.kept, [probe]))
         probe_local = int(kept_local[0]) if kept_local.size else None
@@ -750,8 +752,7 @@ def _run_case_4(spec: CaseSpec) -> tuple[dict, dict, dict]:
     timings["assembly"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    p_full = direct_solve(system.matrix, system.rhs)
-    cond_full = condition_number(system.matrix)
+    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
     timings["full_solve"] = time.perf_counter() - t0
 
     tracer_bcs = zero_tracer_bcs(mesh)
@@ -768,8 +769,7 @@ def _run_case_4(spec: CaseSpec) -> tuple[dict, dict, dict]:
     eliminated = mesh.intersection_dofs(zero_d_only=zero_d_only)
     t0 = time.perf_counter()
     reduced = schur_reduce(system, eliminated)
-    p_kept = direct_solve(reduced.matrix, reduced.rhs)
-    cond_red = condition_number(reduced.matrix)
+    p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
     graph_red = flux_graph_from_reduced(reduced, p_kept)
     sources_red = inherited_source_rates(reduced)  # times unit injected concentration
     sim_red = _run_transport(
@@ -890,8 +890,7 @@ def _run_case_12_lite(spec: CaseSpec) -> tuple[dict, dict, dict]:
     t0 = time.perf_counter()
     problem, mesh = case12_problem(n, *args)
     system = problem.assemble()
-    p_none = direct_solve(system.matrix, system.rhs)
-    cond_full = condition_number(system.matrix)
+    p_none, cond_full = _solve_with_condition(system.matrix, system.rhs)
     timings["coarse"] = time.perf_counter() - t0
 
     fine_dims = fine_mesh.dof_dims()
@@ -924,8 +923,7 @@ def _run_case_12_lite(spec: CaseSpec) -> tuple[dict, dict, dict]:
     for tag, reducer in (("schur", schur_reduce), ("star_delta", star_delta_reduce)):
         t0 = time.perf_counter()
         reduced = reducer(system)
-        p_kept = direct_solve(reduced.matrix, reduced.rhs)
-        cond_red = condition_number(reduced.matrix)
+        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
         timings[tag] = time.perf_counter() - t0
         if tag == "schur":
             values_full = back_substitute(reduced, p_kept)

@@ -2,7 +2,8 @@
 validate mesh documents.
 
 Exit codes: 0 success, 2 mesh errors, 3 discretization/assembly errors,
-4 solver errors, 1 anything else.
+4 solver errors (a singular or numerically singular system), 1 anything else.
+Condition numbers have no size limit.
 """
 
 from __future__ import annotations

@@ -49,45 +49,39 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _polygon_area_normal(pts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Area, unit normal and centroid of a planar polygon in 3D (ordered nodes)."""
-    ref = pts.mean(axis=0)
-    total = np.zeros(3)
-    centroid_acc = np.zeros(3)
-    area_acc = 0.0
-    n = pts.shape[0]
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        cross = np.cross(a - ref, b - ref)
-        tri_area = 0.5 * np.linalg.norm(cross)
-        total += 0.5 * cross
-        centroid_acc += tri_area * (ref + a + b) / 3.0
-        area_acc += tri_area
-    if area_acc <= 0.0:
-        raise MeshFormatError("degenerate polygon face")
-    return area_acc, total / np.linalg.norm(total), centroid_acc / area_acc
+def _by_length(lists: list[list[int]]):
+    """For each length among ``lists``: the positions of the lists of that
+    length, and those lists stacked as one integer array."""
+    lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
+    for length in np.unique(lengths):
+        positions = np.flatnonzero(lengths == length)
+        stacked = np.array([lists[i] for i in positions], dtype=int)
+        yield positions, stacked.reshape(positions.size, length)
 
 
-def _face_geometry(face_pts: np.ndarray, sub_dim: int, ambient: int):
-    """Centroid, geometric measure and an (unoriented) normal of one face."""
-    if sub_dim == 1:
-        centre = face_pts[0]
-        return centre, 1.0, None  # direction fixed later from the adjacent cell
-    if sub_dim == 2:
-        if face_pts.shape[0] != 2:
-            raise MeshFormatError("faces of 2D cells must have two nodes")
-        centre = face_pts.mean(axis=0)
-        edge = face_pts[1] - face_pts[0]
-        length = np.linalg.norm(edge)
-        if length <= 0:
-            raise MeshFormatError("zero-length face")
-        if ambient == 2:
-            normal = np.array([edge[1], -edge[0]]) / length
-        else:
-            normal = None  # in-plane perpendicular fixed later from the cell
-        return centre, length, normal
-    area, normal, centre = _polygon_area_normal(face_pts)
-    return centre, area, normal
+def _polygon_geometry(nodes: np.ndarray, face_node_lists: list[list[int]]):
+    """Areas, unit normals and centroids of planar polygons in 3D.
+
+    Each polygon (nodes in boundary order) is split into a fan of triangles
+    about its node mean; all polygons with the same node count are done at once.
+    """
+    n_faces = len(face_node_lists)
+    areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
+    for faces, node_rows in _by_length(face_node_lists):
+        pts = nodes[node_rows]
+        ahead = np.roll(pts, -1, axis=1)
+        ref = pts.mean(axis=1, keepdims=True)
+        cross = np.cross(pts - ref, ahead - ref)
+        tri_areas = 0.5 * np.linalg.norm(cross, axis=2)
+        area = tri_areas.sum(axis=1)
+        if area.min() <= 0.0:
+            raise MeshFormatError("degenerate polygon face")
+        total = 0.5 * cross.sum(axis=1)
+        areas[faces] = area
+        normals[faces] = total / np.linalg.norm(total, axis=1, keepdims=True)
+        weighted = np.einsum("fk,fkd->fd", tri_areas, ref + pts + ahead) / 3.0
+        centroids[faces] = weighted / area[:, None]
+    return areas, normals, centroids
 
 
 def _build_grid_from_entities(
@@ -104,51 +98,61 @@ def _build_grid_from_entities(
     n_faces = len(face_node_lists)
     n_nodes = nodes.shape[0]
 
-    cell_centres = np.array([nodes[l].mean(axis=0) for l in cell_node_lists])
+    cell_centres = np.zeros((n_cells, ambient))
+    for cells, node_rows in _by_length(cell_node_lists):
+        cell_centres[cells] = nodes[node_rows].mean(axis=1)
 
-    face_centres = np.zeros((n_faces, ambient))
-    face_measures = np.zeros(n_faces)
-    face_normals = np.zeros((n_faces, ambient))
-    rows, cols, signs = [], [], []
-    for f, (node_list, (c_plus, c_minus)) in enumerate(zip(face_node_lists, face_cells)):
-        pts = nodes[node_list]
-        centre, measure, normal = _face_geometry(pts, dim, ambient)
-        anchor = c_plus if c_plus >= 0 else c_minus
-        outward = centre - cell_centres[anchor]
-        if normal is None:
-            if dim == 2:  # in-plane perpendicular of an edge of a 2D cell in 3D
-                edge = pts[1] - pts[0]
-                edge = edge / np.linalg.norm(edge)
-                normal = outward - (outward @ edge) * edge
-            else:  # point face of a 1D cell
-                normal = outward
-            norm = np.linalg.norm(normal)
-            if norm <= 0:
-                raise MeshFormatError(f"cannot orient face {f}")
-            normal = normal / norm
-        if (normal @ outward) < 0:
-            normal = -normal
-        if c_plus < 0:  # stored side is the minus side: normal points into it
-            normal = -normal
-        face_centres[f] = centre
-        face_measures[f] = measure
-        face_normals[f] = normal
-        if c_plus >= 0:
-            rows.append(f), cols.append(c_plus), signs.append(1.0)
-        if c_minus >= 0:
-            rows.append(f), cols.append(c_minus), signs.append(-1.0)
+    # Face centroids, measures and unit normals, then normals oriented
+    # outward from the plus cell.
+    c_plus, c_minus = np.asarray(face_cells, dtype=int).reshape(n_faces, 2).T
+    face_normals = None  # unless the face alone fixes it, the adjacent cell does
+    if dim == 3:
+        face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_node_lists)
+    elif dim == 2:
+        if any(len(node_list) != 2 for node_list in face_node_lists):
+            raise MeshFormatError("faces of 2D cells must have two nodes")
+        ends = nodes[np.array(face_node_lists, dtype=int).reshape(n_faces, 2)]
+        edges = ends[:, 1] - ends[:, 0]
+        face_measures = np.linalg.norm(edges, axis=1)
+        if n_faces and face_measures.min() <= 0:
+            raise MeshFormatError("zero-length face")
+        face_centres = ends.mean(axis=1)
+        along = edges / face_measures[:, None]
+        if ambient == 2:
+            face_normals = np.column_stack([along[:, 1], -along[:, 0]])
+    else:  # point faces of 1D cells; 0D cells have no faces
+        face_centres = nodes[[node_list[0] for node_list in face_node_lists]]
+        face_centres = face_centres.reshape(n_faces, ambient)
+        face_measures = np.ones(n_faces)
+    outward = face_centres - cell_centres[np.where(c_plus >= 0, c_plus, c_minus)]
+    if face_normals is None:
+        if dim == 2:  # in-plane perpendicular of an edge of a 2D cell in 3D
+            face_normals = outward - np.sum(outward * along, axis=1, keepdims=True) * along
+        else:
+            face_normals = outward
+        lengths = np.linalg.norm(face_normals, axis=1)
+        if n_faces and lengths.min() <= 0:
+            raise MeshFormatError(f"cannot orient face {int(np.argmin(lengths))}")
+        face_normals = face_normals / lengths[:, None]
+    # Flip normals that point into their anchor cell; a face stored with only
+    # a minus side keeps its normal pointing into that side.
+    flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
+    face_normals[flip] *= -1.0
 
+    has_plus, has_minus = c_plus >= 0, c_minus >= 0
+    rows = np.concatenate([np.flatnonzero(has_plus), np.flatnonzero(has_minus)])
+    cols = np.concatenate([c_plus[has_plus], c_minus[has_minus]])
+    signs = np.concatenate([np.ones(has_plus.sum()), -np.ones(has_minus.sum())])
     cell_faces = sps.csc_matrix((signs, (rows, cols)), shape=(n_faces, n_cells))
 
     # Cell volumes by the divergence theorem over outward-oriented faces.
-    cell_measures = np.zeros(n_cells)
     if dim == 0:
-        cell_measures[:] = 1.0
+        cell_measures = np.ones(n_cells)
     else:
         cf = cell_faces.tocoo()
-        for f, c, s in zip(cf.row, cf.col, cf.data):
-            contrib = face_measures[f] * (face_normals[f] @ (face_centres[f] - cell_centres[c]))
-            cell_measures[c] += s * contrib / dim
+        offsets = face_centres[cf.row] - cell_centres[cf.col]
+        contrib = face_measures[cf.row] * np.sum(face_normals[cf.row] * offsets, axis=1)
+        cell_measures = np.bincount(cf.col, weights=cf.data * contrib / dim, minlength=n_cells)
     if dim > 0 and n_faces and cell_measures.min() <= 0:
         bad = int(np.argmin(cell_measures))
         raise MeshFormatError(f"cell {bad} has non-positive volume {cell_measures[bad]:.3e}")

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracfv.errors import MatrixSizeError, SingularMatrixError
+from fracfv.errors import SingularMatrixError
+from fracfv.harness.cases import sweep_case11
 from fracfv.linsolve import (
     as_csr,
     condition_number,
@@ -12,6 +15,12 @@ from fracfv.linsolve import (
     export_coordinate_format,
     factorize,
 )
+
+
+def dense_condition(matrix) -> float:
+    """Oracle: ratio of extreme singular values of the dense matrix."""
+    singular_values = np.linalg.svd(sps.csr_matrix(matrix).toarray(), compute_uv=False)
+    return float(singular_values[0] / singular_values[-1])
 
 
 class TestDirectSolve:
@@ -81,18 +90,46 @@ class TestConditionNumber:
             m = sps.csr_matrix(rng.standard_normal((12, 12)))
             assert condition_number(m) >= 1.0
 
-    def test_size_threshold(self):
-        a = sps.eye(6000, format="csr")
-        with pytest.raises(MatrixSizeError, match="estimate"):
-            condition_number(a)
+    def test_laplacian_closed_form(self):
+        # Five-point Dirichlet Laplacian on an 80 x 80 grid (6,400 unknowns):
+        # eigenvalues 4/h^2 (sin^2(j pi h / 2) + sin^2(k pi h / 2)), h = 1/81.
+        n = 80
+        second = sps.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+        laplacian = sps.kron(second, sps.eye(n)) + sps.kron(sps.eye(n), second)
+        expected = np.sin(n * np.pi / 162) ** 2 / np.sin(np.pi / 162) ** 2
+        assert condition_number(laplacian) == pytest.approx(expected, rel=1e-8)
 
-    def test_estimate_mode(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((40, 40))
-        a = sps.csr_matrix(m @ m.T + 40 * np.eye(40))
-        exact = condition_number(a)
-        estimate = condition_number(a, method="estimate")
-        assert estimate == pytest.approx(exact, rel=0.05)
+    def test_factor_reuse_matches_fresh_factorization(self):
+        a = sps.csr_matrix(np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]]))
+        lu = factorize(a)
+        assert condition_number(a, factor=lu) == condition_number(a)
+        assert condition_number(a) == pytest.approx(dense_condition(a), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 120),
+        density=st.floats(0.01, 0.3),
+        shift=st.floats(1e-3, 10.0),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_svd(self, n, density, shift, symmetric, seed):
+        rng = np.random.default_rng(seed)
+        b = sps.random(n, n, density=density, random_state=rng, data_rvs=rng.standard_normal)
+        if symmetric:
+            b = b + b.T  # positive definite once the diagonal dominates
+        dominance = np.asarray(abs(b).sum(axis=1)).ravel()
+        a = (b + sps.diags(dominance + shift)).tocsr()
+        assert condition_number(a) == pytest.approx(dense_condition(a), rel=1e-8)
+
+    def test_case11_sweep_against_dense_svd(self):
+        for point in sweep_case11(resolution=8)["points"].values():
+            cond_full = dense_condition(point["system"].matrix)
+            assert point["cond_full"] == pytest.approx(cond_full, rel=1e-8)
+            for tag in ("schur", "star_delta"):
+                cond = dense_condition(point[tag]["reduced"].matrix)
+                assert point[tag]["cond"] == pytest.approx(cond, rel=1e-8)
+                assert point[tag]["r_c"] == pytest.approx(cond_full / cond, rel=1e-8)
 
 
 def test_as_csr_canonicalizes():

@@ -1,10 +1,13 @@
 """Mesh document format: import, export, round-trips and error paths."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import write_triangle_square_mesh
 from fracfv.errors import ConformityError, MeshFormatError
+from fracfv.harness.cases import case13_problem
 from fracfv.mdmesh import (
     FractureNetworkSpec,
     FracturePatch,
@@ -13,6 +16,7 @@ from fracfv.mdmesh import (
     min_cell_diameter,
     save_mesh,
 )
+from fracfv.mdmesh.meshio import _derive_simplex_faces, _ordered_face_nodes
 
 TRIANGLE_PAIR = """fracfv-mesh 1
 ambient 2
@@ -85,6 +89,75 @@ def test_three_dimensional_round_trip(tmp_path):
         assert np.allclose(g1.face_areas, g2.face_areas, rtol=1e-13, atol=0)
         assert np.allclose(np.abs(g1.face_normals), np.abs(g2.face_normals), atol=1e-13)
     loaded.validate()
+
+
+def _loop_polygon_geometry(pts):
+    """Oracle: area, unit normal and centroid of one polygon, one fan
+    triangle at a time."""
+    ref = pts.mean(axis=0)
+    total, centroid_acc, area_acc = np.zeros(3), np.zeros(3), 0.0
+    for a, b in zip(pts, np.roll(pts, -1, axis=0)):
+        cross = np.cross(a - ref, b - ref)
+        tri_area = 0.5 * np.linalg.norm(cross)
+        total += 0.5 * cross
+        centroid_acc += tri_area * (ref + a + b) / 3.0
+        area_acc += tri_area
+    return area_acc, total / np.linalg.norm(total), centroid_acc / area_acc
+
+
+def _assert_polygon_faces_match_loop(grid, face_node_lists):
+    oracle = [_loop_polygon_geometry(grid.nodes[nodes]) for nodes in face_node_lists]
+    areas = np.array([o[0] for o in oracle])
+    normals = np.array([o[1] for o in oracle])
+    centroids = np.array([o[2] for o in oracle])
+    assert np.abs(grid.geometric_face_measures - areas).max() <= 1e-14 * areas.max()
+    assert np.abs(grid.face_centres - centroids).max() <= 1e-14 * np.abs(centroids).max()
+    # Loaded normals are oriented outward from the plus cell; the oracle's are not.
+    signs = np.sign(np.sum(grid.face_normals * normals, axis=1))[:, None]
+    assert np.abs(grid.face_normals - signs * normals).max() <= 1e-14
+
+
+def test_polygon_geometry_matches_loop_on_case13_round_trip(tmp_path):
+    _, mesh = case13_problem(resolution=8)
+    path = tmp_path / "case13.txt"
+    save_mesh(mesh, path)
+    loaded = load_mesh(path)
+    for original, grid in zip(mesh.subdomains, loaded.subdomains):
+        if grid.dim == 3:
+            faces = [_ordered_face_nodes(original, f) for f in range(original.n_faces)]
+            _assert_polygon_faces_match_loop(grid, faces)
+
+
+def test_polygon_geometry_matches_loop_on_perturbed_tetrahedra(tmp_path):
+    # Kuhn triangulation of a 3 x 3 x 3 cube grid: six tetrahedra per cube
+    # along its main diagonal; interior nodes moved by up to 0.1 h per axis.
+    cubes, n = 3, 4
+    axis = np.linspace(0.0, 1.0, n)
+    z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
+    nodes = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    interior = np.all((nodes > 0.0) & (nodes < 1.0), axis=1)
+    rng = np.random.default_rng(20240917)
+    nodes[interior] += 0.1 / cubes * (2.0 * rng.random((interior.sum(), 3)) - 1.0)
+    cells = []
+    for k, j, i in itertools.product(range(cubes), repeat=3):
+        for order in itertools.permutations(range(3)):
+            corner = np.array([i, j, k])
+            verts = [corner]
+            for a in order:
+                corner = corner + np.eye(3, dtype=int)[a]
+                verts.append(corner)
+            cells.append([int(v[0] + n * (v[1] + n * v[2])) for v in verts])
+    lines = ["fracfv-mesh 1", "ambient 3", "subdomains 1", "subdomain 0", "dim 3",
+             "aperture 1", f"nodes {len(nodes)}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in nodes]
+    lines += [f"cells {len(cells)} simplex"] + [" ".join(map(str, c)) for c in cells]
+    lines += ["end", "interfaces 0", "end"]
+    path = tmp_path / "kuhn.txt"
+    path.write_text("\n".join(lines) + "\n")
+    grid = load_mesh(path).subdomains[0]
+    faces, _ = _derive_simplex_faces(3, cells)
+    assert grid.n_cells == 6 * cubes**3
+    _assert_polygon_faces_match_loop(grid, faces)
 
 
 def test_conformity_error_names_pair(tmp_path):
