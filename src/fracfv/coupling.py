@@ -25,20 +25,22 @@ from .tensors import normal_permeability, tensor_field
 
 
 def interface_transmissibility(
-    face_area: float,
-    normal_out: np.ndarray,
-    distance: np.ndarray,
-    k_higher: np.ndarray,
-    aperture: float,
-    k_lower: np.ndarray,
+    face_area,
+    normal_out,
+    distance,
+    k_higher,
+    aperture,
+    k_lower,
     lower_dim: int,
     distance_correction: bool = False,
-) -> tuple[float, float, float]:
-    """Transmissibility of one (higher face, lower cell) pair.
+):
+    """Transmissibility of (higher face, lower cell) pairs.
 
-    The lower-dimensional side is extended by half an aperture normal to the
-    interface: ``alpha_lower = (n . K_lower . n) / (a / 2) * A``. The higher
-    side uses the standard half transmissibility, optionally with the
+    Each argument but ``lower_dim`` and ``distance_correction`` is one pair's
+    value or a stack of them along a leading axis. The lower-dimensional side
+    is extended by half an aperture normal to the interface:
+    ``alpha_lower = (n . K_lower . n) / (a / 2) * A``. The higher side uses
+    the standard half transmissibility, optionally with the
     aperture-corrected distance ``d * (1 - a / (2 |d|))`` that removes the
     double-counted half aperture.
 
@@ -50,19 +52,19 @@ def interface_transmissibility(
             vector (requires the aperture to be small against the mesh size).
     """
     if distance_correction:
-        dist_norm = float(np.linalg.norm(distance))
-        if aperture >= 2.0 * dist_norm:
+        dist_norm = np.linalg.norm(distance, axis=-1)
+        wide_a, wide_d = np.broadcast_arrays(aperture, dist_norm)
+        flipped = np.flatnonzero(wide_a >= 2.0 * wide_d)
+        if flipped.size:
+            i = flipped[0]
             raise DegenerateGeometryError(
-                f"aperture {aperture} is not small against the cell-face distance "
-                f"{dist_norm}; the distance correction assumes apertures well below "
+                f"aperture {wide_a.flat[i]} is not small against the cell-face distance "
+                f"{wide_d.flat[i]}; the distance correction assumes apertures well below "
                 "the smallest cell size"
             )
-        distance = distance * (1.0 - aperture / (2.0 * dist_norm))
+        distance = distance * np.expand_dims(1.0 - aperture / (2.0 * dist_norm), -1)
     alpha_higher = half_transmissibility(face_area, normal_out, distance, k_higher)
-    if lower_dim == 0:
-        kappa = normal_permeability(k_lower, None)
-    else:
-        kappa = normal_permeability(k_lower, normal_out)
+    kappa = normal_permeability(k_lower, None if lower_dim == 0 else normal_out)
     alpha_lower = kappa / (aperture / 2.0) * face_area
     return face_transmissibility(alpha_higher, alpha_lower), alpha_higher, alpha_lower
 
@@ -99,32 +101,22 @@ def discretize_interface(
     intf = mesh.interfaces[interface_index]
     hi = mesh.subdomains[intf.higher]
     lo = mesh.subdomains[intf.lower]
-    n_pairs = intf.n_pairs
     faces = intf.face_cell_pairs[:, 0]
     lower_cells = intf.face_cell_pairs[:, 1]
-    higher_cells = np.empty(n_pairs, dtype=int)
-    t = np.empty(n_pairs)
-    a_hi = np.empty(n_pairs)
-    a_lo = np.empty(n_pairs)
-    csr = hi.cell_faces_csr
-    for i, (f, c_low) in enumerate(zip(faces, lower_cells)):
-        sl = slice(csr.indptr[f], csr.indptr[f + 1])
-        cells = csr.indices[sl]
-        sgns = csr.data[sl]
-        if cells.size != 1:
-            raise AssemblyError(f"interface face {f} is not one-sided")
-        c_hi, sign = int(cells[0]), float(sgns[0])
-        higher_cells[i] = c_hi
-        t[i], a_hi[i], a_lo[i] = interface_transmissibility(
-            float(hi.face_areas[f]),
-            sign * hi.face_normals[f],
-            hi.face_centres[f] - hi.cell_centres[c_hi],
-            permeability_higher[c_hi],
-            float(lo.apertures[c_low]),
-            permeability_lower[c_low],
-            lo.dim,
-            distance_correction,
-        )
+    two_sided = np.flatnonzero(~hi.boundary_faces[faces])
+    if two_sided.size:
+        raise AssemblyError(f"interface face {faces[two_sided[0]]} is not one-sided")
+    higher_cells, signs = hi.one_sided_cells(faces)
+    t, a_hi, a_lo = interface_transmissibility(
+        hi.face_areas[faces],
+        signs[:, None] * hi.face_normals[faces],
+        hi.face_centres[faces] - hi.cell_centres[higher_cells],
+        permeability_higher[higher_cells],
+        lo.apertures[lower_cells],
+        permeability_lower[lower_cells],
+        lo.dim,
+        distance_correction,
+    )
     return CouplingDiscretization(
         interface=interface_index,
         higher=intf.higher,

@@ -44,6 +44,10 @@ class BoundaryConditionSet:
     def _assign(self, faces, value, kind: int):
         faces = self._check_assignable(faces)
         self.kind[faces] = kind
+        # The latest assignment owns these faces: earlier functional data on
+        # them must not shadow it in value_at.
+        for mask, _ in self._functions:
+            mask[faces] = False
         if callable(value):
             mask = np.zeros(self.grid.n_faces, dtype=bool)
             mask[faces] = True
@@ -63,12 +67,6 @@ class BoundaryConditionSet:
         """Assign Neumann data (outward flux density); constant or f(point)."""
         self._assign(faces, value, NEUMANN)
         return self
-
-    def is_dirichlet(self, face: int) -> bool:
-        return self.kind[face] == DIRICHLET
-
-    def is_neumann(self, face: int) -> bool:
-        return self.kind[face] == NEUMANN
 
     def value_at(self, face: int, point: np.ndarray | None = None) -> float:
         """Boundary value of a face, honoring functional data at ``point``.

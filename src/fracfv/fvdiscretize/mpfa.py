@@ -82,11 +82,13 @@ def assemble_mpfa(
 
     basis = _plane_basis(grid)
     d = grid.dim
-    cf = grid.cell_faces_csr
+    face_cells = grid.face_cells
     fn_csr = grid.face_nodes_csr  # rows: nodes
     nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
 
     faces_of_cell = grid.cell_faces.tocsc()
+    two_sided = np.all(face_cells >= 0, axis=1)
+    one_cell, one_sign = grid.one_sided_cells(np.arange(n_faces))
     rows_out, cols_out, vals_out = [], [], []
     flux_boundary = np.zeros(n_faces)
     max_condition = 0.0
@@ -99,9 +101,8 @@ def assemble_mpfa(
         n_regions += 1
         local_of_face = {int(f): i for i, f in enumerate(sub_faces)}
 
-        cells = np.unique(
-            np.concatenate([cf.indices[cf.indptr[f] : cf.indptr[f + 1]] for f in sub_faces])
-        )
+        adjacent = face_cells[sub_faces]
+        cells = np.unique(adjacent[adjacent >= 0])
         local_of_cell = {int(c): i for i, c in enumerate(cells)}
         n_loc = cells.size
 
@@ -136,8 +137,7 @@ def assemble_mpfa(
         unknown_of = np.full(sub_faces.size, -1, dtype=int)
         n_unknown = 0
         for i, f in enumerate(sub_faces):
-            two_sided = cf.indptr[f + 1] - cf.indptr[f] == 2
-            if two_sided:
+            if two_sided[f]:
                 kind[i] = 0
             elif grid.internal_boundary[f] or bc.kind[f] == NEUMANN:
                 kind[i] = 1
@@ -175,18 +175,13 @@ def assemble_mpfa(
 
         for i, f in enumerate(sub_faces):
             if kind[i] == 0:
-                adj = cf.indices[cf.indptr[f] : cf.indptr[f + 1]]
-                sgn = cf.data[cf.indptr[f] : cf.indptr[f + 1]]
-                c_plus = adj[np.flatnonzero(sgn > 0)[0]]
-                c_minus = adj[np.flatnonzero(sgn < 0)[0]]
+                c_plus, c_minus = face_cells[f]
                 eq = unknown_of[i]
                 add_flux_expression(eq, local_of_cell[int(c_plus)], 1.0, i)
                 add_flux_expression(eq, local_of_cell[int(c_minus)], -1.0, i)
             elif kind[i] == 1:
-                adj = cf.indices[cf.indptr[f] : cf.indptr[f + 1]]
-                sgn = cf.data[cf.indptr[f] : cf.indptr[f + 1]]
                 eq = unknown_of[i]
-                add_flux_expression(eq, local_of_cell[int(adj[0])], float(sgn[0]), i)
+                add_flux_expression(eq, local_of_cell[int(one_cell[f])], one_sign[f], i)
                 const[eq] += neumann_flux[i]
 
         if n_unknown:
@@ -206,16 +201,10 @@ def assemble_mpfa(
 
         # Sub-face fluxes along the stored normal, evaluated from one side.
         for i, f in enumerate(sub_faces):
-            adj = cf.indices[cf.indptr[f] : cf.indptr[f + 1]]
-            sgn = cf.data[cf.indptr[f] : cf.indptr[f + 1]]
             if kind[i] == 1:
-                flux_boundary[f] += float(sgn[0]) * neumann_flux[i]
+                flux_boundary[f] += one_sign[f] * neumann_flux[i]
                 continue
-            if kind[i] == 0:
-                c_star = adj[np.flatnonzero(sgn > 0)[0]]
-            else:
-                c_star = adj[0]
-            ci = local_of_cell[int(c_star)]
+            ci = local_of_cell[int(one_cell[f])]
             loc = cell_face_list[ci]
             row = cell_rows[ci][np.flatnonzero(loc == i)[0]]
             cell_coeffs = np.zeros(n_loc)

@@ -19,10 +19,11 @@ from .bc import DIRICHLET, NEUMANN, BoundaryConditionSet
 from .operators import SubdomainDiscretization
 
 
-def half_transmissibility(
-    face_area: float, normal_out: np.ndarray, distance: np.ndarray, k_matrix: np.ndarray
-) -> float:
+def half_transmissibility(face_area, normal_out, distance, k_matrix):
     """One-sided conductance of a cell toward one of its faces.
+
+    Each argument is one face's value or a stack of them along a leading
+    axis; the result has the matching shape.
 
     Parameters:
         face_area: Aperture-weighted face area.
@@ -30,21 +31,21 @@ def half_transmissibility(
         distance: Vector from the cell centre to the face centre.
         k_matrix: Permeability tensor of the cell.
     """
-    dd = float(distance @ distance)
-    if dd == 0.0:
+    dd = np.einsum("...i,...i->...", distance, distance)
+    if np.any(dd == 0.0):
         raise DegenerateGeometryError("zero distance vector between cell and face centre")
-    return float(face_area * (normal_out @ k_matrix @ distance) / dd)
+    n_k = np.einsum("...i,...ij->...j", normal_out, k_matrix)
+    return face_area * np.einsum("...j,...j->...", n_k, distance) / dd
 
 
-def face_transmissibility(alpha_i: float, alpha_j: float) -> float:
-    """Harmonic combination of two half transmissibilities.
+def face_transmissibility(alpha_i, alpha_j):
+    """Harmonic combination of two half transmissibilities (scalars or arrays).
 
     A vanishing sum denotes a fully blocking face and yields zero.
     """
-    s = alpha_i + alpha_j
-    if s == 0.0:
-        return 0.0
-    return alpha_i * alpha_j / s
+    s = np.add(alpha_i, alpha_j)
+    product = np.multiply(alpha_i, alpha_j)
+    return np.divide(product, s, out=np.zeros_like(product), where=s != 0.0)[()]
 
 
 def assemble_tpfa(
@@ -66,55 +67,47 @@ def assemble_tpfa(
     bc.validate_complete()
     n_faces, n_cells = grid.n_faces, grid.n_cells
     div = grid.cell_faces.T.tocsr()
-    rows, cols, vals = [], [], []
+    plus, minus = grid.face_cells.T
+
+    # Half transmissibilities of both sides of every face outside the
+    # internal boundary (the coupling supplies the fluxes of those faces).
+    alpha = np.zeros((n_faces, 2))
+    for side, (cells, sign) in enumerate(((plus, 1.0), (minus, -1.0))):
+        faces = np.flatnonzero((cells >= 0) & ~grid.internal_boundary)
+        c = cells[faces]
+        alpha[faces, side] = half_transmissibility(
+            grid.face_areas[faces],
+            sign * grid.face_normals[faces],
+            grid.face_centres[faces] - grid.cell_centres[c],
+            permeability[c],
+        )
+
+    # Interior faces: flux along the stored normal, t * (p_plus - p_minus).
+    interior = np.flatnonzero((plus >= 0) & (minus >= 0) & ~grid.internal_boundary)
+    a_plus, a_minus = alpha[interior].T
+    t = face_transmissibility(a_plus, a_minus)
+    blocking = (a_plus + a_minus == 0.0) & ~((a_plus == 0.0) & (a_minus == 0.0))
+
+    # External faces: Dirichlet data against the one-sided transmissibility,
+    # Neumann data as the prescribed flux.
     flux_boundary = np.zeros(n_faces)
-    negative_half = 0
-    negative_face = 0
-    blocking = 0
+    ext = np.flatnonzero(grid.external_boundary)
+    cells, signs = grid.one_sided_cells(ext)
+    a_ext = np.where(signs > 0, alpha[ext, 0], alpha[ext, 1])
+    dirichlet = bc.kind[ext] == DIRICHLET
+    neumann = bc.kind[ext] == NEUMANN
+    f_d, f_n = ext[dirichlet], ext[neumann]
+    flux_boundary[f_d] = -signs[dirichlet] * a_ext[dirichlet] * bc.value[f_d]
+    flux_boundary[f_n] = signs[neumann] * bc.value[f_n] * grid.face_areas[f_n]
 
-    csr = grid.cell_faces_csr
-    for f in range(n_faces):
-        sl = slice(csr.indptr[f], csr.indptr[f + 1])
-        cells = csr.indices[sl]
-        sgns = csr.data[sl]
-        if grid.internal_boundary[f]:
-            continue  # coupling supplies these fluxes
-        alphas = []
-        for c, s in zip(cells, sgns):
-            alpha = half_transmissibility(
-                grid.face_areas[f],
-                s * grid.face_normals[f],
-                grid.face_centres[f] - grid.cell_centres[c],
-                permeability[c],
-            )
-            negative_half += alpha < 0
-            alphas.append(alpha)
-        if len(cells) == 2:
-            t = face_transmissibility(alphas[0], alphas[1])
-            negative_face += t < 0
-            blocking += alphas[0] + alphas[1] == 0.0 and not (alphas[0] == 0 and alphas[1] == 0)
-            # Flux along the stored normal: t * (p_plus - p_minus).
-            (c_a, s_a), (c_b, s_b) = zip(cells, sgns)
-            c_plus, c_minus = (c_a, c_b) if s_a > 0 else (c_b, c_a)
-            rows += [f, f]
-            cols += [c_plus, c_minus]
-            vals += [t, -t]
-        else:
-            c, s = int(cells[0]), float(sgns[0])
-            if bc.kind[f] == DIRICHLET:
-                alpha = alphas[0]
-                rows.append(f)
-                cols.append(c)
-                vals.append(s * alpha)
-                flux_boundary[f] = -s * alpha * bc.value_at(f)
-            elif bc.kind[f] == NEUMANN:
-                flux_boundary[f] = s * bc.value_at(f) * grid.face_areas[f]
-
+    rows = np.concatenate([interior, interior, f_d])
+    cols = np.concatenate([plus[interior], minus[interior], cells[dirichlet]])
+    vals = np.concatenate([t, -t, signs[dirichlet] * a_ext[dirichlet]])
     flux_cell = sps.csr_matrix((vals, (rows, cols)), shape=(n_faces, n_cells))
     diagnostics = {
-        "negative_half_transmissibilities": int(negative_half),
-        "negative_face_transmissibilities": int(negative_face),
-        "blocking_faces": int(blocking),
+        "negative_half_transmissibilities": int(np.count_nonzero(alpha < 0.0)),
+        "negative_face_transmissibilities": int(np.count_nonzero(t < 0.0)),
+        "blocking_faces": int(np.count_nonzero(blocking)),
     }
     return SubdomainDiscretization(
         flux_cell=flux_cell,

@@ -62,7 +62,6 @@ class CaseSpec:
     overrides: dict = field(default_factory=dict)
     out_dir: Path | None = None
     write_vtk: bool = False
-    threads: int = 1
 
     def __post_init__(self):
         if self.case not in CASE_IDS:
@@ -975,15 +974,10 @@ def run_case(spec: CaseSpec) -> CaseResult:
             "discretization": spec.discretization,
             "elimination": spec.elimination,
             "overrides": dict(spec.overrides),
-            "threads": spec.threads,
         },
         "results": core,
         "artifacts": {},
     }
-    if spec.threads != 1:
-        report.setdefault("notes", []).append(
-            "multithreaded assembly is not implemented; the run used one thread"
-        )
     if spec.out_dir is not None:
         out_dir = Path(spec.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

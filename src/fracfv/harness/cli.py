@@ -54,13 +54,11 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("fracfv-out"))
     run.add_argument("--override", action="append", metavar="KEY=VALUE")
     run.add_argument("--vtk", action="store_true", help="also write legacy VTK fields")
-    run.add_argument("--threads", type=int, default=1)
 
     sweep = sub.add_parser("sweep", help="crossing-fracture permeability sweep")
     sweep.add_argument("--resolution", type=int, default=8)
     sweep.add_argument("--values", default="1e-3,1,1e3", help="comma-separated permeabilities")
     sweep.add_argument("--out", type=Path, default=Path("fracfv-out"))
-    sweep.add_argument("--threads", type=int, default=1)
 
     validate = sub.add_parser("validate-mesh", help="check a mesh document")
     validate.add_argument("file", type=Path)
@@ -76,7 +74,6 @@ def _cmd_run(args) -> int:
         overrides=_parse_overrides(args.override),
         out_dir=args.out,
         write_vtk=args.vtk,
-        threads=args.threads,
     )
     result = run_case(spec)
     print(f"case {args.case} finished; report at {Path(args.out) / 'report.json'}")

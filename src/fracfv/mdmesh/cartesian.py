@@ -18,7 +18,7 @@ import scipy.sparse as sps
 
 from ..errors import FractureAlignmentError, FractureOverlapError, MeshError
 from ..tensors import PermeabilityTensor
-from .grids import SubdomainGrid
+from .grids import SubdomainGrid, cell_faces_of
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 
@@ -236,46 +236,27 @@ def structured_grid(
 # ---------------------------------------------------------------------------
 
 
-def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> dict[int, tuple[int, int]]:
+def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     """Duplicate interior faces so each copy attaches to one cell only.
 
     The kept copy stays with the cell that saw the normal as outward; the new
     copy (appended at the end) attaches to the other cell with its normal
     flipped to point outward. Both copies are tagged as internal boundary.
-    Returns a map face -> (kept copy, new copy). The grid is modified in place.
+    Returns the new copy of each given face. The grid is modified in place.
     """
     faces = np.asarray(faces, dtype=int)
-    if faces.size == 0:
-        return {}
-    cf = grid.cell_faces.tocoo()
-    entries = {}
-    for f, c, s in zip(cf.row, cf.col, cf.data):
-        entries.setdefault(int(f), []).append((int(c), float(s)))
-
     n_old = grid.n_faces
-    split_map: dict[int, tuple[int, int]] = {}
-    new_geometry_rows = []
-    for offset, f in enumerate(faces):
-        adj = entries[int(f)]
-        if len(adj) != 2:
-            raise MeshError(f"cannot split boundary face {f}")
-        (c_a, s_a), (c_b, s_b) = adj
-        if s_a < 0:
-            (c_a, s_a), (c_b, s_b) = (c_b, s_b), (c_a, s_a)
-        new_f = n_old + offset
-        entries[int(f)] = [(c_a, 1.0)]
-        entries[new_f] = [(c_b, 1.0)]
-        split_map[int(f)] = (int(f), new_f)
-        new_geometry_rows.append((int(f), new_f))
-
-    n_new = n_old + faces.size
-    rows, cols, data = [], [], []
-    for f, adj in entries.items():
-        for c, s in adj:
-            rows.append(f)
-            cols.append(c)
-            data.append(s)
-    grid.cell_faces = sps.csc_matrix((data, (rows, cols)), shape=(n_new, grid.n_cells))
+    new_faces = n_old + np.arange(faces.size)
+    if faces.size == 0:
+        return new_faces
+    pairs = grid.face_cells[faces]
+    one_sided = np.flatnonzero((pairs < 0).any(axis=1))
+    if one_sided.size:
+        raise MeshError(f"cannot split boundary face {faces[one_sided[0]]}")
+    table = np.vstack([grid.face_cells, np.column_stack([pairs[:, 1], np.full(faces.size, -1)])])
+    table[faces, 1] = -1
+    grid.face_cells = table
+    grid.cell_faces = cell_faces_of(table, grid.n_cells)
 
     def dup(arr):
         return np.concatenate([arr, arr[faces]], axis=0)
@@ -294,10 +275,9 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> dict[int, tuple[int, 
     internal[faces] = True
     grid.internal_boundary = internal
 
-    for attr in ("_cell_faces_csr", "_face_nodes_csr"):
-        if hasattr(grid, attr):
-            delattr(grid, attr)
-    return split_map
+    if hasattr(grid, "_face_nodes_csr"):
+        del grid._face_nodes_csr
+    return new_faces
 
 
 def match_centres(candidates: np.ndarray, targets: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -596,20 +576,18 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
             all_faces = np.array(
                 sorted({f for _, pairs in matches_per_lower for f, _ in pairs}), dtype=int
             )
-            counts = np.diff(higher.cell_faces_csr.indptr)
-            to_split = all_faces[counts[all_faces] == 2]
-            split_map = split_faces(higher, to_split)
+            to_split = all_faces[~higher.boundary_faces[all_faces]]
+            twin = np.full(higher.n_faces, -1)
+            twin[to_split] = split_faces(higher, to_split)
             higher.internal_boundary[all_faces] = True
             for lo_idx, pairs in matches_per_lower:
-                rows = []
-                for f, c in pairs:
-                    if f in split_map:
-                        f_keep, f_new = split_map[f]
-                        rows.append((f_keep, c))
-                        rows.append((f_new, c))
-                    else:
-                        rows.append((f, c))
-                interfaces.append(InterfaceMap(hi_idx, lo_idx, np.array(rows, dtype=int)))
+                # Each pair on a split face is followed by the pair of its copy.
+                pairs = np.array(pairs, dtype=int)
+                split = twin[pairs[:, 0]] >= 0
+                rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
+                copies = np.cumsum(np.where(split, 2, 1))[split] - 1
+                rows[copies, 0] = twin[pairs[split, 0]]
+                interfaces.append(InterfaceMap(hi_idx, lo_idx, rows))
 
     mesh = MixedDimensionalMesh(subdomains, interfaces)
     mesh.validate()

@@ -35,6 +35,10 @@ class SubdomainGrid:
         face_areas: Aperture-weighted areas, shape (n_faces,).
         geometric_face_measures: Unweighted (d-1)-measures, shape (n_faces,).
         cell_faces: Signed incidence, sparse (n_faces, n_cells) with +-1.
+        face_cells: Face-neighbour table, integer (n_faces, 2): column 0 holds
+            the cell whose sign is +1, column 1 the cell whose sign is -1,
+            and -1 marks a missing side. Derived from ``cell_faces`` on
+            construction; ``split_faces`` keeps it current.
         face_nodes: Incidence, sparse (n_nodes, n_faces), boolean.
         cell_nodes: Incidence, sparse (n_nodes, n_cells), boolean.
         apertures: Per-cell aperture (length), shape (n_cells,). Constant
@@ -62,6 +66,10 @@ class SubdomainGrid:
     internal_boundary: np.ndarray
     kind: str = "cartesian"
     metadata: dict = field(default_factory=dict)
+    face_cells: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.face_cells = face_cells_of(self.cell_faces)
 
     @property
     def n_cells(self) -> int:
@@ -80,24 +88,6 @@ class SubdomainGrid:
         """The subdomain-constant aperture."""
         return float(self.apertures[0]) if self.apertures.size else 1.0
 
-    def cells_of_face(self, face: int) -> np.ndarray:
-        row = self.cell_faces_csr
-        return row.indices[row.indptr[face] : row.indptr[face + 1]]
-
-    def face_sign(self, face: int, cell: int) -> int:
-        row = self.cell_faces_csr
-        sl = slice(row.indptr[face], row.indptr[face + 1])
-        for c, s in zip(row.indices[sl], row.data[sl]):
-            if c == cell:
-                return int(s)
-        raise MeshError(f"face {face} is not adjacent to cell {cell}")
-
-    @property
-    def cell_faces_csr(self) -> sps.csr_matrix:
-        if not hasattr(self, "_cell_faces_csr"):
-            self._cell_faces_csr = self.cell_faces.tocsr()
-        return self._cell_faces_csr
-
     @property
     def face_nodes_csr(self) -> sps.csr_matrix:
         """Node-to-face incidence in row form (rows are nodes)."""
@@ -108,8 +98,14 @@ class SubdomainGrid:
     @property
     def boundary_faces(self) -> np.ndarray:
         """Mask of faces with exactly one adjacent cell."""
-        counts = np.diff(self.cell_faces_csr.indptr)
-        return counts == 1
+        return np.count_nonzero(self.face_cells >= 0, axis=1) == 1
+
+    def one_sided_cells(self, faces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of each given one-sided face, and the face's sign in it
+        (+1 where the stored normal points out of the cell). A two-sided face
+        gives its plus cell."""
+        plus, minus = self.face_cells[faces].T
+        return np.where(plus >= 0, plus, minus), np.where(plus >= 0, 1.0, -1.0)
 
     @property
     def external_boundary(self) -> np.ndarray:
@@ -139,6 +135,34 @@ class SubdomainGrid:
         return float(np.sqrt((span**2).sum()))
 
 
+def face_cells_of(cell_faces: sps.spmatrix) -> np.ndarray:
+    """Face-neighbour table (plus cell, minus cell; -1 where none) of a
+    signed face-cell incidence.
+
+    Raises:
+        MeshError: If a face has two cells of the same sign.
+    """
+    cf = sps.coo_matrix(cell_faces)
+    n_faces = cf.shape[0]
+    slot = 2 * cf.row + (cf.data < 0)
+    taken = np.bincount(slot, minlength=2 * n_faces)
+    if taken.max(initial=0) > 1:
+        face = int(np.flatnonzero(taken > 1)[0]) // 2
+        raise MeshError(f"face {face} has two cells of the same sign")
+    table = np.full(2 * n_faces, -1, dtype=int)
+    table[slot] = cf.col
+    return table.reshape(n_faces, 2)
+
+
+def cell_faces_of(face_cells: np.ndarray, n_cells: int) -> sps.csc_matrix:
+    """Signed face-cell incidence of a face-neighbour table."""
+    rows, side = np.nonzero(face_cells >= 0)
+    signs = 1.0 - 2.0 * side
+    return sps.csc_matrix(
+        (signs, (rows, face_cells[rows, side])), shape=(face_cells.shape[0], n_cells)
+    )
+
+
 def validate_grid(grid: SubdomainGrid) -> None:
     """Check the structural invariants of a subdomain grid.
 
@@ -151,7 +175,7 @@ def validate_grid(grid: SubdomainGrid) -> None:
     if n_cells == 0:
         raise MeshError("subdomain has no cells")
 
-    counts = np.diff(grid.cell_faces_csr.indptr)
+    counts = np.count_nonzero(grid.face_cells >= 0, axis=1)
     if n_faces and (counts.min() < 1 or counts.max() > 2):
         bad = int(np.flatnonzero((counts < 1) | (counts > 2))[0])
         raise MeshError(f"face {bad} has {counts[bad]} adjacent cells (must be 1 or 2)")

@@ -102,11 +102,6 @@ class MixedDimensionalMesh:
     def domain_diameter(self) -> float:
         return self.highest_dim_subdomain().diameter()
 
-    def locate_dof(self, dof: int) -> tuple[int, int]:
-        """Map a global dof back to (subdomain index, local cell index)."""
-        sd = int(np.searchsorted(self._offsets, dof, side="right") - 1)
-        return sd, int(dof - self._offsets[sd])
-
     def validate(self) -> None:
         """Validate all grid and interface invariants.
 

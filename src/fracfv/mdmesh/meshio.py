@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from ..errors import MeshFormatError
-from .grids import SubdomainGrid
+from .grids import SubdomainGrid, cell_faces_of
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 FORMAT_NAME = "fracfv-mesh"
@@ -139,11 +139,7 @@ def _build_grid_from_entities(
     flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
     face_normals[flip] *= -1.0
 
-    has_plus, has_minus = c_plus >= 0, c_minus >= 0
-    rows = np.concatenate([np.flatnonzero(has_plus), np.flatnonzero(has_minus)])
-    cols = np.concatenate([c_plus[has_plus], c_minus[has_minus]])
-    signs = np.concatenate([np.ones(has_plus.sum()), -np.ones(has_minus.sum())])
-    cell_faces = sps.csc_matrix((signs, (rows, cols)), shape=(n_faces, n_cells))
+    cell_faces = cell_faces_of(np.column_stack([c_plus, c_minus]), n_cells)
 
     # Cell volumes by the divergence theorem over outward-oriented faces.
     if dim == 0:
@@ -329,20 +325,29 @@ def load_mesh(path) -> MixedDimensionalMesh:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_face_nodes(grid: SubdomainGrid, face: int) -> list[int]:
-    """Face nodes, ordered along the polygon boundary for 3D polygons."""
+def _ordered_face_nodes(grid: SubdomainGrid) -> list[np.ndarray]:
+    """Each face's nodes, ordered along the polygon boundary for 3D polygons.
+
+    Polygons are sorted by angle about their node mean in an orthonormal
+    basis of their plane; all polygons with the same node count share one
+    stacked SVD.
+    """
     fn = grid.face_nodes.tocsc()
-    node_list = list(fn.indices[fn.indptr[face] : fn.indptr[face + 1]])
-    if grid.dim < 3 or len(node_list) <= 3:
-        return node_list
-    pts = grid.nodes[node_list]
-    centre = pts.mean(axis=0)
-    shifted = pts - centre
-    # Orthonormal basis of the face plane, then angular sort.
-    _, _, vt = np.linalg.svd(shifted, full_matrices=False)
-    angles = np.arctan2(shifted @ vt[1], shifted @ vt[0])
-    order = np.argsort(angles)
-    return [node_list[i] for i in order]
+    node_lists = [fn.indices[a:b] for a, b in zip(fn.indptr[:-1], fn.indptr[1:])]
+    if grid.dim < 3:
+        return node_lists
+    for faces, node_rows in _by_length(node_lists):
+        if node_rows.shape[1] <= 3:
+            continue
+        shifted = grid.nodes[node_rows] - grid.nodes[node_rows].mean(axis=1, keepdims=True)
+        _, _, vt = np.linalg.svd(shifted, full_matrices=False)
+        angles = np.arctan2(
+            np.einsum("fkd,fd->fk", shifted, vt[:, 1]), np.einsum("fkd,fd->fk", shifted, vt[:, 0])
+        )
+        ordered = np.take_along_axis(node_rows, np.argsort(angles, axis=1), axis=1)
+        for f, row in zip(faces, ordered):
+            node_lists[f] = row
+    return node_lists
 
 
 def save_mesh(mesh: MixedDimensionalMesh, path) -> None:
@@ -363,16 +368,8 @@ def save_mesh(mesh: MixedDimensionalMesh, path) -> None:
             out.append(" ".join(str(n) for n in node_list))
         if grid.n_faces or grid.dim > 0:
             out.append(f"faces {grid.n_faces}")
-            csr = grid.cell_faces_csr
-            for f in range(grid.n_faces):
-                sl = slice(csr.indptr[f], csr.indptr[f + 1])
-                c_plus, c_minus = -1, -1
-                for c, s in zip(csr.indices[sl], csr.data[sl]):
-                    if s > 0:
-                        c_plus = int(c)
-                    else:
-                        c_minus = int(c)
-                node_str = " ".join(str(n) for n in _ordered_face_nodes(grid, f))
+            for (c_plus, c_minus), node_list in zip(grid.face_cells, _ordered_face_nodes(grid)):
+                node_str = " ".join(str(n) for n in node_list)
                 out.append(f"{c_plus} {c_minus} : {node_str}")
         out.append("end")
     out.append(f"interfaces {len(mesh.interfaces)}")

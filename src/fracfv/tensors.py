@@ -86,12 +86,14 @@ def tensor_field(permeability, n_cells: int, dim: int) -> np.ndarray:
     raise ValueError(f"cannot interpret permeability of shape {arr.shape} as a field over {n_cells} cells")
 
 
-def normal_permeability(k_matrix: np.ndarray, normal: np.ndarray | None) -> float:
+def normal_permeability(k_matrix: np.ndarray, normal: np.ndarray | None):
     """Normal component n·K·n of a tensor; eigenvalue mean if no normal exists.
 
     Point-shaped cells carry no direction, so the isotropic equivalent
-    (mean of eigenvalues, i.e. trace/dim) is used.
+    (mean of eigenvalues, i.e. trace/dim) is used. Stacks of tensors and
+    normals along a leading axis give one value each.
     """
     if normal is None:
-        return float(np.trace(k_matrix)) / k_matrix.shape[0]
-    return float(normal @ k_matrix @ normal)
+        return np.trace(k_matrix, axis1=-2, axis2=-1) / k_matrix.shape[-1]
+    n_k = np.einsum("...i,...ij->...j", normal, k_matrix)
+    return np.einsum("...j,...j->...", n_k, normal)

@@ -36,16 +36,25 @@ class TransportState:
 class FluxGraph:
     """A stationary flux field as directed connections and boundary flows.
 
-    ``connections`` holds (i, j, q) with q positive from cell i to cell j.
-    ``boundary`` holds (subdomain, face, cell, q_out) with q_out positive
-    out of the domain. Cell indices refer to the vector space of the
-    transported field (global dofs, or kept-local dofs for reduced runs).
+    ``connections`` holds arrays (i, j, q) with q positive from cell i to
+    cell j. ``boundary`` holds arrays (subdomain, face, cell, q_out), one
+    entry per external boundary face, with q_out positive out of the domain.
+    Cell indices refer to the vector space of the transported field (global
+    dofs, or kept-local dofs for reduced runs).
     """
 
     n_cells: int
     connections: tuple
-    boundary: list
+    boundary: tuple
     volumes: np.ndarray
+
+
+def _boundary_flows(sd: int, grid, fluxes: np.ndarray, cell_index: np.ndarray) -> tuple:
+    """Boundary entries of one subdomain; ``cell_index`` maps its cells to
+    the transported field's indices."""
+    faces = np.flatnonzero(grid.external_boundary)
+    cells, signs = grid.one_sided_cells(faces)
+    return np.full(faces.size, sd), faces, cell_index[cells], signs * fluxes[faces]
 
 
 def flux_graph_from_system(system: GlobalSystem, p: np.ndarray) -> FluxGraph:
@@ -56,29 +65,21 @@ def flux_graph_from_system(system: GlobalSystem, p: np.ndarray) -> FluxGraph:
     for sd, disc in enumerate(system.discs):
         grid = mesh.subdomains[sd]
         fluxes = reconstruct_fluxes(disc, p[mesh.subdomain_slice(sd)])
-        csr = grid.cell_faces_csr
         offset = mesh.dof_offset(sd)
-        for f in range(grid.n_faces):
-            sl = slice(csr.indptr[f], csr.indptr[f + 1])
-            cells = csr.indices[sl]
-            sgns = csr.data[sl]
-            if cells.size == 2:
-                c_plus = cells[np.flatnonzero(sgns > 0)[0]]
-                c_minus = cells[np.flatnonzero(sgns < 0)[0]]
-                conn_i.append(offset + c_plus)
-                conn_j.append(offset + c_minus)
-                conn_q.append(fluxes[f])
-            elif not grid.internal_boundary[f]:
-                q_out = float(sgns[0]) * fluxes[f]
-                boundary.append((sd, f, offset + int(cells[0]), q_out))
+        plus, minus = grid.face_cells.T
+        interior = (plus >= 0) & (minus >= 0)
+        conn_i.append(offset + plus[interior])
+        conn_j.append(offset + minus[interior])
+        conn_q.append(fluxes[interior])
+        boundary.append(_boundary_flows(sd, grid, fluxes, offset + np.arange(grid.n_cells)))
     for c, flux in zip(system.couplings, interface_fluxes(system, p)):
-        conn_i.extend(c.higher_dofs.tolist())
-        conn_j.extend(c.lower_dofs.tolist())
-        conn_q.extend(flux.tolist())
+        conn_i.append(c.higher_dofs)
+        conn_j.append(c.lower_dofs)
+        conn_q.append(flux)
     return FluxGraph(
         n_cells=mesh.n_dofs,
-        connections=(np.array(conn_i, dtype=int), np.array(conn_j, dtype=int), np.array(conn_q)),
-        boundary=boundary,
+        connections=tuple(np.concatenate(c) for c in (conn_i, conn_j, conn_q)),
+        boundary=tuple(np.concatenate(column) for column in zip(*boundary)),
         volumes=mesh.all_cell_volumes(),
     )
 
@@ -101,26 +102,32 @@ def flux_graph_from_reduced(reduced: ReducedSystem, p_kept: np.ndarray) -> FluxG
     boundary = []
     volumes = mesh.all_cell_volumes()[reduced.kept]
     for sd, disc in enumerate(system.discs):
-        grid = mesh.subdomains[sd]
-        dofs = np.arange(mesh.dof_offset(sd), mesh.dof_offset(sd) + grid.n_cells)
-        locs = kept_local[dofs]
+        locs = kept_local[mesh.subdomain_slice(sd)]
         if np.any(locs < 0):
             continue  # eliminated subdomain
         fluxes = reconstruct_fluxes(disc, p_kept[locs])
-        csr = grid.cell_faces_csr
-        for f in range(grid.n_faces):
-            sl = slice(csr.indptr[f], csr.indptr[f + 1])
-            cells = csr.indices[sl]
-            sgns = csr.data[sl]
-            if cells.size == 1 and not grid.internal_boundary[f]:
-                q_out = float(sgns[0]) * fluxes[f]
-                boundary.append((sd, f, int(locs[cells[0]]), q_out))
+        boundary.append(_boundary_flows(sd, mesh.subdomains[sd], fluxes, locs))
     return FluxGraph(
         n_cells=reduced.kept.size,
         connections=(i_loc, j_loc, q),
-        boundary=boundary,
+        boundary=tuple(np.concatenate(column) for column in zip(*boundary)),
         volumes=volumes,
     )
+
+
+def _boundary_data(graph: FluxGraph, transport_bcs: list[BoundaryConditionSet]) -> tuple:
+    """Transport condition kind, value and face area of each boundary entry."""
+    sd, faces = graph.boundary[:2]
+    kind = np.empty(sd.size, dtype=int)
+    value = np.empty(sd.size)
+    area = np.empty(sd.size)
+    for s in np.unique(sd):
+        mine = sd == s
+        bc = transport_bcs[s]
+        kind[mine] = bc.kind[faces[mine]]
+        value[mine] = bc.value[faces[mine]]
+        area[mine] = bc.grid.face_areas[faces[mine]]
+    return kind, value, area
 
 
 def upwind_operator(
@@ -137,38 +144,34 @@ def upwind_operator(
         InflowBoundaryError: An inflow face without transport data.
     """
     n = graph.n_cells
-    rows, cols, vals = [], [], []
-    inflow = np.zeros(n)
     ci, cj, cq = graph.connections
-    for i, j, q in zip(ci, cj, cq):
-        if q > 0.0:
-            upstream = i
-        elif q < 0.0:
-            upstream = j
-        else:
-            continue
-        rows += [i, j]
-        cols += [upstream, upstream]
-        vals += [q, -q]
-    for sd, f, cell, q_out in graph.boundary:
-        bc = transport_bcs[sd]
-        kind = bc.kind[f]
-        if kind == NEUMANN:
-            area = bc.grid.face_areas[f]
-            inflow[cell] -= bc.value_at(f) * area
-        elif q_out > 0.0:
-            rows.append(cell)
-            cols.append(cell)
-            vals.append(q_out)
-        elif q_out < 0.0:
-            if kind == DIRICHLET:
-                inflow[cell] += -q_out * bc.value_at(f)
-            else:
-                raise InflowBoundaryError(
-                    f"inflow face {f} of subdomain {sd} has no transport boundary condition"
-                )
+    flowing = cq != 0.0
+    ci, cj, cq = ci[flowing], cj[flowing], cq[flowing]
+    upstream = np.where(cq > 0.0, ci, cj)
+
+    sd, faces, cells, q_out = graph.boundary
+    kind, value, area = _boundary_data(graph, transport_bcs)
+    neumann = kind == NEUMANN
+    outflow = ~neumann & (q_out > 0.0)
+    inflow_face = ~neumann & (q_out < 0.0)
+    missing = np.flatnonzero(inflow_face & (kind != DIRICHLET))
+    if missing.size:
+        k = missing[0]
+        raise InflowBoundaryError(
+            f"inflow face {faces[k]} of subdomain {sd[k]} has no transport boundary condition"
+        )
+    # Each connection adds q to row i and -q to row j, both in the upstream column.
+    rows = np.concatenate([np.column_stack([ci, cj]).ravel(), cells[outflow]])
+    cols = np.concatenate([np.repeat(upstream, 2), cells[outflow]])
+    vals = np.concatenate([np.column_stack([cq, -cq]).ravel(), q_out[outflow]])
     operator = sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
     operator.sum_duplicates()
+
+    contribution = np.zeros(sd.size)
+    contribution[neumann] = -(value[neumann] * area[neumann])
+    contribution[inflow_face] = -q_out[inflow_face] * value[inflow_face]
+    inflow = np.zeros(n)
+    np.add.at(inflow, cells, contribution)
     return operator, inflow
 
 
@@ -252,11 +255,10 @@ class TracerSimulation:
         self.state = TransportState(np.asarray(initial, dtype=float).copy(), 0.0, self.dt)
         self._factor = factorize(sps.diags(graph.volumes / self.dt) + self.operator)
         # Outflow terms that entered the operator (advective upwind outflow).
-        self._outflow = [
-            (cell, q_out)
-            for sd, f, cell, q_out in graph.boundary
-            if transport_bcs[sd].kind[f] != NEUMANN and q_out > 0.0
-        ]
+        kind = _boundary_data(graph, transport_bcs)[0]
+        cells, q_out = graph.boundary[2:]
+        outflow = (kind != NEUMANN) & (q_out > 0.0)
+        self._outflow_cells, self._outflow_q = cells[outflow], q_out[outflow]
         self._mass_error_abs = 0.0
         self._mass_scale = 0.0
         self.bounds = (float(self.state.concentrations.min()), float(self.state.concentrations.max()))
@@ -284,11 +286,9 @@ class TracerSimulation:
         return self._mass_error_abs / max(self._mass_scale, 1e-300)
 
     def _account(self, previous: np.ndarray, current: np.ndarray):
-        """Independent mass bookkeeping from the boundary list."""
+        """Independent mass bookkeeping from the boundary outflows."""
         storage = float(self.graph.volumes @ (current - previous)) / self.dt
-        through = float(self.inflow.sum())
-        for cell, q_out in self._outflow:
-            through -= q_out * current[cell]
+        through = float(self.inflow.sum() - self._outflow_q @ current[self._outflow_cells])
         if self.source_rates is not None:
             through += float(np.sum(self.source_rates))
         self._mass_error_abs = max(self._mass_error_abs, abs(storage - through))

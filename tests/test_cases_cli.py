@@ -82,10 +82,6 @@ class TestRunCaseArtifacts:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
-    def test_thread_note_recorded(self, tmp_path):
-        result = run_case(CaseSpec(case="1.1", resolution=4, overrides={"k_h": 1.0, "k_v": 1.0}, threads=4))
-        assert any("one thread" in n for n in result.report.get("notes", []))
-
 
 class TestCommandLine:
     def test_run_exit_zero(self, tmp_path, capsys):

@@ -124,8 +124,7 @@ def test_polygon_geometry_matches_loop_on_case13_round_trip(tmp_path):
     loaded = load_mesh(path)
     for original, grid in zip(mesh.subdomains, loaded.subdomains):
         if grid.dim == 3:
-            faces = [_ordered_face_nodes(original, f) for f in range(original.n_faces)]
-            _assert_polygon_faces_match_loop(grid, faces)
+            _assert_polygon_faces_match_loop(grid, _ordered_face_nodes(original))
 
 
 def test_polygon_geometry_matches_loop_on_perturbed_tetrahedra(tmp_path):

@@ -147,7 +147,7 @@ class TestErrorPaths:
         # no planar in-cell gradient can support.
         g = unit_square_4.subdomains[0]
         f = int(np.flatnonzero(~g.boundary_faces)[0])
-        cell = int(g.cells_of_face(f)[0])
+        cell = int(g.face_cells[f, 0])
         cf = g.cell_faces.tocoo()
         n_faces = g.n_faces
         rows = np.concatenate([cf.row, [n_faces]])

@@ -23,10 +23,16 @@ from fracfv.transport import (
 
 def _graph(connections, boundary, volumes):
     i, j, q = zip(*connections) if connections else ((), (), ())
+    sd, face, cell, q_out = zip(*boundary) if boundary else ((), (), (), ())
     return FluxGraph(
         n_cells=len(volumes),
         connections=(np.array(i, dtype=int), np.array(j, dtype=int), np.array(q, dtype=float)),
-        boundary=boundary,
+        boundary=(
+            np.array(sd, dtype=int),
+            np.array(face, dtype=int),
+            np.array(cell, dtype=int),
+            np.array(q_out, dtype=float),
+        ),
         volumes=np.asarray(volumes, dtype=float),
     )
 
