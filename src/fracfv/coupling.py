@@ -144,9 +144,6 @@ class GlobalSystem:
     bcs: list[BoundaryConditionSet]
     source_density: np.ndarray | None = None
 
-    def subdomain_pressures(self, p: np.ndarray, subdomain: int) -> np.ndarray:
-        return p[self.mesh.subdomain_slice(subdomain)]
-
 
 def assemble_global(
     mesh: MixedDimensionalMesh,

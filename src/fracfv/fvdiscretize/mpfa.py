@@ -11,6 +11,12 @@ Boundary sub-faces close the local systems with the face's boundary data:
 Dirichlet values enter at the continuity points, Neumann fluxes are imposed
 on the sub-face (internal-boundary faces as zero flux; the interdimensional
 coupling carries their actual flux).
+
+The regions are computed in batches. Every (cell, node) corner's gradient
+matrix is inverted in one stacked call. Regions with the same signature
+(numbers of sub-faces, cells and unknowns) are assembled, checked and solved
+as stacks, in blocks of bounded size. Each node's entries are accumulated in
+the order a node-by-node assembly would use, so batching changes no sum.
 """
 
 from __future__ import annotations
@@ -24,6 +30,13 @@ from .bc import DIRICHLET, NEUMANN, BoundaryConditionSet
 from .operators import SubdomainDiscretization
 
 DEFAULT_ETA = {"cartesian": 0.0, "simplex": 1.0 / 3.0}
+
+# Sub-face kinds; UNUSABLE marks a one-sided face without usable data.
+INTERIOR, NEUMANN_SUB, DIRICHLET_SUB, UNUSABLE = 0, 1, 2, -1
+
+# Regions of one signature are solved in blocks whose largest stacks hold
+# about this many numbers, so that memory stays bounded on any grid.
+BLOCK_ENTRIES = 1 << 15
 
 
 def default_eta(grid: SubdomainGrid) -> float:
@@ -45,6 +58,287 @@ def _plane_basis(grid: SubdomainGrid) -> np.ndarray:
     return vt[:d]
 
 
+def _sub_faces(grid: SubdomainGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Node and face of every sub-face, ordered by node, then face."""
+    fn = grid.face_nodes.tocoo()
+    order = np.lexsort((fn.col, fn.row))
+    return fn.row[order].astype(int), fn.col[order].astype(int)
+
+
+def _corners(face_cells: np.ndarray, sub_node: np.ndarray, sub_face: np.ndarray):
+    """The (cell, node) corners of the interaction regions.
+
+    Returns the sub-faces of the corners, ordered by node, cell and face;
+    where each sub-face sits in that order from each of its sides (-1 for a
+    missing side); and per corner its node, its cell and its sub-face count.
+    """
+    t_sub, t_side = np.nonzero(face_cells[sub_face] >= 0)
+    t_cell = face_cells[sub_face[t_sub], t_side]
+    order = np.lexsort((t_sub, t_cell, sub_node[t_sub]))
+    t_sub, t_cell = t_sub[order], t_cell[order]
+    place_of = np.full((sub_face.size, 2), -1)
+    place_of[t_sub, t_side[order]] = np.arange(t_sub.size)
+    t_node = sub_node[t_sub]
+    first = np.ones(t_sub.size, dtype=bool)
+    first[1:] = (t_node[1:] != t_node[:-1]) | (t_cell[1:] != t_cell[:-1])
+    start = np.flatnonzero(first)
+    counts = np.diff(np.append(start, t_sub.size))
+    return t_sub, place_of, t_node[start], t_cell[start], counts
+
+
+def _corner_flux_rows(grid, permeability, basis, x_cont, sub_area, sub_face, corner_sub, corner_cell):
+    """Flux rows q G^{-1} of every (cell, node) corner, and the corners whose
+    gradient matrix G LAPACK cannot invert.
+
+    Row a of a corner gives the flux from its cell across its a-th sub-face
+    per unit pressure at each of its continuity points, less the cell's.
+    """
+    g_mat = (x_cont[corner_sub] - grid.cell_centres[corner_cell][:, None, :]) @ basis.T
+    errors = []
+    try:
+        h_mat = np.linalg.inv(g_mat)
+    except np.linalg.LinAlgError:
+        errors = _singular(g_mat)
+        g_mat[[k for k, _ in errors]] = np.eye(basis.shape[0])  # their nodes fail anyway
+        h_mat = np.linalg.inv(g_mat)
+    normals = grid.face_normals[sub_face[corner_sub]]
+    kn = (basis @ permeability[corner_cell] @ normals.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return -(sub_area[corner_sub][:, :, None] * kn) @ h_mat, errors
+
+
+def _singular(stack: np.ndarray) -> list[tuple[int, np.linalg.LinAlgError]]:
+    """The matrices of a stack that LAPACK cannot factor, with their errors.
+
+    Only called after a stacked call has failed, to find the culprits.
+    """
+    errors = []
+    for k, matrix in enumerate(stack):
+        try:
+            np.linalg.inv(matrix)
+        except np.linalg.LinAlgError as exc:
+            errors.append((k, exc))
+    return errors
+
+
+def _interaction_regions(grid, permeability, bc, eta):
+    """Solve every interaction region of a grid with faces.
+
+    Returns per sub-face (in node-by-node order) its face, its number of
+    output slots, the slots' flux coefficients and cell columns (flat, in
+    cell order per sub-face), and its boundary term; and the diagnostics.
+
+    Raises:
+        SingularLocalSystemError: At the lowest-numbered degenerate node.
+    """
+    basis = _plane_basis(grid)
+    d = grid.dim
+    face_cells = grid.face_cells
+    nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
+    # Failures as (node, rank within the node, cell, message, cause); the
+    # lowest is raised, as a node-by-node assembly would: within a node,
+    # corner failures (rank 0) come first in cell order, then a face without
+    # usable data (rank 1), then a singular local system (rank 2).
+    failures = []
+
+    sub_node, sub_face = _sub_faces(grid)
+    n_regions = np.unique(sub_node).size
+
+    # Corners: each cell of a region must have d faces at the node.
+    corner_sub, place_of, corner_node, corner_cell, counts = _corners(face_cells, sub_node, sub_face)
+    wrong = np.flatnonzero(counts != d)
+    if wrong.size:
+        k = wrong[0]
+        node, cell = int(corner_node[k]), int(corner_cell[k])
+        message = f"cell {cell} has {counts[k]} faces at node {node}, expected {d}"
+        failures.append((node, 0, cell, message, None))
+        keep = ~np.isin(sub_node, corner_node[wrong])
+        sub_node, sub_face = sub_node[keep], sub_face[keep]
+        corner_sub, place_of, corner_node, corner_cell, _ = _corners(face_cells, sub_node, sub_face)
+    n_sub, n_corners = sub_face.size, corner_cell.size
+    # Each corner's sub-faces, by face; place_of[s, side] is corner * d plus
+    # the position of sub-face s in the corner on that side.
+    corner_sub = corner_sub.reshape(n_corners, d)
+
+    # Regions: nodes with sub-faces, numbered in node order.
+    region_start = np.flatnonzero(np.diff(sub_node, prepend=-1))
+    region_of_sub = np.cumsum(np.diff(sub_node, prepend=-1) != 0) - 1
+    region_node = sub_node[region_start]
+    corner_region = np.searchsorted(region_node, corner_node)
+    corner_start = np.searchsorted(corner_region, np.arange(region_node.size))
+    local_cell = np.arange(n_corners) - corner_start[corner_region]
+    cells_of_region = np.diff(np.append(corner_start, n_corners))
+
+    # Per corner: the flux rows from one stacked gradient inversion.
+    x_cont = (1.0 - eta) * grid.face_centres[sub_face] + eta * grid.nodes[sub_node]
+    sub_area = grid.face_areas[sub_face] / nodes_per_face[sub_face]
+    flux_rows, singular_corners = _corner_flux_rows(
+        grid, permeability, basis, x_cont, sub_area, sub_face, corner_sub, corner_cell
+    )
+    if singular_corners:
+        k, exc = singular_corners[0]
+        node = int(corner_node[k])
+        failures.append((node, 0, int(corner_cell[k]), f"degenerate region at node {node}", exc))
+    row_sums = flux_rows.sum(axis=2)
+
+    # Classify sub-faces and number the unknowns per region. one_side is
+    # the table column of the cell a one-sided sub-face belongs to (0 for
+    # two-sided ones: their fluxes are evaluated from the plus cell).
+    one_side = (face_cells[sub_face, 0] < 0).astype(int)
+    on_boundary = grid.internal_boundary[sub_face]
+    kind = np.select(
+        [
+            np.all(face_cells[sub_face] >= 0, axis=1),
+            on_boundary | (bc.kind[sub_face] == NEUMANN),
+            bc.kind[sub_face] == DIRICHLET,
+        ],
+        [INTERIOR, NEUMANN_SUB, DIRICHLET_SUB],
+        UNUSABLE,
+    )
+    unusable = np.flatnonzero(kind == UNUSABLE)
+    if unusable.size:
+        s = unusable[0]
+        message = f"face {sub_face[s]} lacks a usable boundary condition"
+        failures.append((int(sub_node[s]), 1, 0, message, None))
+    is_unknown = (kind == INTERIOR) | (kind == NEUMANN_SUB)
+    before = np.cumsum(is_unknown) - is_unknown
+    unknown_of = np.where(is_unknown, before - before[region_start[region_of_sub]], -1)
+    n_unknown = np.bincount(region_of_sub[is_unknown], minlength=region_node.size)
+
+    dirichlet_value = np.zeros(n_sub)
+    neumann_flux = np.zeros(n_sub)
+    for s in np.flatnonzero((kind == DIRICHLET_SUB) | ((kind == NEUMANN_SUB) & ~on_boundary)):
+        if kind[s] == DIRICHLET_SUB:
+            dirichlet_value[s] = bc.value_at(int(sub_face[s]), x_cont[s])
+        else:
+            neumann_flux[s] = bc.value_at(int(sub_face[s])) * sub_area[s]
+
+    # Outputs per sub-face, in sub-face (node-by-node) order: one slot per
+    # cell of the region for each sub-face whose flux is evaluated, and one
+    # boundary term, the Neumann flux or the evaluated constant part.
+    evaluated = (kind == INTERIOR) | (kind == DIRICHLET_SUB)
+    n_slots = np.where(evaluated, cells_of_region[region_of_sub], 0)
+    first_slot = np.cumsum(n_slots) - n_slots
+    slot_val = np.zeros(n_slots.sum())
+    slot_col = np.zeros(n_slots.sum(), dtype=int)
+    boundary_term = np.where(kind == NEUMANN_SUB, (1.0 - 2.0 * one_side) * neumann_flux, 0.0)
+
+    def solve(block: np.ndarray, n_s: int, n_loc: int, n_unk: int) -> float:
+        """Solve a block of regions with one signature, and write the outputs
+        of their sub-faces. Returns the largest local condition number."""
+        # The block's sub-faces, region by region, and their regions' ranks.
+        subs = (region_start[block][:, None] + np.arange(n_s)).ravel()
+        rank = np.repeat(np.arange(block.size), n_s)
+        # Solutions [U | u0]: continuity-point pressures of the unknowns as
+        # U @ cell pressures + u0; a zero row when there are none.
+        solved = np.zeros((block.size, max(n_unk, 1), n_loc + 1))
+        cond_max = 0.0
+        if n_unk:
+            # Flux expressions in equation order: an interior sub-face's
+            # equation adds the flux from its plus cell and subtracts that
+            # from its minus cell; a Neumann sub-face's takes the flux from
+            # its one cell.
+            n_expr = np.where(kind[subs] == INTERIOR, 2, np.where(kind[subs] == NEUMANN_SUB, 1, 0))
+            e = np.repeat(np.arange(subs.size), n_expr)
+            e_sub = subs[e]
+            side = np.where(
+                kind[e_sub] == INTERIOR,
+                np.arange(e.size) - (np.cumsum(n_expr) - n_expr)[e],
+                one_side[e_sub],
+            )
+            sign = 1.0 - 2.0 * side
+            corner, pos = np.divmod(place_of[e_sub, side], d)
+            eq = rank[e] * n_unk + unknown_of[e_sub]
+            coeff = sign[:, None] * flux_rows[corner, pos]
+            other = corner_sub[corner]
+            free = unknown_of[other] >= 0
+            # Local systems M u = [P | c]: P maps the region's cell
+            # pressures, c holds the boundary data.
+            width = n_loc + 1
+            local = np.zeros((block.size, n_unk, n_unk))
+            flat = (eq[:, None] * n_unk + unknown_of[other])[free]
+            np.add.at(local.reshape(-1), flat, coeff[free])
+            # An equation's Dirichlet terms precede its Neumann flux, as in
+            # a node-by-node assembly.
+            neumann = np.flatnonzero(kind[subs] == NEUMANN_SUB)
+            rhs = np.zeros((block.size, n_unk, width))
+            np.add.at(
+                rhs.reshape(-1),
+                np.concatenate([
+                    eq * width + local_cell[corner],
+                    np.broadcast_to(eq[:, None] * width + n_loc, free.shape)[~free],
+                    (rank[neumann] * n_unk + unknown_of[subs[neumann]]) * width + n_loc,
+                ]),
+                np.concatenate([
+                    sign * row_sums[corner, pos],
+                    -(coeff * dirichlet_value[other])[~free],
+                    neumann_flux[subs[neumann]],
+                ]),
+            )
+            cond = np.linalg.cond(local)
+            scale = np.abs(local).max(axis=(1, 2))
+            singular = ~np.isfinite(cond) | ((scale > 0) & (1.0 / cond < 1e-12))
+            if singular.any():
+                node = int(region_node[block[np.argmax(singular)]])
+                failures.append((node, 2, 0, f"singular local system at node {node}", None))
+                return cond_max
+            cond_max = float(cond.max())
+            if not failures:
+                try:
+                    solved[:, :n_unk] = np.linalg.solve(local, rhs)
+                except np.linalg.LinAlgError:
+                    k, exc = _singular(local)[0]
+                    node = int(region_node[block[k]])
+                    failures.append((node, 2, 0, f"singular local system at node {node}", exc))
+        if failures:
+            return cond_max
+
+        # Sub-face fluxes along the stored normal, evaluated from one side.
+        s = subs[evaluated[subs]]
+        r = rank[evaluated[subs]]
+        corner, pos = np.divmod(place_of[s, one_side[s]], d)
+        row = flux_rows[corner, pos]
+        cell_coeffs = np.zeros((s.size, n_loc))
+        const_term = np.zeros(s.size)
+        for j in range(d):
+            other = corner_sub[corner, j]
+            free = unknown_of[other] >= 0
+            u = solved[r, np.maximum(unknown_of[other], 0)]
+            cell_coeffs += np.where(free[:, None], row[:, j, None] * u[:, :n_loc], 0.0)
+            const_term += row[:, j] * np.where(free, u[:, n_loc], dirichlet_value[other])
+        cell_coeffs[np.arange(s.size), local_cell[corner]] -= row_sums[corner, pos]
+        slots = first_slot[s][:, None] + np.arange(n_loc)
+        slot_val[slots] = cell_coeffs
+        slot_col[slots] = corner_cell[corner_start[block[r]][:, None] + np.arange(n_loc)]
+        boundary_term[s] = const_term
+        return cond_max
+
+    # Signatures: regions with equal counts of sub-faces, cells and
+    # unknowns share stacks of local systems.
+    signatures, group_of = np.unique(
+        np.column_stack([np.diff(np.append(region_start, n_sub)), cells_of_region, n_unknown]),
+        axis=0,
+        return_inverse=True,
+    )
+    group_of = group_of.ravel()
+    max_condition = 0.0
+    for group, (n_s, n_loc, n_unk) in enumerate(signatures):
+        members = np.flatnonzero(group_of == group)
+        per_block = max(1, BLOCK_ENTRIES // (n_s * (n_loc + 1) + n_unk * n_unk))
+        for block in np.split(members, np.arange(per_block, members.size, per_block)):
+            max_condition = max(max_condition, solve(block, n_s, n_loc, n_unk))
+
+    if failures:
+        node, rank, _, message, cause = min(failures, key=lambda f: f[:3])
+        if rank == 1:
+            raise DiscretizationError(message)
+        raise SingularLocalSystemError(node, message) from cause
+
+    return sub_face, n_slots, slot_val, slot_col, boundary_term, {
+        "mpfa_regions": n_regions,
+        "mpfa_max_local_condition": float(max_condition),
+    }
+
+
 def assemble_mpfa(
     grid: SubdomainGrid,
     permeability: np.ndarray,
@@ -62,7 +356,7 @@ def assemble_mpfa(
 
     Raises:
         SingularLocalSystemError: A degenerate interaction region, naming
-            the node.
+            the lowest-numbered such node.
     """
     bc.validate_complete()
     if eta is None:
@@ -80,156 +374,20 @@ def assemble_mpfa(
             diagnostics={"mpfa_regions": 0, "mpfa_max_local_condition": 0.0},
         )
 
-    basis = _plane_basis(grid)
-    d = grid.dim
-    face_cells = grid.face_cells
-    fn_csr = grid.face_nodes_csr  # rows: nodes
-    nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
-
-    faces_of_cell = grid.cell_faces.tocsc()
-    two_sided = np.all(face_cells >= 0, axis=1)
-    one_cell, one_sign = grid.one_sided_cells(np.arange(n_faces))
-    rows_out, cols_out, vals_out = [], [], []
-    flux_boundary = np.zeros(n_faces)
-    max_condition = 0.0
-    n_regions = 0
-
-    for node in range(grid.n_nodes):
-        sub_faces = np.sort(fn_csr.indices[fn_csr.indptr[node] : fn_csr.indptr[node + 1]])
-        if sub_faces.size == 0:
-            continue
-        n_regions += 1
-        local_of_face = {int(f): i for i, f in enumerate(sub_faces)}
-
-        adjacent = face_cells[sub_faces]
-        cells = np.unique(adjacent[adjacent >= 0])
-        local_of_cell = {int(c): i for i, c in enumerate(cells)}
-        n_loc = cells.size
-
-        x_node = grid.nodes[node]
-        cont_points = (1.0 - eta) * grid.face_centres[sub_faces] + eta * x_node
-        sub_area = grid.face_areas[sub_faces] / nodes_per_face[sub_faces]
-
-        # Per cell: faces of this region at the node, gradient inversion and
-        # the flux coefficient rows q^T G^{-1}.
-        cell_face_list: list[np.ndarray] = []
-        cell_rows: list[np.ndarray] = []
-        for c in cells:
-            c_faces = faces_of_cell.indices[faces_of_cell.indptr[c] : faces_of_cell.indptr[c + 1]]
-            mine = np.sort(np.array([f for f in c_faces if f in local_of_face], dtype=int))
-            if mine.size != d:
-                raise SingularLocalSystemError(
-                    node,
-                    f"cell {c} has {mine.size} faces at node {node}, expected {d}",
-                )
-            loc = np.array([local_of_face[int(f)] for f in mine])
-            g_mat = (cont_points[loc] - grid.cell_centres[c]) @ basis.T
-            try:
-                h_mat = np.linalg.inv(g_mat)
-            except np.linalg.LinAlgError as exc:
-                raise SingularLocalSystemError(node, f"degenerate region at node {node}") from exc
-            q = -(sub_area[loc, None] * (basis @ permeability[c] @ grid.face_normals[mine].T).T)
-            cell_face_list.append(loc)
-            cell_rows.append(q @ h_mat)  # rows: coefficients over cont. points of S(c)
-
-        # Classify sub-faces and number the unknowns.
-        kind = np.empty(sub_faces.size, dtype=int)  # 0 interior, 1 neumann, 2 dirichlet
-        unknown_of = np.full(sub_faces.size, -1, dtype=int)
-        n_unknown = 0
-        for i, f in enumerate(sub_faces):
-            if two_sided[f]:
-                kind[i] = 0
-            elif grid.internal_boundary[f] or bc.kind[f] == NEUMANN:
-                kind[i] = 1
-            elif bc.kind[f] == DIRICHLET:
-                kind[i] = 2
-            else:
-                raise DiscretizationError(f"face {f} lacks a usable boundary condition")
-            if kind[i] in (0, 1):
-                unknown_of[i] = n_unknown
-                n_unknown += 1
-
-        dirichlet_value = np.zeros(sub_faces.size)
-        neumann_flux = np.zeros(sub_faces.size)
-        for i, f in enumerate(sub_faces):
-            if kind[i] == 2:
-                dirichlet_value[i] = bc.value_at(int(f), cont_points[i])
-            elif kind[i] == 1 and not grid.internal_boundary[f]:
-                neumann_flux[i] = bc.value_at(int(f)) * sub_area[i]
-
-        m_mat = np.zeros((n_unknown, n_unknown))
-        p_mat = np.zeros((n_unknown, n_loc))
-        const = np.zeros(n_unknown)
-
-        def add_flux_expression(eq: int, ci: int, sign: float, i_sub: int):
-            """Add sign * (flux from cell ci across sub-face i_sub) to equation eq."""
-            loc = cell_face_list[ci]
-            row = cell_rows[ci][np.flatnonzero(loc == i_sub)[0]]
-            for j, s_other in enumerate(loc):
-                coeff = sign * row[j]
-                if unknown_of[s_other] >= 0:
-                    m_mat[eq, unknown_of[s_other]] += coeff
-                else:
-                    const[eq] -= coeff * dirichlet_value[s_other]
-            p_mat[eq, ci] += sign * row.sum()
-
-        for i, f in enumerate(sub_faces):
-            if kind[i] == 0:
-                c_plus, c_minus = face_cells[f]
-                eq = unknown_of[i]
-                add_flux_expression(eq, local_of_cell[int(c_plus)], 1.0, i)
-                add_flux_expression(eq, local_of_cell[int(c_minus)], -1.0, i)
-            elif kind[i] == 1:
-                eq = unknown_of[i]
-                add_flux_expression(eq, local_of_cell[int(one_cell[f])], one_sign[f], i)
-                const[eq] += neumann_flux[i]
-
-        if n_unknown:
-            cond = np.linalg.cond(m_mat)
-            max_condition = max(max_condition, cond)
-            scale = np.abs(m_mat).max()
-            if not np.isfinite(cond) or (scale > 0 and 1.0 / cond < 1e-12):
-                raise SingularLocalSystemError(node, f"singular local system at node {node}")
-            try:
-                solved = np.linalg.solve(m_mat, np.hstack([p_mat, const[:, None]]))
-            except np.linalg.LinAlgError as exc:
-                raise SingularLocalSystemError(node, f"singular local system at node {node}") from exc
-            u_cells, u_const = solved[:, :-1], solved[:, -1]
-        else:
-            u_cells = np.zeros((0, n_loc))
-            u_const = np.zeros(0)
-
-        # Sub-face fluxes along the stored normal, evaluated from one side.
-        for i, f in enumerate(sub_faces):
-            if kind[i] == 1:
-                flux_boundary[f] += one_sign[f] * neumann_flux[i]
-                continue
-            ci = local_of_cell[int(one_cell[f])]
-            loc = cell_face_list[ci]
-            row = cell_rows[ci][np.flatnonzero(loc == i)[0]]
-            cell_coeffs = np.zeros(n_loc)
-            const_term = 0.0
-            for j, s_other in enumerate(loc):
-                if unknown_of[s_other] >= 0:
-                    cell_coeffs += row[j] * u_cells[unknown_of[s_other]]
-                    const_term += row[j] * u_const[unknown_of[s_other]]
-                else:
-                    const_term += row[j] * dirichlet_value[s_other]
-            cell_coeffs[ci] -= row.sum()
-            for j in range(n_loc):
-                if cell_coeffs[j] != 0.0:
-                    rows_out.append(f)
-                    cols_out.append(int(cells[j]))
-                    vals_out.append(cell_coeffs[j])
-            flux_boundary[f] += const_term
-
-    flux_cell = sps.csr_matrix((vals_out, (rows_out, cols_out)), shape=(n_faces, n_cells))
+    sub_face, n_slots, slot_val, slot_col, boundary_term, diagnostics = _interaction_regions(
+        grid, permeability, bc, eta
+    )
+    # One COO build of the nonzero slots, whose duplicates (a face's entries
+    # from each of its nodes) are summed in node order.
+    nonzero = slot_val != 0.0
+    rows = np.repeat(sub_face, n_slots)[nonzero]
+    flux_cell = sps.csr_matrix(
+        (slot_val[nonzero], (rows, slot_col[nonzero])), shape=(n_faces, n_cells)
+    )
     flux_cell.sum_duplicates()
-    diagnostics = {
-        "mpfa_regions": n_regions,
-        "mpfa_max_local_condition": float(max_condition),
-        "eta": eta,
-    }
+    flux_boundary = np.zeros(n_faces)
+    np.add.at(flux_boundary, sub_face, boundary_term)
+    diagnostics["eta"] = eta
     return SubdomainDiscretization(
         flux_cell=flux_cell,
         flux_boundary=flux_boundary,

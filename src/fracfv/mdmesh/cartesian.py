@@ -39,9 +39,6 @@ class FracturePatch:
     def in_plane_axes(self, ambient_dim: int) -> list[int]:
         return [k for k in range(ambient_dim) if k != self.normal_axis]
 
-    def extent_of_axis(self, axis: int, ambient_dim: int) -> tuple[float, float]:
-        return self.extents[self.in_plane_axes(ambient_dim).index(axis)]
-
 
 @dataclass
 class FractureNetworkSpec:
@@ -280,24 +277,32 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     return new_faces
 
 
-def match_centres(candidates: np.ndarray, targets: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """Pairs (i, j) with candidates[i] == targets[j] within ``tol`` (unique keys)."""
+def match_centres(candidates: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
+    """Pairs (i, j), shape (n_pairs, 2), with candidates[i] == targets[j]
+    within ``tol``, in ascending candidate order.
+
+    Points match on their coordinates rounded to multiples of ``tol``; of
+    targets that round alike, the last one counts.
+    """
     if len(candidates) == 0 or len(targets) == 0:
-        return []
-    quantum = max(tol, 1e-300)
-
-    def keys(arr):
-        return [tuple(int(v) for v in np.rint(row / quantum)) for row in arr]
-
-    lookup = {}
-    for j, key in enumerate(keys(targets)):
-        lookup[key] = j
-    pairs = []
-    for i, key in enumerate(keys(candidates)):
-        j = lookup.get(key)
-        if j is not None and np.linalg.norm(candidates[i] - targets[j]) <= tol:
-            pairs.append((i, j))
-    return pairs
+        return np.zeros((0, 2), dtype=int)
+    n_targets = len(targets)
+    keys = np.rint(np.concatenate([targets, candidates]) / max(tol, 1e-300))
+    # Group equal keys; each candidate takes its key's highest target index.
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    new_key = np.ones(order.size, dtype=bool)
+    new_key[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    key = np.cumsum(new_key) - 1
+    is_target = order < n_targets
+    last_target = np.full(key[-1] + 1, -1)
+    np.maximum.at(last_target, key[is_target], order[is_target])
+    i = order[~is_target] - n_targets
+    j = last_target[key[~is_target]]
+    i, j = i[j >= 0], j[j >= 0]
+    close = np.linalg.norm(candidates[i] - targets[j], axis=1) <= tol
+    pairs = np.column_stack([i[close], j[close]])
+    return pairs[np.argsort(pairs[:, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +574,17 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
             for lo_idx in by_dim.get(d_high - 1, []):
                 lower = subdomains[lo_idx]
                 pairs = match_centres(higher.face_centres, lower.cell_centres, match_tol)
-                if pairs:
-                    matches_per_lower.append((lo_idx, sorted(pairs)))
+                if pairs.size:
+                    matches_per_lower.append((lo_idx, pairs))
             if not matches_per_lower:
                 continue
-            all_faces = np.array(
-                sorted({f for _, pairs in matches_per_lower for f, _ in pairs}), dtype=int
-            )
+            all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
             to_split = all_faces[~higher.boundary_faces[all_faces]]
             twin = np.full(higher.n_faces, -1)
             twin[to_split] = split_faces(higher, to_split)
             higher.internal_boundary[all_faces] = True
             for lo_idx, pairs in matches_per_lower:
                 # Each pair on a split face is followed by the pair of its copy.
-                pairs = np.array(pairs, dtype=int)
                 split = twin[pairs[:, 0]] >= 0
                 rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
                 copies = np.cumsum(np.where(split, 2, 1))[split] - 1

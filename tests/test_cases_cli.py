@@ -82,6 +82,18 @@ class TestRunCaseArtifacts:
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
 
+    def test_case3_report_is_deterministic(self, tmp_path):
+        # Case 3 times its three discretizations; the wall-time ratios go
+        # to timings.json, not into the report.
+        spec = dict(case="3", resolution=4, overrides={"n_steps": 4})
+        run_case(CaseSpec(**spec, out_dir=tmp_path / "a"))
+        run_case(CaseSpec(**spec, out_dir=tmp_path / "b"))
+        a = (tmp_path / "a" / "report.json").read_bytes()
+        assert a == (tmp_path / "b" / "report.json").read_bytes()
+        assert b"relative_discretization_time" not in a
+        timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+        assert set(timings["relative_discretization_time"]) == {"tpfa", "hybrid"}
+
 
 class TestCommandLine:
     def test_run_exit_zero(self, tmp_path, capsys):

@@ -3,10 +3,14 @@
 The per-face loop versions of TPFA assembly, interface coupling, flux-graph
 construction, upwind assembly and face-node ordering are kept here as
 reference oracles. They read the signed incidence ``cell_faces`` row by row
-and never the table, so they check the table too. The array versions must
-reproduce them on all six preset cases, on a perturbed simplex mesh and on
-random fracture networks.
+and never the table, so they check the table too. So are the per-node loop
+version of MPFA assembly and the tuple-key loop that matched face and cell
+centres. The array versions must reproduce them on all six preset cases, on
+a perturbed simplex mesh and on random fracture networks.
 """
+
+import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +22,20 @@ from conftest import write_triangle_square_mesh
 from fracfv import coupling, transport
 from fracfv.coupling import conservation_residual, uniform_problem
 from fracfv.elimination import schur_reduce
-from fracfv.errors import DegenerateGeometryError, InflowBoundaryError, MeshError
-from fracfv.fvdiscretize import DIRICHLET, NEUMANN, flow_bc, transport_bc
+from fracfv.errors import (
+    DegenerateGeometryError,
+    DiscretizationError,
+    InflowBoundaryError,
+    MeshError,
+    SingularLocalSystemError,
+)
+from fracfv.fvdiscretize import DIRICHLET, NEUMANN, assemble_mpfa, flow_bc, transport_bc
+from fracfv.fvdiscretize.mpfa import _plane_basis, default_eta
 from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, run_case
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
+from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.grids import face_cells_of
 from fracfv.mdmesh.meshio import _ordered_face_nodes
 from fracfv.tensors import PermeabilityTensor, tensor_field
@@ -96,6 +108,171 @@ def loop_assemble_tpfa(grid, permeability, bc):
         "negative_half_transmissibilities": int(negative_half),
         "negative_face_transmissibilities": int(negative_face),
         "blocking_faces": int(blocking),
+    }
+    return flux_cell, flux_boundary, diagnostics
+
+
+def loop_assemble_mpfa(grid, permeability, bc, eta=None):
+    """The node-by-node MPFA assembly: one local system per node."""
+    bc.validate_complete()
+    if eta is None:
+        eta = default_eta(grid)
+    if not 0.0 <= eta < 1.0:
+        raise DiscretizationError(f"eta must lie in [0, 1), got {eta}")
+    n_faces, n_cells = grid.n_faces, grid.n_cells
+    if n_faces == 0:
+        diagnostics = {"mpfa_regions": 0, "mpfa_max_local_condition": 0.0}
+        return sps.csr_matrix((0, n_cells)), np.zeros(0), diagnostics
+
+    basis = _plane_basis(grid)
+    d = grid.dim
+    face_cells = grid.face_cells
+    fn_csr = grid.face_nodes_csr  # rows: nodes
+    nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
+
+    faces_of_cell = grid.cell_faces.tocsc()
+    two_sided = np.all(face_cells >= 0, axis=1)
+    one_cell, one_sign = grid.one_sided_cells(np.arange(n_faces))
+    rows_out, cols_out, vals_out = [], [], []
+    flux_boundary = np.zeros(n_faces)
+    max_condition = 0.0
+    n_regions = 0
+
+    for node in range(grid.n_nodes):
+        sub_faces = np.sort(fn_csr.indices[fn_csr.indptr[node] : fn_csr.indptr[node + 1]])
+        if sub_faces.size == 0:
+            continue
+        n_regions += 1
+        local_of_face = {int(f): i for i, f in enumerate(sub_faces)}
+
+        adjacent = face_cells[sub_faces]
+        cells = np.unique(adjacent[adjacent >= 0])
+        local_of_cell = {int(c): i for i, c in enumerate(cells)}
+        n_loc = cells.size
+
+        x_node = grid.nodes[node]
+        cont_points = (1.0 - eta) * grid.face_centres[sub_faces] + eta * x_node
+        sub_area = grid.face_areas[sub_faces] / nodes_per_face[sub_faces]
+
+        # Per cell: faces of this region at the node, gradient inversion and
+        # the flux coefficient rows q^T G^{-1}.
+        cell_face_list: list[np.ndarray] = []
+        cell_rows: list[np.ndarray] = []
+        for c in cells:
+            c_faces = faces_of_cell.indices[faces_of_cell.indptr[c] : faces_of_cell.indptr[c + 1]]
+            mine = np.sort(np.array([f for f in c_faces if f in local_of_face], dtype=int))
+            if mine.size != d:
+                raise SingularLocalSystemError(
+                    node,
+                    f"cell {c} has {mine.size} faces at node {node}, expected {d}",
+                )
+            loc = np.array([local_of_face[int(f)] for f in mine])
+            g_mat = (cont_points[loc] - grid.cell_centres[c]) @ basis.T
+            try:
+                h_mat = np.linalg.inv(g_mat)
+            except np.linalg.LinAlgError as exc:
+                raise SingularLocalSystemError(node, f"degenerate region at node {node}") from exc
+            q = -(sub_area[loc, None] * (basis @ permeability[c] @ grid.face_normals[mine].T).T)
+            cell_face_list.append(loc)
+            cell_rows.append(q @ h_mat)  # rows: coefficients over cont. points of S(c)
+
+        # Classify sub-faces and number the unknowns.
+        kind = np.empty(sub_faces.size, dtype=int)  # 0 interior, 1 neumann, 2 dirichlet
+        unknown_of = np.full(sub_faces.size, -1, dtype=int)
+        n_unknown = 0
+        for i, f in enumerate(sub_faces):
+            if two_sided[f]:
+                kind[i] = 0
+            elif grid.internal_boundary[f] or bc.kind[f] == NEUMANN:
+                kind[i] = 1
+            elif bc.kind[f] == DIRICHLET:
+                kind[i] = 2
+            else:
+                raise DiscretizationError(f"face {f} lacks a usable boundary condition")
+            if kind[i] in (0, 1):
+                unknown_of[i] = n_unknown
+                n_unknown += 1
+
+        dirichlet_value = np.zeros(sub_faces.size)
+        neumann_flux = np.zeros(sub_faces.size)
+        for i, f in enumerate(sub_faces):
+            if kind[i] == 2:
+                dirichlet_value[i] = bc.value_at(int(f), cont_points[i])
+            elif kind[i] == 1 and not grid.internal_boundary[f]:
+                neumann_flux[i] = bc.value_at(int(f)) * sub_area[i]
+
+        m_mat = np.zeros((n_unknown, n_unknown))
+        p_mat = np.zeros((n_unknown, n_loc))
+        const = np.zeros(n_unknown)
+
+        def add_flux_expression(eq: int, ci: int, sign: float, i_sub: int):
+            """Add sign * (flux from cell ci across sub-face i_sub) to equation eq."""
+            loc = cell_face_list[ci]
+            row = cell_rows[ci][np.flatnonzero(loc == i_sub)[0]]
+            for j, s_other in enumerate(loc):
+                coeff = sign * row[j]
+                if unknown_of[s_other] >= 0:
+                    m_mat[eq, unknown_of[s_other]] += coeff
+                else:
+                    const[eq] -= coeff * dirichlet_value[s_other]
+            p_mat[eq, ci] += sign * row.sum()
+
+        for i, f in enumerate(sub_faces):
+            if kind[i] == 0:
+                c_plus, c_minus = face_cells[f]
+                eq = unknown_of[i]
+                add_flux_expression(eq, local_of_cell[int(c_plus)], 1.0, i)
+                add_flux_expression(eq, local_of_cell[int(c_minus)], -1.0, i)
+            elif kind[i] == 1:
+                eq = unknown_of[i]
+                add_flux_expression(eq, local_of_cell[int(one_cell[f])], one_sign[f], i)
+                const[eq] += neumann_flux[i]
+
+        if n_unknown:
+            cond = np.linalg.cond(m_mat)
+            max_condition = max(max_condition, cond)
+            scale = np.abs(m_mat).max()
+            if not np.isfinite(cond) or (scale > 0 and 1.0 / cond < 1e-12):
+                raise SingularLocalSystemError(node, f"singular local system at node {node}")
+            try:
+                solved = np.linalg.solve(m_mat, np.hstack([p_mat, const[:, None]]))
+            except np.linalg.LinAlgError as exc:
+                raise SingularLocalSystemError(node, f"singular local system at node {node}") from exc
+            u_cells, u_const = solved[:, :-1], solved[:, -1]
+        else:
+            u_cells = np.zeros((0, n_loc))
+            u_const = np.zeros(0)
+
+        # Sub-face fluxes along the stored normal, evaluated from one side.
+        for i, f in enumerate(sub_faces):
+            if kind[i] == 1:
+                flux_boundary[f] += one_sign[f] * neumann_flux[i]
+                continue
+            ci = local_of_cell[int(one_cell[f])]
+            loc = cell_face_list[ci]
+            row = cell_rows[ci][np.flatnonzero(loc == i)[0]]
+            cell_coeffs = np.zeros(n_loc)
+            const_term = 0.0
+            for j, s_other in enumerate(loc):
+                if unknown_of[s_other] >= 0:
+                    cell_coeffs += row[j] * u_cells[unknown_of[s_other]]
+                    const_term += row[j] * u_const[unknown_of[s_other]]
+                else:
+                    const_term += row[j] * dirichlet_value[s_other]
+            cell_coeffs[ci] -= row.sum()
+            for j in range(n_loc):
+                if cell_coeffs[j] != 0.0:
+                    rows_out.append(f)
+                    cols_out.append(int(cells[j]))
+                    vals_out.append(cell_coeffs[j])
+            flux_boundary[f] += const_term
+
+    flux_cell = sps.csr_matrix((vals_out, (rows_out, cols_out)), shape=(n_faces, n_cells))
+    flux_cell.sum_duplicates()
+    diagnostics = {
+        "mpfa_regions": n_regions,
+        "mpfa_max_local_condition": float(max_condition),
+        "eta": eta,
     }
     return flux_cell, flux_boundary, diagnostics
 
@@ -211,6 +388,25 @@ def loop_upwind_operator(graph, transport_bcs):
     return operator, inflow
 
 
+def loop_match_centres(candidates, targets, tol):
+    if len(candidates) == 0 or len(targets) == 0:
+        return []
+    quantum = max(tol, 1e-300)
+
+    def keys(arr):
+        return [tuple(int(v) for v in np.rint(row / quantum)) for row in arr]
+
+    lookup = {}
+    for j, key in enumerate(keys(targets)):
+        lookup[key] = j
+    pairs = []
+    for i, key in enumerate(keys(candidates)):
+        j = lookup.get(key)
+        if j is not None and np.linalg.norm(candidates[i] - targets[j]) <= tol:
+            pairs.append((i, j))
+    return pairs
+
+
 def loop_ordered_face_nodes(grid, face):
     fn = grid.face_nodes.tocsc()
     node_list = list(fn.indices[fn.indptr[face] : fn.indptr[face + 1]])
@@ -250,6 +446,25 @@ def _check_tpfa(disc, grid, permeability, bc):
     assert disc.diagnostics == diagnostics
 
 
+MPFA_TOL = 1e-12
+
+
+def _check_mpfa(disc, grid, permeability, bc, eta=None):
+    flux_cell, flux_boundary, diagnostics = loop_assemble_mpfa(grid, permeability, bc, eta)
+    new, old = sps.csr_matrix(disc.flux_cell), sps.csr_matrix(flux_cell)
+    new.sort_indices()
+    old.sort_indices()
+    assert np.array_equal(new.indptr, old.indptr) and np.array_equal(new.indices, old.indices)
+    scale = max(np.abs(old.data).max(initial=0.0), 1e-300)
+    assert np.abs(new.data - old.data).max(initial=0.0) <= MPFA_TOL * scale
+    scale = max(np.abs(flux_boundary).max(initial=0.0), 1e-300)
+    assert np.abs(disc.flux_boundary - flux_boundary).max(initial=0.0) <= MPFA_TOL * scale
+    assert disc.diagnostics["mpfa_regions"] == diagnostics["mpfa_regions"]
+    assert disc.diagnostics["mpfa_max_local_condition"] == pytest.approx(
+        diagnostics["mpfa_max_local_condition"], rel=1e-10
+    )
+
+
 def _check_interface(c, mesh, index, k_higher, k_lower, distance_correction=False):
     oracle = loop_discretize_interface(mesh, index, k_higher, k_lower, distance_correction)
     assert np.array_equal(c.higher_cells, oracle[:, 0].astype(int))
@@ -279,6 +494,11 @@ def _check_reduced_graph(graph, reduced, p_kept):
     _check_boundary(graph.boundary, loop_flux_graph_boundary_from_reduced(reduced, p_kept))
 
 
+def _check_match(pairs, candidates, targets, tol):
+    assert pairs.shape == (pairs.shape[0], 2)
+    assert [tuple(p) for p in pairs.tolist()] == loop_match_centres(candidates, targets, tol)
+
+
 def _check_upwind(result, graph, transport_bcs):
     operator, inflow = loop_upwind_operator(graph, transport_bcs)
     _close_sparse(result[0], operator)
@@ -290,8 +510,12 @@ class Spies:
     every call against its oracle."""
 
     def __init__(self, monkeypatch):
-        self.calls = dict.fromkeys(["tpfa", "interface", "system", "reduced", "upwind"], 0)
+        self.calls = dict.fromkeys(
+            ["match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind"], 0
+        )
+        self._wrap(monkeypatch, cartesian, "match_centres", "match", _check_match)
         self._wrap(monkeypatch, coupling, "assemble_tpfa", "tpfa", _check_tpfa)
+        self._wrap(monkeypatch, coupling, "assemble_mpfa", "mpfa", _check_mpfa)
         self._wrap(monkeypatch, coupling, "discretize_interface", "interface", _check_interface)
         self._wrap(monkeypatch, cases, "flux_graph_from_system", "system", _check_system_graph)
         self._wrap(monkeypatch, cases, "flux_graph_from_reduced", "reduced", _check_reduced_graph)
@@ -327,9 +551,11 @@ SMALL_CASES = [
 def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
     spies = Spies(monkeypatch)
     run_case(CaseSpec(case=case, resolution=resolution, overrides=overrides))
-    assert spies.calls["interface"] > 0
+    assert spies.calls["interface"] > 0 and spies.calls["match"] > 0
     if case != "2":  # case 2 discretizes every subdomain by MPFA
         assert spies.calls["tpfa"] > 0
+    if case in ("2", "3"):
+        assert spies.calls["mpfa"] > 0
     if case in ("1.3", "3", "4"):
         assert spies.calls["system"] > 0 and spies.calls["upwind"] > 0
     if case in ("1.3", "4"):
@@ -362,6 +588,52 @@ def test_perturbed_simplex_mesh_matches_loop_oracles(tmp_path):
     _check_system_graph(graph, system, p)
     tracer = transport_bc(g).set_dirichlet(ext, lambda x: x[0]).set_neumann(bottom, -0.5)
     _check_upwind(transport.upwind_operator(graph, [tracer]), graph, [tracer])
+
+    system = uniform_problem(mesh, [k], flow, methods=["mpfa"]).assemble()
+    _check_mpfa(system.discs[0], g, k, system.bcs[0])
+    p = direct_solve(system.matrix, system.rhs)
+    _check_system_graph(transport.flux_graph_from_system(system, p), system, p)
+
+
+def _raised(fn, *args):
+    with pytest.raises(DiscretizationError) as err:
+        fn(*args)
+    return err.value
+
+
+def test_mpfa_failures_match_loop_oracle(unit_square_4):
+    # Each broken input must fail at the node, with the type and message,
+    # that the node-by-node assembly reports. Zero permeability around the
+    # centre node leaves its local system singular; a cell centre on the
+    # line through two of its face centres makes that corner's gradient
+    # matrix singular. Combined, the lower-numbered node must win.
+    g = unit_square_4.subdomains[0]
+    k = tensor_field(np.array([[2.0, 0.5], [0.5, 1.0]]), g.n_cells, 2)
+    blocked = k.copy()
+    blocked[[5, 6, 9, 10]] = 0.0
+
+    def moved(cell):
+        grid = copy.deepcopy(g)
+        grid.cell_centres = grid.cell_centres.copy()
+        faces = np.flatnonzero(grid.face_cells[:, 0] == cell)
+        grid.cell_centres[cell] = grid.face_centres[faces].mean(axis=0)
+        return grid
+
+    broken = [(g, blocked), (g, np.zeros_like(k)), (moved(0), k), (moved(6), k)]
+    broken += [(moved(0), blocked), (moved(10), blocked)]
+    named = []
+    for grid, perm in broken:
+        bc = flow_bc(grid).set_dirichlet(np.flatnonzero(grid.external_boundary), 1.0)
+        new = _raised(assemble_mpfa, grid, perm, bc)
+        old = _raised(loop_assemble_mpfa, grid, perm, bc)
+        assert type(new) is type(old) and str(new) == str(old)
+        assert isinstance(new, SingularLocalSystemError) and new.node == old.node
+        named.append((new.node, str(new).split(" at")[0]))
+    singular, degenerate = "singular local system", "degenerate region"
+    assert named == [
+        (7, singular), (1, singular), (6, degenerate),
+        (13, degenerate), (6, degenerate), (7, singular),
+    ]
 
 
 def test_distance_corrected_interfaces_match_loop_oracle():
@@ -431,7 +703,39 @@ def networks(draw):
         patches.append(FracturePatch(axis, index / res, tuple(extents), aperture, permeability, f"p{n}"))
     matrix_k = np.diag([10.0 ** draw(st.integers(-1, 1)) for _ in range(dim)])
     spec = FractureNetworkSpec(domain=((0.0, 1.0),) * dim, fractures=patches)
-    return build_cartesian_with_fractures(spec, res), matrix_k
+    return _build_against_loop_matching(spec, res), matrix_k
+
+
+GRID_ARRAYS = [
+    "nodes", "cell_centres", "cell_volumes", "face_centres", "face_normals", "face_areas",
+    "apertures", "internal_boundary", "face_cells", "cell_faces", "face_nodes", "cell_nodes",
+]
+
+
+def _build_against_loop_matching(spec, res):
+    """Build a network mesh, and check that it equals, bit for bit, the mesh
+    built with the tuple-key matching loop."""
+    mesh = build_cartesian_with_fractures(spec, res)
+
+    def loop(*args):
+        return np.array(loop_match_centres(*args), dtype=int).reshape(-1, 2)
+
+    with mock.patch.object(cartesian, "match_centres", loop):
+        oracle = build_cartesian_with_fractures(spec, res)
+    assert len(mesh.subdomains) == len(oracle.subdomains)
+    for g, o in zip(mesh.subdomains, oracle.subdomains):
+        for name in GRID_ARRAYS:
+            a, b = getattr(g, name), getattr(o, name)
+            if sps.issparse(a):
+                a, b = a.tocoo(), b.tocoo()
+                assert np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
+                a, b = a.data, b.data
+            assert np.array_equal(a, b), name
+    assert len(mesh.interfaces) == len(oracle.interfaces)
+    for i, o in zip(mesh.interfaces, oracle.interfaces):
+        assert (i.higher, i.lower) == (o.higher, o.lower)
+        assert np.array_equal(i.face_cell_pairs, o.face_cell_pairs)
+    return mesh
 
 
 def _x_dirichlet(sd, grid):
@@ -466,3 +770,67 @@ def test_random_networks(network):
     reduced = schur_reduce(system)
     p_kept = direct_solve(reduced.matrix, reduced.rhs)
     assert np.abs(p_kept - p[reduced.kept]).max() <= 1e-10 * np.abs(p).max()
+
+
+def _spd_tensors(draw, n_cells, ambient):
+    """One random SPD tensor R diag(values) R^T per cell, with eigenvalues
+    spread over four decades and random principal axes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_cells, ambient, ambient))
+    rotation, _ = np.linalg.qr(a)
+    values = 10.0 ** rng.uniform(-2.0, 2.0, (n_cells, ambient))
+    return np.einsum("cij,cj,ckj->cik", rotation, values, rotation)
+
+
+@st.composite
+def mpfa_networks(draw):
+    mesh, _ = draw(networks())
+    perms = [_spd_tensors(draw, g.n_cells, g.ambient_dim) for g in mesh.subdomains]
+    return mesh, perms
+
+
+def _x_dirichlet_y_neumann(sd, grid):
+    # Inflow through y = 0, where cells see the stored normal as inward,
+    # and outflow through y = 1, where they see it as outward.
+    bc = _x_dirichlet(sd, grid)
+    ext = np.flatnonzero(grid.external_boundary & (bc.kind == NEUMANN))
+    for value, flux in ((0.0, -0.5), (1.0, 0.25)):
+        faces = ext[np.abs(grid.face_centres[ext, 1] - value) < 1e-12]
+        if faces.size:
+            bc.set_neumann(faces, flux)
+    return bc
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(mpfa_networks())
+def test_random_networks_mpfa_match_loop_oracle(network):
+    mesh, perms = network
+    methods = ["mpfa"] * len(mesh.subdomains)
+    system = uniform_problem(mesh, perms, _x_dirichlet_y_neumann, methods=methods)
+    system = system.assemble()
+    for g, k, bc, disc in zip(mesh.subdomains, perms, system.bcs, system.discs):
+        _check_mpfa(disc, g, k, bc)
+    p = direct_solve(system.matrix, system.rhs)
+    assert conservation_residual(system, p) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_match_centres_matches_tuple_key_loop(seed, dim):
+    # Points on a lattice of spacing tol/2, with repeats, signed zeros and
+    # jitter across rounding boundaries and the tolerance.
+    rng = np.random.default_rng(seed)
+    tol = 1e-3
+
+    def lattice(n):
+        return rng.integers(-4, 5, (n, dim)) * (tol / 2)
+
+    targets = lattice(rng.integers(1, 30))
+    jitter = rng.choice([0.0, 0.3, 0.51], targets.shape) * rng.choice([-1, 1], targets.shape)
+    targets = targets + jitter * tol
+    targets[rng.random(targets.shape) < 0.1] = -0.0
+    candidates = np.concatenate([targets, lattice(rng.integers(0, 30))])
+    candidates = candidates[rng.permutation(len(candidates))]
+    candidates = candidates + rng.choice([0.0, 0.2, 0.7], candidates.shape) * tol
+    _check_match(cartesian.match_centres(candidates, targets, tol), candidates, targets, tol)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sps
 
 from conftest import write_triangle_square_mesh
+from test_face_table import loop_assemble_mpfa
 from fracfv.errors import DiscretizationError, SingularLocalSystemError
 from fracfv.fvdiscretize import assemble_mpfa, assemble_tpfa, default_eta, flow_bc
 from fracfv.linsolve import direct_solve
@@ -177,7 +178,10 @@ class TestErrorPaths:
         k = tensor_field(1.0, g.n_cells, 2)
         with pytest.raises(SingularLocalSystemError) as err:
             assemble_mpfa(clone, k, flow_bc(clone))
-        assert "node" in str(err.value)
+        with pytest.raises(SingularLocalSystemError) as oracle:
+            loop_assemble_mpfa(clone, k, flow_bc(clone))
+        assert err.value.node == oracle.value.node == min(fn[:, f].indices)
+        assert str(err.value) == str(oracle.value)
 
     def test_nonplanar_subdomain_rejected(self):
         # Bend an embedded fracture grid out of plane; the scheme requires a
