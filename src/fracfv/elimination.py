@@ -151,21 +151,26 @@ def schur_reduce_matrix(
     )
 
 
+def _eliminated_dofs(mesh, eliminated: np.ndarray | None) -> np.ndarray:
+    """All intersection cells (subdomains of dimension at most N-2) when
+    ``eliminated`` is None, else ``eliminated`` checked to lie among them."""
+    allowed = mesh.intersection_dofs()
+    if eliminated is None:
+        return allowed
+    eliminated = np.asarray(eliminated, dtype=int)
+    outside = eliminated[~np.isin(eliminated, allowed)]
+    if outside.size:
+        raise EliminationError(f"dofs {outside.tolist()} are not intersection cells")
+    return eliminated
+
+
 def schur_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None) -> ReducedSystem:
     """Schur reduction of a mixed-dimensional system.
 
     ``eliminated`` defaults to all intersection cells (subdomains of
     dimension at most N-2) and must stay within that set.
     """
-    mesh = system.mesh
-    allowed = set(mesh.intersection_dofs().tolist())
-    if eliminated is None:
-        eliminated = mesh.intersection_dofs()
-    else:
-        eliminated = np.asarray(eliminated, dtype=int)
-        outside = [d for d in eliminated.tolist() if d not in allowed]
-        if outside:
-            raise EliminationError(f"dofs {outside} are not intersection cells")
+    eliminated = _eliminated_dofs(system.mesh, eliminated)
     return schur_reduce_matrix(system.matrix, system.rhs, eliminated, system=system)
 
 
@@ -214,16 +219,7 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
         UnsupportedSourceError: A source or boundary contribution sits in an
             eliminated cell; there is no cell left to carry it.
     """
-    mesh = system.mesh
-    if eliminated is None:
-        eliminated = mesh.intersection_dofs()
-    else:
-        eliminated = np.asarray(eliminated, dtype=int)
-        allowed = set(mesh.intersection_dofs().tolist())
-        outside = [d for d in eliminated.tolist() if d not in allowed]
-        if outside:
-            raise EliminationError(f"dofs {outside} are not intersection cells")
-    eliminated = np.unique(eliminated)
+    eliminated = np.unique(_eliminated_dofs(system.mesh, eliminated))
     n = system.matrix.shape[0]
     elim_mask = np.zeros(n, dtype=bool)
     elim_mask[eliminated] = True
@@ -240,55 +236,65 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     elim_local = -np.ones(n, dtype=int)
     elim_local[eliminated] = np.arange(eliminated.size)
 
-    # Branches from coupling pairs; bonds among eliminated cells merge stars.
-    branches = []  # (eliminated dof, kept dof, alpha_branch, pair transmissibility)
-    bond_rows, bond_cols = [], []
-    for c in system.couplings:
-        for h, l, alpha, t in zip(
-            c.higher_dofs, c.lower_dofs, c.alpha_higher, c.transmissibility
-        ):
-            h_el, l_el = elim_mask[h], elim_mask[l]
-            if l_el and not h_el:
-                branches.append((int(l), int(h), float(alpha), float(t)))
-            elif l_el and h_el:
-                bond_rows.append(elim_local[h])
-                bond_cols.append(elim_local[l])
-            elif h_el and not l_el:
-                raise EliminationError(
-                    "coupling from an eliminated cell into a kept lower-dimensional cell"
-                )
+    # Branches are coupling pairs from a kept cell into an eliminated one;
+    # bonds among eliminated cells merge their stars.
+    def stacked(attr, dtype):
+        arrays = [np.asarray(getattr(c, attr), dtype=dtype) for c in system.couplings]
+        return np.concatenate(arrays + [np.empty(0, dtype)])
 
+    higher, lower = stacked("higher_dofs", int), stacked("lower_dofs", int)
+    h_el, l_el = elim_mask[higher], elim_mask[lower]
+    if np.any(h_el & ~l_el):
+        raise EliminationError(
+            "coupling from an eliminated cell into a kept lower-dimensional cell"
+        )
+    bond = h_el & l_el
     bonds = sps.csr_matrix(
-        (np.ones(len(bond_rows)), (bond_rows, bond_cols)),
+        (np.ones(np.count_nonzero(bond)), (elim_local[higher[bond]], elim_local[lower[bond]])),
         shape=(eliminated.size, eliminated.size),
     )
     n_comp, labels = connected_components(bonds, directed=False)
 
+    # Branches grouped by star, in coupling order within each star.
+    branch = l_el & ~h_el
+    star = labels[elim_local[lower[branch]]]
+    order = np.argsort(star, kind="stable")
+    star = star[order]
+    loc = kept_local[higher[branch]][order]
+    alpha = stacked("alpha_higher", float)[branch][order]
+    t = stacked("transmissibility", float)[branch][order]
+
+    size = np.bincount(star, minlength=n_comp)
+    if np.any(size == 0):
+        members = eliminated[labels == np.argmax(size == 0)]
+        raise EliminationError(f"eliminated cells {members.tolist()} have no branch connections")
+    total = np.bincount(star, weights=alpha, minlength=n_comp)
+    if np.any(total == 0.0):
+        raise EliminationError("star with zero total branch conductance")
+
+    # Branch i meets every other branch j of its star: j runs over the star's
+    # slice of the grouped branches.
+    width = size[star]
+    first = np.cumsum(size) - size
+    i = np.repeat(np.arange(star.size), width)
+    j = first[star[i]] + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
+    i, j = i[i != j], j[i != j]
+
+    # The two-point couplings t_i into the star are removed; the star adds
+    # alpha_i - alpha_i^2 / sum alpha to each branch cell's diagonal and
+    # couples each pair directly by alpha_i alpha_j / sum alpha. Removing
+    # first and adding second rounds each entry as (a - t) + d, as an
+    # entry-by-entry update does.
+    shape = (kept.size, kept.size)
+    removed = sps.csr_matrix((t, (loc, loc)), shape=shape)
+    diagonal = alpha - alpha * alpha / total[star]
+    pairs = -(alpha[i] * alpha[j] / total[star[i]])
+    rows, cols = np.concatenate([loc, loc[i]]), np.concatenate([loc, loc[j]])
+    correction = sps.csr_matrix(
+        (np.concatenate([diagonal, pairs]), (rows, cols)), shape=shape
+    )
     a = as_csr(system.matrix)
-    a_kk = a[kept][:, kept].tolil()
-
-    comp_branches: list[list] = [[] for _ in range(n_comp)]
-    for l_dof, h_dof, alpha, t in branches:
-        comp_branches[labels[elim_local[l_dof]]].append((h_dof, alpha, t))
-
-    for comp, blist in enumerate(comp_branches):
-        if not blist:
-            members = eliminated[labels == comp]
-            raise EliminationError(
-                f"eliminated cells {members.tolist()} have no branch connections"
-            )
-        alphas = np.array([alpha for _, alpha, _ in blist])
-        total = alphas.sum()
-        if total == 0.0:
-            raise EliminationError("star with zero total branch conductance")
-        locs = np.array([kept_local[h] for h, _, _ in blist])
-        for i, (h, alpha, t) in enumerate(blist):
-            a_kk[locs[i], locs[i]] -= t  # the removed two-point coupling
-            a_kk[locs[i], locs[i]] += alpha - alpha * alpha / total
-            for j in range(i + 1, len(blist)):
-                t_ij = alpha * alphas[j] / total
-                a_kk[locs[i], locs[j]] -= t_ij
-                a_kk[locs[j], locs[i]] -= t_ij
+    a_kk = a[kept][:, kept] - removed + correction
 
     return ReducedSystem(
         kept=kept,

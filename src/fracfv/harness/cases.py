@@ -1,16 +1,24 @@
 """Preset test cases: meshes, physics, runs, error reports and artifacts.
 
-Each case builds its fracture network and boundary conditions, solves the
-requested variants (discretization and elimination choices), computes
-volume-weighted relative L2 errors against the case's reference, and emits
-field/series artifacts plus a deterministic JSON report.
+Each case is declared once in ``CASES``: its default resolution, its free
+parameters with their defaults, which of the discretization and elimination
+choices it reads, its problem builder and its study. A study solves the
+case's variants with the shared steps below (flow solve with condition
+number, one reduction, tracer transport) and returns its results, its
+in-memory extras and the fields and series it emits. ``run_case`` binds the
+builder to the run's parameters, runs the study, wraps the results in the
+report envelope and writes every artifact.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
 from ..linsolve import condition_number, direct_solve, factorize
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
-from ..tensors import PermeabilityTensor, tensor_field
+from ..tensors import PermeabilityTensor
 from ..transport import (
     TracerSimulation,
     flux_graph_from_reduced,
@@ -34,21 +42,8 @@ from ..transport import (
     resolve_probe,
     write_series_csv,
 )
-from .export import build_identifier, export_field_csv, export_field_vtk, write_report
-from .norms import NORM_VERSION, l2_error, least_squares_slope, nearest_cell_map
-
-CASE_IDS = ("1.1", "1.2-lite", "1.3", "2", "3", "4")
-
-_ALLOWED_OVERRIDES = {
-    "1.1": {"k_h", "k_v", "k_i", "aperture"},
-    "1.2-lite": {"k_conductive", "k_blocking", "aperture", "fine_resolution"},
-    "1.3": {"k_conductive", "k_blocking", "aperture", "t_final", "n_steps"},
-    "2": {"angle", "ratio", "k_fracture", "aperture", "fine_resolution"},
-    "3": {"aperture", "t_final", "n_steps"},
-    "4": {"q_injection", "t_final", "n_steps", "k_upper", "k_lower", "zero_d_only"},
-}
-
-_DEFAULT_RESOLUTION = {"1.1": 8, "1.2-lite": 16, "1.3": 8, "2": 16, "3": 8, "4": 8}
+from .export import export_field_csv, export_field_vtk, report_envelope, write_report
+from .norms import l2_error, least_squares_slope, nearest_cell_map
 
 
 @dataclass
@@ -64,24 +59,28 @@ class CaseSpec:
     write_vtk: bool = False
 
     def __post_init__(self):
-        if self.case not in CASE_IDS:
+        if self.case not in CASES:
             raise FracfvError(f"unknown case {self.case!r}; available: {CASE_IDS}")
-        allowed = _ALLOWED_OVERRIDES[self.case]
-        unknown = set(self.overrides) - allowed
-        if unknown:
-            raise FracfvError(
-                f"overrides {sorted(unknown)} are not free parameters of case "
-                f"{self.case}; allowed: {sorted(allowed)}"
-            )
-        for key, value in self.overrides.items():
-            if key == "zero_d_only":
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise FracfvError(f"override {key} must be numeric, got {value!r}")
+        declared = CASES[self.case]
+        for option, value, accepted in (
+            ("discretization", self.discretization, declared.discretizations),
+            ("elimination", self.elimination, declared.eliminations),
+        ):
+            if value is not None and value not in accepted:
+                raise FracfvError(
+                    f"case {self.case} does not take {option} {value!r}; "
+                    f"accepted: {list(accepted)}"
+                )
+        _parameters(self.case, self.overrides)
 
     @property
     def resolved_resolution(self) -> int:
-        return self.resolution or _DEFAULT_RESOLUTION[self.case]
+        return self.resolution or CASES[self.case].resolution
+
+    @property
+    def parameters(self) -> dict:
+        """Every free parameter of the case: its override, else its default."""
+        return _parameters(self.case, self.overrides)
 
 
 @dataclass
@@ -91,26 +90,162 @@ class CaseResult:
     out_dir: Path | None
 
 
+@dataclass(frozen=True)
+class _Case:
+    """One preset case.
+
+    ``problem(resolution, ...)`` builds the case's flow problem; the builder
+    keywords named in ``physics`` are free parameters with the builder's
+    own defaults. ``controls`` holds the study's other free parameters and
+    their defaults, where a type stands for a default the study works out
+    (the study then receives None). ``study(build, spec, parameters,
+    timings)`` gets the builder bound to the run's physics and returns a
+    ``_Study``. ``discretizations`` and ``eliminations`` list the values of
+    those choices the study reads; a case that reads neither rejects both.
+    """
+
+    resolution: int
+    problem: Callable
+    physics: tuple
+    study: Callable
+    controls: dict = field(default_factory=dict)
+    discretizations: tuple = ()
+    eliminations: tuple = ()
+
+
+@dataclass
+class _Study:
+    """A study's output: report results, in-memory extras, and the fields
+    ``(name, mesh, values, subset)`` and series ``(name, samples)`` to write."""
+
+    results: dict
+    extras: dict
+    fields: list = field(default_factory=list)
+    series: list = field(default_factory=list)
+
+
+_TRUTH = {"false": False, "true": True}
+
+
+def _override(key: str, value, default):
+    """An override converted to the type of its default (float for None)."""
+    kind = default if isinstance(default, type) else float if default is None else type(default)
+    if kind is bool:
+        if isinstance(value, str) and value.lower() in _TRUTH:
+            return _TRUTH[value.lower()]
+        if isinstance(value, (int, float)) and value in (0, 1):
+            return bool(value)
+        raise FracfvError(f"override {key} must be 0/1 or true/false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FracfvError(f"override {key} must be numeric, got {value!r}")
+    if kind is int:
+        if not float(value).is_integer():
+            raise FracfvError(f"override {key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _parameters(case_id: str, overrides: dict) -> dict:
+    case = CASES[case_id]
+    signature = inspect.signature(case.problem).parameters
+    defaults = {**{name: signature[name].default for name in case.physics}, **case.controls}
+    unknown = set(overrides) - set(defaults)
+    if unknown:
+        raise FracfvError(
+            f"overrides {sorted(unknown)} are not free parameters of case "
+            f"{case_id}; allowed: {sorted(defaults)}"
+        )
+    return {
+        key: _override(key, overrides[key], default)
+        if key in overrides
+        else None if isinstance(default, type) else default
+        for key, default in defaults.items()
+    }
+
+
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Shared steps
 # ---------------------------------------------------------------------------
 
 
-def _faces_on_plane(grid, axis: int, value: float, tol: float = 1e-12):
-    ext = np.flatnonzero(grid.external_boundary)
-    return ext[np.abs(grid.face_centres[ext, axis] - value) < tol]
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall time of the block to ``timings[key]``."""
+    start = time.perf_counter()
+    yield
+    timings[key] = timings.get(key, 0.0) + time.perf_counter() - start
 
 
-def _kept_l2(mesh, reference_full, values_kept, kept, subset=None) -> float:
-    volumes = mesh.all_cell_volumes()[kept]
-    ref = reference_full[kept]
-    return l2_error(values_kept, ref, volumes, subset)
+def _dirichlet_planes(*planes):
+    """Boundary builder: Dirichlet pressure on the external faces of each
+    plane ``(axis, value, pressure)``, homogeneous Neumann elsewhere. A
+    pressure may be a function of the face centre."""
+
+    def build(sd, grid):
+        bc = flow_bc(grid)
+        ext = np.flatnonzero(grid.external_boundary)
+        for axis, value, pressure in planes:
+            faces = ext[np.abs(grid.face_centres[ext, axis] - value) < 1e-12]
+            if faces.size:
+                bc.set_dirichlet(faces, pressure)
+        return bc
+
+    return build
+
+
+_LEFT_TO_RIGHT = _dirichlet_planes((0, 0.0, 1.0), (0, 1.0, 0.0))
+
+
+def _corner_patches(*axes):
+    """Boundary builder: Dirichlet 1 on the faces of the planes x_a = 0 (a in
+    ``axes``) that lie within 0.25 of the origin in every coordinate,
+    Dirichlet 0 on the faces of the planes x_a = 1 within 0.25 of the far
+    corner, homogeneous Neumann elsewhere."""
+
+    def build(sd, grid):
+        bc = flow_bc(grid)
+        ext = np.flatnonzero(grid.external_boundary)
+        fc = grid.face_centres[ext]
+        near, far = np.all(fc <= 0.25, axis=1), np.all(fc >= 0.75, axis=1)
+        for value, pressure, in_patch in ((0.0, 1.0, near), (1.0, 0.0, far)):
+            on_plane = np.any(np.abs(fc[:, list(axes)] - value) < 1e-12, axis=1)
+            faces = ext[on_plane & in_patch]
+            if faces.size:
+                bc.set_dirichlet(faces, pressure)
+        return bc
+
+    return build
+
+
+def _network_permeabilities(mesh, matrix_permeability):
+    return [
+        matrix_permeability if g.metadata.get("role") == "matrix" else g.metadata["permeability"]
+        for g in mesh.subdomains
+    ]
 
 
 def _solve_with_condition(matrix, rhs) -> tuple[np.ndarray, float]:
     """Solution and 2-norm condition number of one system, from one LU factor."""
     lu = factorize(matrix)
     return direct_solve(matrix, rhs, factor=lu), condition_number(matrix, factor=lu)
+
+
+def _reduction(system, p_full, cond_full, tag: str, eliminated=None):
+    """One reduction ("schur" or "star_delta") of ``system`` and its solve.
+
+    Returns the reduced system, the kept pressures and their summary: the
+    error against the full solve on the kept cells, the condition number
+    and the condition ratio R_C.
+    """
+    reduced = (schur_reduce if tag == "schur" else star_delta_reduce)(system, eliminated)
+    p_kept, cond = _solve_with_condition(reduced.matrix, reduced.rhs)
+    volumes = system.mesh.all_cell_volumes()[reduced.kept]
+    summary = {
+        "pressure_error": l2_error(p_kept, p_full[reduced.kept], volumes),
+        "cond": cond,
+        "r_c": cond_full / cond,
+    }
+    return reduced, p_kept, summary
 
 
 def zero_tracer_bcs(mesh):
@@ -125,22 +260,87 @@ def zero_tracer_bcs(mesh):
     return bcs
 
 
-def _network_permeabilities(mesh, matrix_permeability):
-    perms = []
-    for g in mesh.subdomains:
-        if g.metadata.get("role") == "matrix":
-            perms.append(matrix_permeability)
-        else:
-            perms.append(g.metadata["permeability"])
-    return perms
-
-
-def _run_transport(graph, tracer_bcs, initial, dt, n_steps, probe_cell=None, sources=None):
+def _transport(graph, tracer_bcs, initial, dt, n_steps, probe=None, sources=None):
+    """Tracer run on a full or reduced flux graph; the probe is sampled from
+    the initial state on."""
     sim = TracerSimulation(graph, tracer_bcs, initial, dt, source_rates=sources)
-    if probe_cell is not None:
-        monitor(sim.state, probe_cell)  # record the initial state
-    sim.run(n_steps, probe_cell)
+    if probe is not None:
+        monitor(sim.state, probe)
+    sim.run(n_steps, probe)
     return sim
+
+
+def _on_kept(mesh, kept, values) -> np.ndarray:
+    """Kept-cell values spread over every dof, zero on the eliminated ones."""
+    full = np.zeros(mesh.n_dofs)
+    full[kept] = values
+    return full
+
+
+def _flow_and_tracer(
+    system, tags, dt, n_steps, timings, initial, probe=None, sources=None, eliminated=None
+):
+    """Full solve and tracer run, then each reduction in ``tags`` with its
+    own solve and tracer run on the reduced graph.
+
+    Every run starts from the concentration ``initial`` and samples the
+    ``probe`` cell where it is kept. Reduced runs inherit the ``sources`` of
+    the cells they remove. Returns the full pressure, its condition number,
+    the full run, and per tag the reduced system, kept pressures, tracer run
+    and summary (the reduction's plus tracer and mass errors).
+    """
+    mesh = system.mesh
+    with _timed(timings, "full_solve"):
+        p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
+    tracer_bcs = zero_tracer_bcs(mesh)
+    with _timed(timings, "full_transport"):
+        graph = flux_graph_from_system(system, p_full)
+        start = np.full(mesh.n_dofs, initial)
+        sim_full = _transport(graph, tracer_bcs, start, dt, n_steps, probe, sources)
+    volumes = mesh.all_cell_volumes()
+    reductions = {}
+    for tag in tags:
+        with _timed(timings, tag):
+            reduced, p_kept, summary = _reduction(system, p_full, cond_full, tag, eliminated)
+            kept = reduced.kept
+            local = np.flatnonzero(kept == probe) if probe is not None else ()
+            sim = _transport(
+                flux_graph_from_reduced(reduced, p_kept),
+                tracer_bcs,
+                np.full(kept.size, initial),
+                dt,
+                n_steps,
+                int(local[0]) if len(local) else None,
+                None if sources is None else inherited_source_rates(reduced),
+            )
+        concentrations = sim_full.state.concentrations[kept]
+        summary["tracer_error"] = l2_error(sim.state.concentrations, concentrations, volumes[kept])
+        summary["mass_error"] = sim.mass_accounting_error
+        reductions[tag] = (reduced, p_kept, sim, summary)
+    return p_full, cond_full, sim_full, reductions
+
+
+def _projected(values, fine_centres, coarse_centres, groups) -> np.ndarray:
+    """A coarse field on fine cells: each fine cell of a ``(fine_mask,
+    coarse_mask)`` group takes the value of the nearest coarse cell of the
+    group; fine cells outside every group get zero."""
+    out = np.zeros(len(fine_centres))
+    for fine, coarse in groups:
+        out[fine] = values[coarse][nearest_cell_map(fine_centres[fine], coarse_centres[coarse])]
+    return out
+
+
+def _write_artifacts(study: _Study, out_dir: Path, write_vtk: bool) -> dict:
+    """Write a study's fields (CSV, and VTK on request) and series; return
+    their file names."""
+    fields = []
+    for name, mesh, values, subset in study.fields:
+        fields.append(export_field_csv(mesh, values, out_dir / f"{name}.csv", subset).name)
+        if write_vtk:
+            fields.append(export_field_vtk(mesh, values, out_dir / f"{name}.vtk").name)
+    for name, samples in study.series:
+        write_series_csv(out_dir / f"{name}.csv", samples)
+    return {"fields": fields, "series": [f"{name}.csv" for name, _ in study.series]}
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +373,23 @@ def case11_problem(
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
 
-    def bcb(sd, g):
-        bc = flow_bc(g)
-        faces = np.concatenate([_faces_on_plane(g, 0, 0.0), _faces_on_plane(g, 0, 1.0)])
-        if faces.size:
-            bc.set_dirichlet(faces, lambda x: 1.0 - x[0])
-        return bc
+    def linear(x):
+        return 1.0 - x[0]
 
     problem = uniform_problem(
-        mesh, _network_permeabilities(mesh, 1.0), bcb, distance_correction=True
+        mesh,
+        _network_permeabilities(mesh, 1.0),
+        _dirichlet_planes((0, 0.0, linear), (0, 1.0, linear)),
+        distance_correction=True,
     )
     return problem, mesh
 
 
-def run_case11_point(
-    k_h: float, k_v: float, resolution: int = 8, k_i: float | None = None, aperture: float = 1e-2
-) -> dict:
-    """Solve one permeability combination with both eliminations."""
-    problem, mesh = case11_problem(resolution, k_h, k_v, k_i, aperture)
+def _case11_point(problem, mesh) -> dict:
+    """Full solve and both reductions of one permeability combination."""
     system = problem.assemble()
     p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
-    out = {
-        "k_h": k_h,
-        "k_v": k_v,
+    point = {
         "cond_full": cond_full,
         "conservation": conservation_residual(system, p_full),
         "mesh": mesh,
@@ -203,67 +397,51 @@ def run_case11_point(
         "system": system,
         "p_full": p_full,
     }
-    for tag, reducer in (("schur", schur_reduce), ("star_delta", star_delta_reduce)):
-        reduced = reducer(system)
-        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
-        out[tag] = {
-            "pressure_error": _kept_l2(mesh, p_full, p_kept, reduced.kept),
-            "cond": cond_red,
-            "r_c": cond_full / cond_red,
-            "reduced": reduced,
-            "p_kept": p_kept,
-        }
-    return out
+    for tag in ("schur", "star_delta"):
+        reduced, p_kept, summary = _reduction(system, p_full, cond_full, tag)
+        point[tag] = {**summary, "reduced": reduced, "p_kept": p_kept}
+    return point
 
 
-def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8) -> dict:
-    """Error and condition-ratio matrices over the fracture permeability grid."""
+def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8, **physics) -> dict:
+    """Error and condition-ratio matrices over the fracture permeability grid.
+
+    ``physics`` (``k_i``, ``aperture``) goes to ``case11_problem``.
+    """
     values = [float(v) for v in values]
-    matrices = {
-        "k_values": values,
-        "pressure_error": {"schur": [], "star_delta": []},
-        "r_c": {"schur": [], "star_delta": []},
+    points = {
+        (k_h, k_v): _case11_point(*case11_problem(resolution, k_h, k_v, **physics))
+        for k_h in values
+        for k_v in values
     }
-    points = {}
-    for k_h in values:
-        row_err_s, row_err_d, row_rc_s, row_rc_d = [], [], [], []
-        for k_v in values:
-            res = run_case11_point(k_h, k_v, resolution)
-            points[(k_h, k_v)] = res
-            row_err_s.append(res["schur"]["pressure_error"])
-            row_err_d.append(res["star_delta"]["pressure_error"])
-            row_rc_s.append(res["schur"]["r_c"])
-            row_rc_d.append(res["star_delta"]["r_c"])
-        matrices["pressure_error"]["schur"].append(row_err_s)
-        matrices["pressure_error"]["star_delta"].append(row_err_d)
-        matrices["r_c"]["schur"].append(row_rc_s)
-        matrices["r_c"]["star_delta"].append(row_rc_d)
+    matrices = {"k_values": values}
+    for key in ("pressure_error", "r_c"):
+        matrices[key] = {
+            tag: [[points[(k_h, k_v)][tag][key] for k_v in values] for k_h in values]
+            for tag in ("schur", "star_delta")
+        }
     return {"matrices": matrices, "points": points}
 
 
-def _run_case_11(spec: CaseSpec) -> tuple[dict, dict, dict]:
+def _study_11(build, spec, p, timings) -> _Study:
     n = spec.resolved_resolution
-    timings = {}
-    t0 = time.perf_counter()
-    if "k_h" in spec.overrides or "k_v" in spec.overrides:
-        k_h = float(spec.overrides.get("k_h", 1.0))
-        k_v = float(spec.overrides.get("k_v", 1.0))
-        k_i = spec.overrides.get("k_i")
-        point = run_case11_point(k_h, k_v, n, k_i, float(spec.overrides.get("aperture", 1e-2)))
-        timings["solve"] = time.perf_counter() - t0
-        report = {
-            "mode": "single-point",
-            "k_h": k_h,
-            "k_v": k_v,
-            "cond_full": point["cond_full"],
-            "conservation": point["conservation"],
-            "schur": {k: point["schur"][k] for k in ("pressure_error", "cond", "r_c")},
-            "star_delta": {k: point["star_delta"][k] for k in ("pressure_error", "cond", "r_c")},
-        }
-        return report, {"point": point}, timings
-    sweep = sweep_case11(resolution=n)
-    timings["sweep"] = time.perf_counter() - t0
-    return {"mode": "sweep", **sweep["matrices"]}, sweep, timings
+    if "k_h" not in spec.overrides and "k_v" not in spec.overrides:
+        with _timed(timings, "sweep"):
+            sweep = sweep_case11(resolution=n, k_i=p["k_i"], aperture=p["aperture"])
+        return _Study({"mode": "sweep", **sweep["matrices"]}, sweep)
+    with _timed(timings, "solve"):
+        point = _case11_point(*build(n))
+    results = {
+        "mode": "single-point",
+        "k_h": p["k_h"],
+        "k_v": p["k_v"],
+        "cond_full": point["cond_full"],
+        "conservation": point["conservation"],
+    }
+    for tag in ("schur", "star_delta"):
+        results[tag] = {key: point[tag][key] for key in ("pressure_error", "cond", "r_c")}
+    fields = [("pressure_full", point["mesh"], point["p_full"], None)]
+    return _Study(results, {"point": point}, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -287,58 +465,29 @@ def case13_problem(
         intersection_permeability="min",
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-
-    def bcb(sd, g):
-        bc = flow_bc(g)
-        left = _faces_on_plane(g, 0, 0.0)
-        right = _faces_on_plane(g, 0, 1.0)
-        if left.size:
-            bc.set_dirichlet(left, 1.0)
-        if right.size:
-            bc.set_dirichlet(right, 0.0)
-        return bc
-
-    problem = uniform_problem(mesh, _network_permeabilities(mesh, 1.0), bcb)
+    problem = uniform_problem(mesh, _network_permeabilities(mesh, 1.0), _LEFT_TO_RIGHT)
     return problem, mesh
 
 
-def _run_case_13(spec: CaseSpec) -> tuple[dict, dict, dict]:
-    n = spec.resolved_resolution
-    ov = spec.overrides
-    t_final = float(ov.get("t_final", 0.5))
-    n_steps = int(ov.get("n_steps", 200))
-    dt = t_final / n_steps
-    timings = {}
-
-    t0 = time.perf_counter()
-    problem, mesh = case13_problem(
-        n,
-        float(ov.get("k_conductive", 1e6)),
-        float(ov.get("k_blocking", 1e-6)),
-        float(ov.get("aperture", 1e-6)),
-    )
-    system = problem.assemble()
-    timings["assembly"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
-    timings["full_solve"] = time.perf_counter() - t0
-
+def _study_13(build, spec, p, timings) -> _Study:
+    n, n_steps = spec.resolved_resolution, p["n_steps"]
+    dt = p["t_final"] / n_steps
+    with _timed(timings, "assembly"):
+        problem, mesh = build(n)
+        system = problem.assemble()
     h = 1.0 / n
-    probe_point = np.array([1.0 - h / 2, 0.5 - h / 2, 0.5 - h / 2])
-    probe = resolve_probe(mesh, probe_point, dims=3)
-    tracer_bcs = zero_tracer_bcs(mesh)
+    probe = resolve_probe(mesh, np.array([1.0 - h / 2, 0.5 - h / 2, 0.5 - h / 2]), dims=3)
+    tags = {None: ("schur", "star_delta"), "none": ()}.get(spec.elimination, (spec.elimination,))
+    p_full, cond_full, sim_full, reductions = _flow_and_tracer(
+        system, tags, dt, n_steps, timings, 1.0, probe
+    )
+    tracer_full = sim_full.state.concentrations
 
-    t0 = time.perf_counter()
-    graph_full = flux_graph_from_system(system, p_full)
-    sim_full = _run_transport(graph_full, tracer_bcs, np.ones(mesh.n_dofs), dt, n_steps, probe)
-    timings["full_transport"] = time.perf_counter() - t0
-
-    report = {
+    results = {
         "cond_full": cond_full,
         "conservation": conservation_residual(system, p_full),
         "transport": {
-            "t_final": t_final,
+            "t_final": p["t_final"],
             "dt": dt,
             "mass_error_full": sim_full.mass_accounting_error,
         },
@@ -349,35 +498,31 @@ def _run_case_13(spec: CaseSpec) -> tuple[dict, dict, dict]:
         "p_full": p_full,
         "sim_full": sim_full,
         "probe": probe,
-        "tracer_bcs": tracer_bcs,
     }
-
-    modes = ("schur", "star_delta") if spec.elimination in (None, "none") else (spec.elimination,)
-    volumes = mesh.all_cell_volumes()
-    for tag in modes:
-        reducer = schur_reduce if tag == "schur" else star_delta_reduce
-        t0 = time.perf_counter()
-        reduced = reducer(system)
-        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
-        graph_red = flux_graph_from_reduced(reduced, p_kept)
-        kept_local = np.flatnonzero(np.isin(reduced.kept, [probe]))
-        probe_local = int(kept_local[0]) if kept_local.size else None
-        sim_red = _run_transport(
-            graph_red, tracer_bcs, np.ones(reduced.kept.size), dt, n_steps, probe_local
-        )
-        timings[tag] = time.perf_counter() - t0
-        t_ref = sim_full.state.concentrations[reduced.kept]
-        report[tag] = {
-            "pressure_error": _kept_l2(mesh, p_full, p_kept, reduced.kept),
-            "tracer_error": l2_error(
-                sim_red.state.concentrations, t_ref, volumes[reduced.kept]
-            ),
-            "cond": cond_red,
-            "r_c": cond_full / cond_red,
-            "mass_error": sim_red.mass_accounting_error,
-        }
-        extras[tag] = {"reduced": reduced, "p_kept": p_kept, "sim": sim_red}
-    return report, extras, timings
+    study = _Study(
+        results,
+        extras,
+        [("pressure_full", mesh, p_full, None), ("tracer_full", mesh, tracer_full, None)],
+        [("series_full", sim_full.state.series)],
+    )
+    for tag, (reduced, p_kept, sim, summary) in reductions.items():
+        results[tag] = summary
+        extras[tag] = {"reduced": reduced, "p_kept": p_kept, "sim": sim}
+        # Kept-cell fields, row-aligned with the kept rows of the full
+        # exports, so reported errors can be recomputed.
+        kept = reduced.kept
+        study.fields += [
+            (f"pressure_{tag}_kept", mesh, _on_kept(mesh, kept, p_kept), kept),
+            (f"tracer_{tag}_kept", mesh, _on_kept(mesh, kept, sim.state.concentrations), kept),
+        ]
+        study.series.append((f"series_{tag}", sim.state.series))
+    if "schur" in reductions:
+        kept = reductions["schur"][0].kept
+        study.fields += [
+            ("pressure_full_kept", mesh, p_full, kept),
+            ("tracer_full_kept", mesh, tracer_full, kept),
+        ]
+    return study
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +533,6 @@ def _run_case_13(spec: CaseSpec) -> tuple[dict, dict, dict]:
 
 def case2_matrix_tensor(ratio: float, angle: float) -> PermeabilityTensor:
     return PermeabilityTensor.rotated([float(ratio), 1.0], angle)
-
-
-def _case2_corner_bc(grid, patch: float = 0.25):
-    """Dirichlet 1 near the origin corner, 0 near the far corner."""
-    bc = flow_bc(grid)
-    ext = np.flatnonzero(grid.external_boundary)
-    fc = grid.face_centres[ext]
-    near = ext[
-        ((np.abs(fc[:, 0]) < 1e-12) & (fc[:, 1] <= patch))
-        | ((np.abs(fc[:, 1]) < 1e-12) & (fc[:, 0] <= patch))
-    ]
-    far = ext[
-        ((np.abs(fc[:, 0] - 1.0) < 1e-12) & (fc[:, 1] >= 1.0 - patch))
-        | ((np.abs(fc[:, 1] - 1.0) < 1e-12) & (fc[:, 0] >= 1.0 - patch))
-    ]
-    if near.size:
-        bc.set_dirichlet(near, 1.0)
-    if far.size:
-        bc.set_dirichlet(far, 0.0)
-    return bc
 
 
 def case2_problem(
@@ -427,14 +552,10 @@ def case2_problem(
         fractures=[FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, k_fracture, "fracture")],
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-
-    def bcb(sd, g):
-        return _case2_corner_bc(g)
-
     problem = uniform_problem(
         mesh,
         _network_permeabilities(mesh, case2_matrix_tensor(ratio, angle)),
-        bcb,
+        _corner_patches(0, 1),
         methods=["mpfa"] * len(mesh.subdomains),
         distance_correction=True,
     )
@@ -462,7 +583,7 @@ def case2_fine_reference(
     problem = FlowProblem(
         mesh=mesh,
         permeability=[k],
-        bcs=[_case2_corner_bc(grid)],
+        bcs=[_corner_patches(0, 1)(0, grid)],
         methods=["mpfa"],
     )
     system = problem.assemble()
@@ -470,59 +591,42 @@ def case2_fine_reference(
     return mesh, system, p, strip
 
 
-def _run_case_2(spec: CaseSpec) -> tuple[dict, dict, dict]:
-    ov = spec.overrides
-    angle = float(ov.get("angle", 30.0))
-    k_fracture = float(ov.get("k_fracture", 1e4))
-    aperture = float(ov.get("aperture", 1e-3))
-    fine_res = int(ov.get("fine_resolution", 128))
-    ratios = [float(ov["ratio"])] if "ratio" in ov else [1.0, 3.0, 6.0]
+def _study_2(build, spec, p, timings) -> _Study:
+    ratios = [1.0, 3.0, 6.0] if p["ratio"] is None else [p["ratio"]]
     resolutions = [4, 8, 16, 32]
-    timings = {}
-    note = None
-    if fine_res < 256:
-        note = (
-            f"reference uses a {fine_res}x{fine_res} equi-dimensional grid "
-            "(desk scale) instead of 256x256"
-        )
-
-    report = {"angle": angle, "resolutions": resolutions, "ratios": ratios, "errors": {}, "slopes": {}}
-    extras = {"fine": {}, "coarse": {}}
+    results = {
+        "angle": p["angle"],
+        "resolutions": resolutions,
+        "ratios": ratios,
+        "errors": {},
+        "slopes": {},
+    }
     for ratio in ratios:
-        t0 = time.perf_counter()
-        fine_mesh, fine_system, p_fine, strip = case2_fine_reference(
-            fine_res, ratio, angle, k_fracture, aperture
-        )
-        timings[f"fine_ratio_{ratio:g}"] = time.perf_counter() - t0
-        fine_grid = fine_mesh.subdomains[0]
-        fine_centres = fine_grid.cell_centres
-        fine_volumes = fine_grid.cell_volumes
-        extras["fine"][ratio] = (fine_mesh, p_fine, strip)
-
+        with _timed(timings, f"fine_ratio_{ratio:g}"):
+            fine_mesh, _, p_fine, strip = case2_fine_reference(
+                p["fine_resolution"], ratio, p["angle"], p["k_fracture"], p["aperture"]
+            )
+        fine = fine_mesh.subdomains[0]
         errors = []
         for n in resolutions:
-            t0 = time.perf_counter()
-            problem, mesh = case2_problem(n, ratio, angle, k_fracture, aperture)
-            system = problem.assemble()
-            p = direct_solve(system.matrix, system.rhs)
-            timings[f"coarse_{n}_ratio_{ratio:g}"] = time.perf_counter() - t0
-            matrix_centres = mesh.subdomains[0].cell_centres
-            frac_centres = mesh.subdomains[1].cell_centres
-            n_matrix = mesh.subdomains[0].n_cells
-            projected = np.empty(fine_grid.n_cells)
-            m_map = nearest_cell_map(fine_centres[~strip], matrix_centres)
-            projected[~strip] = p[:n_matrix][m_map]
-            f_map = nearest_cell_map(fine_centres[strip], frac_centres)
-            projected[strip] = p[n_matrix:][f_map]
-            errors.append(l2_error(projected, p_fine, fine_volumes))
-            extras["coarse"][(ratio, n)] = (mesh, p)
-        report["errors"][f"{ratio:g}"] = errors
-        report["slopes"][f"{ratio:g}"] = least_squares_slope(
+            with _timed(timings, f"coarse_{n}_ratio_{ratio:g}"):
+                problem, mesh = build(n, ratio)
+                system = problem.assemble()
+                pressure = direct_solve(system.matrix, system.rhs)
+            dims = mesh.dof_dims()
+            groups = [(~strip, dims == 2), (strip, dims == 1)]
+            projected = _projected(pressure, fine.cell_centres, mesh.all_cell_centres(), groups)
+            errors.append(l2_error(projected, p_fine, fine.cell_volumes))
+        results["errors"][f"{ratio:g}"] = errors
+        results["slopes"][f"{ratio:g}"] = least_squares_slope(
             1.0 / np.array(resolutions), np.array(errors)
         )
-    if note:
-        report["note"] = note
-    return report, extras, timings
+    if p["fine_resolution"] < 256:
+        results["note"] = (
+            f"reference uses a {p['fine_resolution']}x{p['fine_resolution']} "
+            "equi-dimensional grid (desk scale) instead of 256x256"
+        )
+    return _Study(results, {})
 
 
 # ---------------------------------------------------------------------------
@@ -562,26 +666,6 @@ def case3_problem(
         ],
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-    patch = 0.25
-
-    def bcb(sd, g):
-        bc = flow_bc(g)
-        ext = np.flatnonzero(g.external_boundary)
-        fc = g.face_centres[ext]
-        bottom = ext[
-            (np.abs(fc[:, 2]) < 1e-12) & (fc[:, 0] <= patch) & (fc[:, 1] <= patch)
-        ]
-        top = ext[
-            (np.abs(fc[:, 2] - 1.0) < 1e-12)
-            & (fc[:, 0] >= 1.0 - patch)
-            & (fc[:, 1] >= 1.0 - patch)
-        ]
-        if bottom.size:
-            bc.set_dirichlet(bottom, 1.0)
-        if top.size:
-            bc.set_dirichlet(top, 0.0)
-        return bc
-
     if discretization == "hybrid":
         methods = ["tpfa" if g.dim == 3 else "mpfa" for g in mesh.subdomains]
     elif discretization in ("tpfa", "mpfa"):
@@ -589,73 +673,62 @@ def case3_problem(
     else:
         raise FracfvError(f"unknown discretization {discretization!r}")
     problem = uniform_problem(
-        mesh, _network_permeabilities(mesh, 1.0), bcb, methods=methods
+        mesh, _network_permeabilities(mesh, 1.0), _corner_patches(2), methods=methods
     )
     return problem, mesh
 
 
-def _run_case_3(spec: CaseSpec) -> tuple[dict, dict, dict]:
-    n = spec.resolved_resolution
-    ov = spec.overrides
-    aperture = float(ov.get("aperture", 1e-3))
-    t_final = float(ov.get("t_final", 30.0))
-    n_steps = int(ov.get("n_steps", 200))
-    dt = t_final / n_steps
-    timings = {}
-
+def _study_3(build, spec, p, timings) -> _Study:
+    n, n_steps = spec.resolved_resolution, p["n_steps"]
+    dt = p["t_final"] / n_steps
     variants = ["tpfa", "hybrid"] if spec.discretization in (None, "all") else [spec.discretization]
     runs = {}
+    study = _Study({"t_final": p["t_final"], "dt": dt, "reference": "mpfa"}, {"runs": runs})
     for disc in dict.fromkeys(["mpfa"] + variants):
-        t0 = time.perf_counter()
-        problem, mesh = case3_problem(n, disc, aperture)
-        t_build = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        system = problem.assemble()
-        timings[f"discretize_{disc}"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        p = direct_solve(system.matrix, system.rhs)
-        probe = resolve_probe(mesh, np.array([0.9, 0.9, 1.0]), dims=3)
-        tracer_bcs = zero_tracer_bcs(mesh)
-        graph = flux_graph_from_system(system, p)
-        sim = _run_transport(graph, tracer_bcs, np.ones(mesh.n_dofs), dt, n_steps, probe)
-        timings[f"solve_transport_{disc}"] = time.perf_counter() - t0 + t_build
+        with _timed(timings, f"solve_transport_{disc}"):
+            problem, mesh = build(n, disc)
+        with _timed(timings, f"discretize_{disc}"):
+            system = problem.assemble()
+        with _timed(timings, f"solve_transport_{disc}"):
+            pressure = direct_solve(system.matrix, system.rhs)
+            probe = resolve_probe(mesh, np.array([0.9, 0.9, 1.0]), dims=3)
+            graph = flux_graph_from_system(system, pressure)
+            sim = _transport(graph, zero_tracer_bcs(mesh), np.ones(mesh.n_dofs), dt, n_steps, probe)
         runs[disc] = {
             "mesh": mesh,
             "system": system,
-            "p": p,
+            "p": pressure,
             "sim": sim,
-            "conservation": conservation_residual(system, p),
+            "conservation": conservation_residual(system, pressure),
         }
+        study.fields.append((f"pressure_{disc}", mesh, pressure, None))
+        study.series.append((f"series_{disc}", sim.state.series))
 
-    mesh = runs["mpfa"]["mesh"]
-    volumes = mesh.all_cell_volumes()
-    dims = mesh.dof_dims()
+    volumes = runs["mpfa"]["mesh"].all_cell_volumes()
+    dims = runs["mpfa"]["mesh"].dof_dims()
     groups = {"matrix": dims == 3, "fracture": dims == 2}
-    report = {
-        "t_final": t_final,
-        "dt": dt,
-        "reference": "mpfa",
-        "differences": {},
-    }
-    # Wall-time ratios differ from run to run, so they go to timings.json.
-    timings["relative_discretization_time"] = {}
     ref_p = runs["mpfa"]["p"]
     ref_t = runs["mpfa"]["sim"].state.concentrations
+    differences = {}
+    # Wall-time ratios differ from run to run, so they go to timings.json.
     t_ref = max(timings["discretize_mpfa"], 1e-300)
-    for disc, run in runs.items():
+    timings["relative_discretization_time"] = {}
+    for disc in variants:
         if disc == "mpfa":
             continue
+        run = runs[disc]
         entry = {}
         for name, mask in groups.items():
             entry[f"pressure_{name}"] = l2_error(run["p"], ref_p, volumes, subset=mask)
             entry[f"tracer_{name}"] = l2_error(
                 run["sim"].state.concentrations, ref_t, volumes, subset=mask
             )
-        report["differences"][disc] = entry
+        differences[disc] = entry
         timings["relative_discretization_time"][disc] = timings[f"discretize_{disc}"] / t_ref
-    report["conservation"] = {d: r["conservation"] for d, r in runs.items()}
-    report["mass_error"] = {d: r["sim"].mass_accounting_error for d, r in runs.items()}
-    return report, {"runs": runs}, timings
+    study.results["differences"] = differences
+    study.results["conservation"] = {d: r["conservation"] for d, r in runs.items()}
+    study.results["mass_error"] = {d: r["sim"].mass_accounting_error for d, r in runs.items()}
+    return study
 
 
 # ---------------------------------------------------------------------------
@@ -693,89 +766,37 @@ def case4_problem(
         intersection_permeability="min",
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-
-    def bcb(sd, g):
-        bc = flow_bc(g)
-        faces = np.concatenate([_faces_on_plane(g, 2, 0.0), _faces_on_plane(g, 2, 1.0)])
-        if faces.size:
-            bc.set_dirichlet(faces, 0.0)
-        return bc
-
-    perms = []
-    for g in mesh.subdomains:
-        if g.metadata.get("role") == "matrix":
-            k = tensor_field(1.0, g.n_cells, 3)
-            upper = g.cell_centres[:, 2] > 0.5
-            k[upper] = k_upper * np.eye(3)
-            k[~upper] = k_lower * np.eye(3)
-            perms.append(k)
-        else:
-            perms.append(tensor_field(g.metadata["permeability"], g.n_cells, 3))
+    upper = mesh.highest_dim_subdomain().cell_centres[:, 2] > 0.5
+    k_matrix = np.where(upper, k_upper, k_lower)[:, None, None] * np.eye(3)
 
     # Injection cell: on the conductive vertical line, one half cell below
-    # the centre.
-    target = np.array([0.5, 0.5, 0.5 - 0.5 / resolution])
-    injection_dof = None
-    for sd, g in enumerate(mesh.subdomains):
-        if g.dim == 1 and g.metadata.get("name") == "plane_xxplane_y":
-            cell = int(np.argmin(np.linalg.norm(g.cell_centres - target, axis=1)))
-            injection_dof = int(mesh.global_index(sd, cell))
-    if injection_dof is None:
-        raise FracfvError("conductive intersection line not found")
+    # the centre. The line cells of the blocker lie half a cell away.
+    injection_dof = resolve_probe(mesh, np.array([0.5, 0.5, 0.5 - 0.5 / resolution]), dims=1)
     source_density = np.zeros(mesh.n_dofs)
     source_density[injection_dof] = q_injection / mesh.all_cell_volumes()[injection_dof]
 
-    bcs = []
-    for sd, g in enumerate(mesh.subdomains):
-        bcs.append(bcb(sd, g))
-    problem = FlowProblem(
-        mesh=mesh, permeability=perms, bcs=bcs, source_density=source_density
+    problem = uniform_problem(
+        mesh,
+        _network_permeabilities(mesh, k_matrix),
+        _dirichlet_planes((2, 0.0, 0.0), (2, 1.0, 0.0)),
+        source_density=source_density,
     )
     return problem, mesh, injection_dof
 
 
-def _run_case_4(spec: CaseSpec) -> tuple[dict, dict, dict]:
-    n = spec.resolved_resolution
-    ov = spec.overrides
-    q = float(ov.get("q_injection", 1.0))
-    t_final = float(ov.get("t_final", 2.0))
-    n_steps = int(ov.get("n_steps", 200))
-    dt = t_final / n_steps
-    zero_d_only = bool(ov.get("zero_d_only", False))
-    timings = {}
-
-    t0 = time.perf_counter()
-    problem, mesh, injection_dof = case4_problem(
-        n, float(ov.get("k_upper", 1e-2)), float(ov.get("k_lower", 1e-3)), q
+def _study_4(build, spec, p, timings) -> _Study:
+    n, n_steps = spec.resolved_resolution, p["n_steps"]
+    dt = p["t_final"] / n_steps
+    with _timed(timings, "assembly"):
+        problem, mesh, injection_dof = build(n)
+        system = problem.assemble()
+    sources = np.zeros(mesh.n_dofs)
+    sources[injection_dof] = p["q_injection"]  # injected concentration is one
+    eliminated = mesh.intersection_dofs(zero_d_only=p["zero_d_only"])
+    p_full, cond_full, sim_full, reductions = _flow_and_tracer(
+        system, ("schur",), dt, n_steps, timings, 0.0, sources=sources, eliminated=eliminated
     )
-    system = problem.assemble()
-    timings["assembly"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
-    timings["full_solve"] = time.perf_counter() - t0
-
-    tracer_bcs = zero_tracer_bcs(mesh)
-    sources_full = np.zeros(mesh.n_dofs)
-    sources_full[injection_dof] = q  # injected concentration is one
-
-    t0 = time.perf_counter()
-    graph_full = flux_graph_from_system(system, p_full)
-    sim_full = _run_transport(
-        graph_full, tracer_bcs, np.zeros(mesh.n_dofs), dt, n_steps, sources=sources_full
-    )
-    timings["full_transport"] = time.perf_counter() - t0
-
-    eliminated = mesh.intersection_dofs(zero_d_only=zero_d_only)
-    t0 = time.perf_counter()
-    reduced = schur_reduce(system, eliminated)
-    p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
-    graph_red = flux_graph_from_reduced(reduced, p_kept)
-    sources_red = inherited_source_rates(reduced)  # times unit injected concentration
-    sim_red = _run_transport(
-        graph_red, tracer_bcs, np.zeros(reduced.kept.size), dt, n_steps, sources=sources_red
-    )
-    timings["schur"] = time.perf_counter() - t0
+    reduced, p_kept, sim_red, summary = reductions["schur"]
 
     volumes = mesh.all_cell_volumes()
     dims = mesh.dof_dims()
@@ -783,29 +804,15 @@ def _run_case_4(spec: CaseSpec) -> tuple[dict, dict, dict]:
     t_full_final = sim_full.state.concentrations
     upper_mask = (dims == 3) & (centres[:, 2] > 0.5)
     lower_mask = (dims == 3) & (centres[:, 2] < 0.5)
-    mass_upper = float(volumes[upper_mask] @ t_full_final[upper_mask])
-    mass_lower = float(volumes[lower_mask] @ t_full_final[lower_mask])
-
     p_back = back_substitute(reduced, p_kept)
-    report = {
+    results = {
         "cond_full": cond_full,
         "eliminated_dofs": int(eliminated.size),
         "conservation": conservation_residual(system, p_full),
-        "schur": {
-            "pressure_error": _kept_l2(mesh, p_full, p_kept, reduced.kept),
-            "pressure_error_back_substituted": l2_error(p_back, p_full, volumes),
-            "tracer_error": l2_error(
-                sim_red.state.concentrations,
-                t_full_final[reduced.kept],
-                volumes[reduced.kept],
-            ),
-            "cond": cond_red,
-            "r_c": cond_full / cond_red,
-            "mass_error": sim_red.mass_accounting_error,
-        },
-        "tracer_mass_upper_matrix": mass_upper,
-        "tracer_mass_lower_matrix": mass_lower,
-        "t_final": t_final,
+        "schur": {**summary, "pressure_error_back_substituted": l2_error(p_back, p_full, volumes)},
+        "tracer_mass_upper_matrix": float(volumes[upper_mask] @ t_full_final[upper_mask]),
+        "tracer_mass_lower_matrix": float(volumes[lower_mask] @ t_full_final[lower_mask]),
+        "t_final": p["t_final"],
         "dt": dt,
     }
     extras = {
@@ -818,29 +825,19 @@ def _run_case_4(spec: CaseSpec) -> tuple[dict, dict, dict]:
         "sim_red": sim_red,
         "injection_dof": injection_dof,
     }
-    return report, extras, timings
+    kept = reduced.kept
+    fields = [
+        ("pressure_full", mesh, p_full, None),
+        ("tracer_full", mesh, t_full_final, None),
+        ("pressure_schur_kept", mesh, _on_kept(mesh, kept, p_kept), kept),
+        ("pressure_full_kept", mesh, p_full, kept),
+    ]
+    return _Study(results, extras, fields)
 
 
 # ---------------------------------------------------------------------------
 # Case 1.2-lite: ten axis-aligned fractures of two permeabilities
 # ---------------------------------------------------------------------------
-
-
-def case12_network(k_conductive: float = 1e4, k_blocking: float = 1e-4, aperture: float = 1e-4):
-    """Ten fractures; conduits left-right, blocked by low-permeable crossings."""
-    c, b = k_conductive, k_blocking
-    return [
-        FracturePatch(1, 0.25, ((0.0, 1.0),), aperture, c, "h_conduit_low"),
-        FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, c, "h_conduit_mid"),
-        FracturePatch(1, 0.75, ((0.0, 1.0),), aperture, c, "h_conduit_high"),
-        FracturePatch(0, 0.25, ((0.25, 0.75),), aperture, c, "v_conduit_left"),
-        FracturePatch(0, 0.75, ((0.25, 0.75),), aperture, c, "v_conduit_right"),
-        FracturePatch(0, 0.375, ((0.125, 0.875),), aperture, b, "v_block_left"),
-        FracturePatch(0, 0.625, ((0.125, 0.875),), aperture, b, "v_block_right"),
-        FracturePatch(0, 0.5, ((0.0625, 0.9375),), aperture, b, "v_block_mid"),
-        FracturePatch(1, 0.375, ((0.25, 0.75),), aperture, b, "h_block_low"),
-        FracturePatch(1, 0.625, ((0.25, 0.75),), aperture, b, "h_block_high"),
-    ]
 
 
 def case12_problem(
@@ -849,92 +846,75 @@ def case12_problem(
     k_blocking: float = 1e-4,
     aperture: float = 1e-4,
 ) -> tuple[FlowProblem, object]:
+    """Ten fractures; conduits left-right, blocked by low-permeable crossings."""
+    c, b = k_conductive, k_blocking
     spec = FractureNetworkSpec(
         domain=((0.0, 1.0), (0.0, 1.0)),
-        fractures=case12_network(k_conductive, k_blocking, aperture),
+        fractures=[
+            FracturePatch(1, 0.25, ((0.0, 1.0),), aperture, c, "h_conduit_low"),
+            FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, c, "h_conduit_mid"),
+            FracturePatch(1, 0.75, ((0.0, 1.0),), aperture, c, "h_conduit_high"),
+            FracturePatch(0, 0.25, ((0.25, 0.75),), aperture, c, "v_conduit_left"),
+            FracturePatch(0, 0.75, ((0.25, 0.75),), aperture, c, "v_conduit_right"),
+            FracturePatch(0, 0.375, ((0.125, 0.875),), aperture, b, "v_block_left"),
+            FracturePatch(0, 0.625, ((0.125, 0.875),), aperture, b, "v_block_right"),
+            FracturePatch(0, 0.5, ((0.0625, 0.9375),), aperture, b, "v_block_mid"),
+            FracturePatch(1, 0.375, ((0.25, 0.75),), aperture, b, "h_block_low"),
+            FracturePatch(1, 0.625, ((0.25, 0.75),), aperture, b, "h_block_high"),
+        ],
         intersection_permeability="harmonic",
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-
-    def bcb(sd, g):
-        bc = flow_bc(g)
-        left = _faces_on_plane(g, 0, 0.0)
-        right = _faces_on_plane(g, 0, 1.0)
-        if left.size:
-            bc.set_dirichlet(left, 1.0)
-        if right.size:
-            bc.set_dirichlet(right, 0.0)
-        return bc
-
-    problem = uniform_problem(mesh, _network_permeabilities(mesh, 1.0), bcb)
+    problem = uniform_problem(mesh, _network_permeabilities(mesh, 1.0), _LEFT_TO_RIGHT)
     return problem, mesh
 
 
-def _run_case_12_lite(spec: CaseSpec) -> tuple[dict, dict, dict]:
+def _study_12(build, spec, p, timings) -> _Study:
     n = spec.resolved_resolution
-    ov = spec.overrides
-    args = (
-        float(ov.get("k_conductive", 1e4)),
-        float(ov.get("k_blocking", 1e-4)),
-        float(ov.get("aperture", 1e-4)),
-    )
-    fine_res = int(ov.get("fine_resolution", 4 * n))
-    timings = {}
-
-    t0 = time.perf_counter()
-    fine_problem, fine_mesh = case12_problem(fine_res, *args)
-    fine_system = fine_problem.assemble()
-    p_fine = direct_solve(fine_system.matrix, fine_system.rhs)
-    timings["fine_reference"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    problem, mesh = case12_problem(n, *args)
-    system = problem.assemble()
-    p_none, cond_full = _solve_with_condition(system.matrix, system.rhs)
-    timings["coarse"] = time.perf_counter() - t0
+    fine_res = 4 * n if p["fine_resolution"] is None else p["fine_resolution"]
+    with _timed(timings, "fine_reference"):
+        fine_problem, fine_mesh = build(fine_res)
+        fine_system = fine_problem.assemble()
+        p_fine = direct_solve(fine_system.matrix, fine_system.rhs)
+    with _timed(timings, "coarse"):
+        problem, mesh = build(n)
+        system = problem.assemble()
+        p_none, cond_full = _solve_with_condition(system.matrix, system.rhs)
 
     fine_dims = fine_mesh.dof_dims()
-    fine_centres = fine_mesh.all_cell_centres()
     fine_volumes = fine_mesh.all_cell_volumes()
-    coarse_dims = mesh.dof_dims()
-    coarse_centres = mesh.all_cell_centres()
-
-    def project(values_full: np.ndarray) -> np.ndarray:
-        # Intersection points (dim 0) are excluded from the comparison groups.
-        out = np.zeros(fine_mesh.n_dofs)
-        for d in (1, 2):
-            fmask = fine_dims == d
-            cmask = coarse_dims == d
-            mapping = nearest_cell_map(fine_centres[fmask], coarse_centres[cmask])
-            out[fmask] = values_full[np.flatnonzero(cmask)][mapping]
-        return out
+    centres = fine_mesh.all_cell_centres(), mesh.all_cell_centres()
+    # Intersection points (dim 0) are excluded from the comparison groups.
+    groups = [(fine_dims == d, mesh.dof_dims() == d) for d in (1, 2)]
 
     def group_errors(values_full: np.ndarray) -> dict:
-        projected = project(values_full)
+        projected = _projected(values_full, *centres, groups)
         return {
             "combined": l2_error(projected, p_fine, fine_volumes, subset=fine_dims >= 1),
             "matrix": l2_error(projected, p_fine, fine_volumes, subset=fine_dims == 2),
             "fracture": l2_error(projected, p_fine, fine_volumes, subset=fine_dims == 1),
         }
 
-    report = {"fine_resolution": fine_res, "cond_full": cond_full, "methods": {}}
+    results = {
+        "fine_resolution": fine_res,
+        "cond_full": cond_full,
+        "methods": {"none": {**group_errors(p_none), "cond": cond_full}},
+    }
     full_fields = {"none": p_none}
-    report["methods"]["none"] = {**group_errors(p_none), "cond": cond_full}
-    for tag, reducer in (("schur", schur_reduce), ("star_delta", star_delta_reduce)):
-        t0 = time.perf_counter()
-        reduced = reducer(system)
-        p_kept, cond_red = _solve_with_condition(reduced.matrix, reduced.rhs)
-        timings[tag] = time.perf_counter() - t0
+    for tag in ("schur", "star_delta"):
+        with _timed(timings, tag):
+            reduced, p_kept, summary = _reduction(system, p_none, cond_full, tag)
+        # Star-Delta leaves the intersection points without values; they
+        # sit outside the comparison groups.
         if tag == "schur":
             values_full = back_substitute(reduced, p_kept)
         else:
-            # Star-Delta leaves the intersection points without values; they
-            # sit outside the comparison groups.
-            values_full = np.zeros(mesh.n_dofs)
-            values_full[reduced.kept] = p_kept
-        entry = group_errors(values_full)
-        entry.update({"cond": cond_red, "r_c": cond_full / cond_red})
-        report["methods"][tag] = entry
+            values_full = _on_kept(mesh, reduced.kept, p_kept)
+        results["methods"][tag] = {
+            **group_errors(values_full),
+            "cond": summary["cond"],
+            "r_c": summary["r_c"],
+        }
         full_fields[tag] = values_full
     extras = {
         "mesh": mesh,
@@ -943,106 +923,80 @@ def _run_case_12_lite(spec: CaseSpec) -> tuple[dict, dict, dict]:
         "fields": full_fields,
         "system": system,
     }
-    return report, extras, timings
+    fields = [(f"pressure_{tag}", mesh, values, None) for tag, values in full_fields.items()]
+    fields.append(("pressure_reference", fine_mesh, p_fine, None))
+    return _Study(results, extras, fields)
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# The case table and the pipeline
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "1.1": _run_case_11,
-    "1.2-lite": _run_case_12_lite,
-    "1.3": _run_case_13,
-    "2": _run_case_2,
-    "3": _run_case_3,
-    "4": _run_case_4,
+CASES = {
+    "1.1": _Case(8, case11_problem, ("k_h", "k_v", "k_i", "aperture"), _study_11),
+    "1.2-lite": _Case(
+        16,
+        case12_problem,
+        ("k_conductive", "k_blocking", "aperture"),
+        _study_12,
+        controls={"fine_resolution": int},  # four times the resolution
+    ),
+    "1.3": _Case(
+        8,
+        case13_problem,
+        ("k_conductive", "k_blocking", "aperture"),
+        _study_13,
+        controls={"t_final": 0.5, "n_steps": 200},
+        eliminations=("none", "schur", "star_delta"),
+    ),
+    "2": _Case(
+        16,
+        case2_problem,
+        ("angle", "k_fracture", "aperture"),
+        _study_2,
+        controls={"ratio": float, "fine_resolution": 128},  # ratios 1, 3 and 6
+    ),
+    "3": _Case(
+        8,
+        case3_problem,
+        ("aperture",),
+        _study_3,
+        controls={"t_final": 30.0, "n_steps": 200},
+        discretizations=("tpfa", "mpfa", "hybrid", "all"),
+    ),
+    "4": _Case(
+        8,
+        case4_problem,
+        ("k_upper", "k_lower", "q_injection"),
+        _study_4,
+        controls={"t_final": 2.0, "n_steps": 200, "zero_d_only": False},
+    ),
 }
+
+CASE_IDS = tuple(CASES)
 
 
 def run_case(spec: CaseSpec) -> CaseResult:
     """Run a preset case end to end and optionally write its artifacts."""
-    core, extras, timings = _RUNNERS[spec.case](spec)
-    extras = dict(extras)
-    extras["timings"] = timings
-    report = {
-        "schema": "fracfv-report-v1",
-        "norm": NORM_VERSION,
-        "build": build_identifier(),
-        "case": {
+    case = CASES[spec.case]
+    parameters = spec.parameters
+    build = partial(case.problem, **{name: parameters[name] for name in case.physics})
+    timings = {}
+    study = case.study(build, spec, parameters, timings)
+    report = report_envelope(
+        {
             "id": spec.case,
             "resolution": spec.resolved_resolution,
             "discretization": spec.discretization,
             "elimination": spec.elimination,
             "overrides": dict(spec.overrides),
         },
-        "results": core,
-        "artifacts": {},
-    }
+        study.results,
+    )
     if spec.out_dir is not None:
         out_dir = Path(spec.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_artifacts(spec, report, extras, out_dir)
+        report["artifacts"] = _write_artifacts(study, out_dir, spec.write_vtk)
         write_report(report, out_dir, timings)
+    extras = {**study.extras, "timings": timings}
     return CaseResult(report=report, extras=extras, out_dir=spec.out_dir)
-
-
-def _write_artifacts(spec: CaseSpec, report: dict, extras: dict, out_dir: Path) -> None:
-    fields = []
-
-    def emit(mesh, values, name, subset=None):
-        path = export_field_csv(mesh, values, out_dir / f"{name}.csv", subset)
-        fields.append(path.name)
-        if spec.write_vtk:
-            export_field_vtk(mesh, values, out_dir / f"{name}.vtk")
-            fields.append(f"{name}.vtk")
-
-    series = []
-    if spec.case == "1.1" and "point" in extras:
-        point = extras["point"]
-        emit(point["mesh"], point["p_full"], "pressure_full")
-    elif spec.case == "1.3":
-        mesh = extras["mesh"]
-        emit(mesh, extras["p_full"], "pressure_full")
-        emit(mesh, extras["sim_full"].state.concentrations, "tracer_full")
-        write_series_csv(out_dir / "series_full.csv", extras["sim_full"].state.series)
-        series.append("series_full.csv")
-        for tag in ("schur", "star_delta"):
-            if tag in extras:
-                sim = extras[tag]["sim"]
-                reduced = extras[tag]["reduced"]
-                kept = reduced.kept
-                # Kept-cell fields, row-aligned with the kept rows of the
-                # full exports, so reported errors can be recomputed.
-                full_on_kept = np.zeros(mesh.n_dofs)
-                full_on_kept[kept] = extras[tag]["p_kept"]
-                emit(mesh, full_on_kept, f"pressure_{tag}_kept", subset=kept)
-                tr = np.zeros(mesh.n_dofs)
-                tr[kept] = sim.state.concentrations
-                emit(mesh, tr, f"tracer_{tag}_kept", subset=kept)
-                write_series_csv(out_dir / f"series_{tag}.csv", sim.state.series)
-                series.append(f"series_{tag}.csv")
-        if "schur" in extras:
-            kept = extras["schur"]["reduced"].kept
-            emit(mesh, extras["p_full"], "pressure_full_kept", subset=kept)
-            emit(mesh, extras["sim_full"].state.concentrations, "tracer_full_kept", subset=kept)
-    elif spec.case == "4":
-        mesh = extras["mesh"]
-        emit(mesh, extras["p_full"], "pressure_full")
-        emit(mesh, extras["sim_full"].state.concentrations, "tracer_full")
-        kept = extras["reduced"].kept
-        padded = np.zeros(mesh.n_dofs)
-        padded[kept] = extras["p_kept"]
-        emit(mesh, padded, "pressure_schur_kept", subset=kept)
-        emit(mesh, extras["p_full"], "pressure_full_kept", subset=kept)
-    elif spec.case == "3":
-        for disc, run in extras["runs"].items():
-            emit(run["mesh"], run["p"], f"pressure_{disc}")
-            write_series_csv(out_dir / f"series_{disc}.csv", run["sim"].state.series)
-            series.append(f"series_{disc}.csv")
-    elif spec.case == "1.2-lite":
-        for tag, values in extras["fields"].items():
-            emit(extras["mesh"], values, f"pressure_{tag}")
-        emit(extras["fine_mesh"], extras["p_fine"], "pressure_reference")
-    report["artifacts"]["fields"] = fields
-    report["artifacts"]["series"] = series

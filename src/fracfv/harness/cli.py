@@ -22,8 +22,7 @@ from ..errors import (
     TransportError,
 )
 from .cases import CASE_IDS, CaseSpec, run_case, sweep_case11
-from .export import build_identifier, write_report
-from .norms import NORM_VERSION
+from .export import report_envelope, write_report
 
 
 def _parse_overrides(pairs):
@@ -95,13 +94,9 @@ def _summarize(results: dict, indent: str = "  ") -> None:
 def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",")]
     sweep = sweep_case11(values, args.resolution)
-    report = {
-        "schema": "fracfv-report-v1",
-        "norm": NORM_VERSION,
-        "build": build_identifier(),
-        "case": {"id": "1.1-sweep", "resolution": args.resolution, "values": values},
-        "results": sweep["matrices"],
-    }
+    report = report_envelope(
+        {"id": "1.1-sweep", "resolution": args.resolution, "values": values}, sweep["matrices"]
+    )
     path = write_report(report, args.out)
     print(f"sweep finished; report at {path}")
     return 0

@@ -11,6 +11,7 @@ import numpy as np
 from .. import __version__
 from ..errors import FracfvError
 from ..mdmesh.mdmesh import MixedDimensionalMesh
+from .norms import NORM_VERSION
 
 
 def export_field_csv(mesh: MixedDimensionalMesh, values: np.ndarray, path, subset=None) -> Path:
@@ -130,6 +131,19 @@ def build_identifier() -> str:
     except (OSError, subprocess.SubprocessError):
         pass
     return f"fracfv-{__version__}"
+
+
+def report_envelope(case: dict, results: dict) -> dict:
+    """A report without artifacts: schema, norm version, build id, the case's
+    parameters and its results."""
+    return {
+        "schema": "fracfv-report-v1",
+        "norm": NORM_VERSION,
+        "build": build_identifier(),
+        "case": case,
+        "results": results,
+        "artifacts": {},
+    }
 
 
 def write_report(report: dict, out_dir, timings: dict | None = None) -> Path:

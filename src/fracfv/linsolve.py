@@ -104,12 +104,3 @@ def condition_number(matrix, factor: spla.SuperLU | None = None) -> float:
     normal = _largest_eigenvalue(n, lambda x: csr.T @ (csr @ x))
     inverse = _largest_eigenvalue(n, lambda x: lu.solve(lu.solve(x, trans="T")))
     return float(np.sqrt(normal * inverse))
-
-
-def export_coordinate_format(matrix, path) -> None:
-    """Write a matrix as 'row col value' lines for external inspection."""
-    coo = as_csr(matrix).tocoo()
-    with open(path, "w") as handle:
-        handle.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{r} {c} {v:.17g}\n")

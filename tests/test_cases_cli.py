@@ -29,6 +29,109 @@ class TestCaseSpec:
         assert CaseSpec(case="1.3").resolved_resolution == 8
         assert CaseSpec(case="1.2-lite", resolution=32).resolved_resolution == 32
 
+    def test_overrides_take_the_type_of_their_default(self):
+        spec = CaseSpec(case="4", overrides={"n_steps": 20.0, "k_upper": 1, "zero_d_only": "True"})
+        parameters = spec.parameters
+        assert parameters["n_steps"] == 20 and isinstance(parameters["n_steps"], int)
+        assert parameters["k_upper"] == 1.0 and isinstance(parameters["k_upper"], float)
+        assert parameters["zero_d_only"] is True
+        assert parameters["k_lower"] == 1e-3 and parameters["t_final"] == 2.0
+
+    def test_non_integer_step_count_rejected(self):
+        with pytest.raises(FracfvError, match="integer"):
+            CaseSpec(case="1.3", overrides={"n_steps": 2.5})
+
+    @pytest.mark.parametrize(
+        "case,option,value",
+        [
+            ("2", "discretization", "tpfa"),
+            ("1.1", "elimination", "schur"),
+            ("1.2-lite", "discretization", "mpfa"),
+            ("1.3", "discretization", "hybrid"),
+            ("3", "elimination", "none"),
+            ("4", "elimination", "star_delta"),
+            ("1.3", "elimination", "bogus"),
+            ("3", "discretization", "bogus"),
+        ],
+    )
+    def test_choice_the_case_does_not_read_rejected(self, case, option, value):
+        with pytest.raises(FracfvError, match=f"does not take {option}"):
+            CaseSpec(case=case, **{option: value})
+
+
+class TestZeroDOnly:
+    """``zero_d_only`` picks case 4's eliminated set: every intersection cell
+    (15 at resolution 8) or the intersection points only (1)."""
+
+    @pytest.mark.parametrize("word,eliminated", [("false", 15), ("0", 15), ("true", 1), ("1", 1)])
+    def test_command_line_words(self, tmp_path, word, eliminated):
+        out = tmp_path / word
+        args = ["run", "4", "--override", f"zero_d_only={word}", "--override", "n_steps=1"]
+        assert main(args + ["--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["eliminated_dofs"] == eliminated
+
+    @pytest.mark.parametrize("word", ["no", "yes", "2", "0.5"])
+    def test_other_values_rejected(self, tmp_path, capsys, word):
+        args = ["run", "4", "--override", f"zero_d_only={word}", "--out", str(tmp_path)]
+        assert main(args) == 1
+        assert "zero_d_only" in capsys.readouterr().err
+
+
+def _names(stems, vtk=False):
+    return [f"{stem}.{ext}" for stem in stems for ext in (("csv", "vtk") if vtk else ("csv",))]
+
+
+FULL_13 = ["pressure_full", "tracer_full"]
+KEPT_13 = [f"{q}_{tag}_kept" for tag in ("schur", "star_delta") for q in ("pressure", "tracer")]
+ARTIFACTS = [
+    pytest.param("1.1", {"resolution": 4}, [], [], id="1.1"),
+    pytest.param(
+        "1.1", {"resolution": 4, "overrides": {"k_h": 1e3, "k_v": 1e-3}}, ["pressure_full"], [],
+        id="1.1-point",
+    ),
+    pytest.param(
+        "1.2-lite",
+        {"resolution": 16, "overrides": {"fine_resolution": 32}},
+        ["pressure_none", "pressure_schur", "pressure_star_delta", "pressure_reference"],
+        [],
+        id="1.2-lite",
+    ),
+    pytest.param(
+        "1.3",
+        {"resolution": 4, "overrides": {"n_steps": 4}},
+        FULL_13 + KEPT_13 + ["pressure_full_kept", "tracer_full_kept"],
+        ["series_full", "series_schur", "series_star_delta"],
+        id="1.3",
+    ),
+    pytest.param(
+        "1.3",
+        {"resolution": 4, "overrides": {"n_steps": 4}, "write_vtk": True},
+        FULL_13 + KEPT_13 + ["pressure_full_kept", "tracer_full_kept"],
+        ["series_full", "series_schur", "series_star_delta"],
+        id="1.3-vtk",
+    ),
+    pytest.param(
+        "1.3", {"resolution": 4, "elimination": "none", "overrides": {"n_steps": 4}}, FULL_13,
+        ["series_full"], id="1.3-elim-none",
+    ),
+    pytest.param("2", {"overrides": {"ratio": 3.0, "fine_resolution": 32}}, [], [], id="2"),
+    pytest.param(
+        "3",
+        {"resolution": 4, "overrides": {"n_steps": 4}},
+        ["pressure_mpfa", "pressure_tpfa", "pressure_hybrid"],
+        ["series_mpfa", "series_tpfa", "series_hybrid"],
+        id="3",
+    ),
+    pytest.param(
+        "4",
+        {"resolution": 8, "overrides": {"n_steps": 4}},
+        ["pressure_full", "tracer_full", "pressure_schur_kept", "pressure_full_kept"],
+        [],
+        id="4",
+    ),
+]
+
 
 class TestRunCaseArtifacts:
     def test_case13_report_and_fields(self, tmp_path):
@@ -74,13 +177,27 @@ class TestRunCaseArtifacts:
         reported = result.report["results"]["schur"]["pressure_error"]
         assert recomputed == pytest.approx(reported, rel=1e-10, abs=1e-18)
 
-    def test_identical_specs_give_identical_reports(self, tmp_path):
-        spec = dict(case="1.3", resolution=4)
-        run_case(CaseSpec(**spec, out_dir=tmp_path / "a"))
-        run_case(CaseSpec(**spec, out_dir=tmp_path / "b"))
-        a = (tmp_path / "a" / "report.json").read_bytes()
-        b = (tmp_path / "b" / "report.json").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize("case,kwargs,fields,series", ARTIFACTS)
+    def test_artifacts_and_determinism(self, tmp_path, case, kwargs, fields, series):
+        """Each case writes exactly the files its report lists, and identical
+        specs give byte-identical reports. With no elimination, case 1.3
+        reports the full system only."""
+        for run in ("a", "b"):
+            result = run_case(CaseSpec(case=case, out_dir=tmp_path / run, **kwargs))
+        artifacts = result.report["artifacts"]
+        assert artifacts == {
+            "fields": _names(fields, kwargs.get("write_vtk", False)),
+            "series": _names(series),
+            "timings": "timings.json",
+        }
+        written = {path.name for path in (tmp_path / "b").iterdir()}
+        listed = {*artifacts["fields"], *artifacts["series"]}
+        assert written == listed | {"report.json", "timings.json"}
+        report = (tmp_path / "a" / "report.json").read_bytes()
+        assert report == (tmp_path / "b" / "report.json").read_bytes()
+        assert json.loads(report)["artifacts"] == artifacts
+        if kwargs.get("elimination") == "none":
+            assert not {"schur", "star_delta"} & set(result.report["results"])
 
     def test_case3_report_is_deterministic(self, tmp_path):
         # Case 3 times its three discretizations; the wall-time ratios go
@@ -140,6 +257,11 @@ class TestCommandLine:
     def test_bad_override_exit_code(self, tmp_path, capsys):
         code = main(["run", "1.1", "--override", "bogus=1", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_choice_the_case_does_not_read_exit_code(self, tmp_path, capsys):
+        assert main(["run", "2", "--disc", "tpfa", "--out", str(tmp_path)]) == 1
+        assert main(["run", "4", "--elim", "schur", "--out", str(tmp_path)]) == 1
+        assert not (tmp_path / "report.json").exists()
 
     def test_vtk_flag_writes_vtk(self, tmp_path):
         code = main(

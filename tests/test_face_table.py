@@ -4,8 +4,9 @@ The per-face loop versions of TPFA assembly, interface coupling, flux-graph
 construction, upwind assembly and face-node ordering are kept here as
 reference oracles. They read the signed incidence ``cell_faces`` row by row
 and never the table, so they check the table too. So are the per-node loop
-version of MPFA assembly and the tuple-key loop that matched face and cell
-centres. The array versions must reproduce them on all six preset cases, on
+version of MPFA assembly, the tuple-key loop that matched face and cell
+centres, and the per-pair Star-Delta loop that updated the kept block entry by
+entry. The array versions must reproduce them on all six preset cases, on
 a perturbed simplex mesh and on random fracture networks.
 """
 
@@ -15,19 +16,22 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sps
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from conftest import write_triangle_square_mesh
 from fracfv import coupling, transport
 from fracfv.coupling import conservation_residual, uniform_problem
-from fracfv.elimination import schur_reduce
+from fracfv.elimination import limit_equivalence_check, schur_reduce, star_delta_reduce
 from fracfv.errors import (
     DegenerateGeometryError,
     DiscretizationError,
+    EliminationError,
     InflowBoundaryError,
     MeshError,
     SingularLocalSystemError,
+    UnsupportedSourceError,
 )
 from fracfv.fvdiscretize import DIRICHLET, NEUMANN, assemble_mpfa, flow_bc, transport_bc
 from fracfv.fvdiscretize.mpfa import _plane_basis, default_eta
@@ -418,6 +422,79 @@ def loop_ordered_face_nodes(grid, face):
     return [node_list[i] for i in order]
 
 
+def loop_star_delta_reduce(system, eliminated=None):
+    """Star-Delta by a per-pair loop over each star's branches, with LIL
+    updates of the kept block: (matrix, kept, eliminated)."""
+    mesh = system.mesh
+    if eliminated is None:
+        eliminated = mesh.intersection_dofs()
+    else:
+        eliminated = np.asarray(eliminated, dtype=int)
+        allowed = set(mesh.intersection_dofs().tolist())
+        outside = [d for d in eliminated.tolist() if d not in allowed]
+        if outside:
+            raise EliminationError(f"dofs {outside} are not intersection cells")
+    eliminated = np.unique(eliminated)
+    n = system.matrix.shape[0]
+    elim_mask = np.zeros(n, dtype=bool)
+    elim_mask[eliminated] = True
+    if np.any(system.rhs[eliminated] != 0.0):
+        bad = eliminated[system.rhs[eliminated] != 0.0]
+        raise UnsupportedSourceError(
+            f"eliminated cells {bad.tolist()} carry sources or boundary data; "
+            "the Star-Delta reduction has no cell to attach them to"
+        )
+    kept = np.flatnonzero(~elim_mask)
+    kept_local = -np.ones(n, dtype=int)
+    kept_local[kept] = np.arange(kept.size)
+    elim_local = -np.ones(n, dtype=int)
+    elim_local[eliminated] = np.arange(eliminated.size)
+
+    branches = []
+    bond_rows, bond_cols = [], []
+    for c in system.couplings:
+        for h, l, alpha, t in zip(c.higher_dofs, c.lower_dofs, c.alpha_higher, c.transmissibility):
+            h_el, l_el = elim_mask[h], elim_mask[l]
+            if l_el and not h_el:
+                branches.append((int(l), int(h), float(alpha), float(t)))
+            elif l_el and h_el:
+                bond_rows.append(elim_local[h])
+                bond_cols.append(elim_local[l])
+            elif h_el and not l_el:
+                raise EliminationError(
+                    "coupling from an eliminated cell into a kept lower-dimensional cell"
+                )
+    bonds = sps.csr_matrix(
+        (np.ones(len(bond_rows)), (bond_rows, bond_cols)),
+        shape=(eliminated.size, eliminated.size),
+    )
+    n_comp, labels = connected_components(bonds, directed=False)
+    a = sps.csr_matrix(system.matrix)
+    a_kk = a[kept][:, kept].tolil()
+    comp_branches = [[] for _ in range(n_comp)]
+    for l_dof, h_dof, alpha, t in branches:
+        comp_branches[labels[elim_local[l_dof]]].append((h_dof, alpha, t))
+    for comp, blist in enumerate(comp_branches):
+        if not blist:
+            members = eliminated[labels == comp]
+            raise EliminationError(
+                f"eliminated cells {members.tolist()} have no branch connections"
+            )
+        alphas = np.array([alpha for _, alpha, _ in blist])
+        total = alphas.sum()
+        if total == 0.0:
+            raise EliminationError("star with zero total branch conductance")
+        locs = np.array([kept_local[h] for h, _, _ in blist])
+        for i, (h, alpha, t) in enumerate(blist):
+            a_kk[locs[i], locs[i]] -= t
+            a_kk[locs[i], locs[i]] += alpha - alpha * alpha / total
+            for j in range(i + 1, len(blist)):
+                t_ij = alpha * alphas[j] / total
+                a_kk[locs[i], locs[j]] -= t_ij
+                a_kk[locs[j], locs[i]] -= t_ij
+    return sps.csr_matrix(a_kk), kept, eliminated
+
+
 # ---------------------------------------------------------------------------
 # Comparison helpers
 # ---------------------------------------------------------------------------
@@ -505,13 +582,25 @@ def _check_upwind(result, graph, transport_bcs):
     _close(result[1], inflow)
 
 
+STAR_DELTA_TOL = 1e-14
+
+
+def _check_star_delta(reduced, system, eliminated=None):
+    matrix, kept, elim = loop_star_delta_reduce(system, eliminated)
+    assert np.array_equal(reduced.kept, kept) and np.array_equal(reduced.eliminated, elim)
+    assert reduced.matrix.shape == matrix.shape
+    gap = abs(reduced.matrix - matrix)
+    scale = max(abs(matrix).max() if matrix.nnz else 0.0, 1e-300)
+    assert (gap.max() if gap.nnz else 0.0) <= STAR_DELTA_TOL * scale
+
+
 class Spies:
     """Wrap the array kernels where the case runners look them up and check
     every call against its oracle."""
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(
-            ["match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind"], 0
+            ["match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind", "star_delta"], 0
         )
         self._wrap(monkeypatch, cartesian, "match_centres", "match", _check_match)
         self._wrap(monkeypatch, coupling, "assemble_tpfa", "tpfa", _check_tpfa)
@@ -520,6 +609,7 @@ class Spies:
         self._wrap(monkeypatch, cases, "flux_graph_from_system", "system", _check_system_graph)
         self._wrap(monkeypatch, cases, "flux_graph_from_reduced", "reduced", _check_reduced_graph)
         self._wrap(monkeypatch, transport, "upwind_operator", "upwind", _check_upwind)
+        self._wrap(monkeypatch, cases, "star_delta_reduce", "star_delta", _check_star_delta)
 
     def _wrap(self, monkeypatch, module, name, key, check):
         original = getattr(module, name)
@@ -560,6 +650,8 @@ def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
         assert spies.calls["system"] > 0 and spies.calls["upwind"] > 0
     if case in ("1.3", "4"):
         assert spies.calls["reduced"] > 0
+    if case in ("1.1", "1.2-lite", "1.3"):
+        assert spies.calls["star_delta"] > 0
 
 
 def test_perturbed_simplex_mesh_matches_loop_oracles(tmp_path):
@@ -770,6 +862,48 @@ def test_random_networks(network):
     reduced = schur_reduce(system)
     p_kept = direct_solve(reduced.matrix, reduced.rhs)
     assert np.abs(p_kept - p[reduced.kept]).max() <= 1e-10 * np.abs(p).max()
+
+    # Boundary data on an intersection cell makes both Star-Delta versions
+    # refuse the system, with the same message.
+    try:
+        star = star_delta_reduce(system)
+    except EliminationError as err:
+        with pytest.raises(type(err)) as oracle_err:
+            loop_star_delta_reduce(system)
+        assert str(oracle_err.value) == str(err)
+    else:
+        _check_star_delta(star, system)
+
+
+def _matrix_dirichlet(sd, grid):
+    """Dirichlet pressure on the matrix's x faces only: no eliminated cell
+    carries boundary data."""
+    return _x_dirichlet(sd, grid) if sd == 0 else None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(networks())
+def test_random_networks_star_delta_is_schur_limit(network):
+    """Schur-reduced systems approach the Star-Delta one as the intersection
+    permeability grows. Star-Delta drops the tangential connections inside
+    eliminated subdomains, so it is the limit only where eliminated cells
+    have none: points, and lines of one cell."""
+    mesh, matrix_k = network
+    perms = [matrix_k] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
+    problem = uniform_problem(mesh, perms, _matrix_dirichlet)
+    eliminated = mesh.intersection_dofs()
+    a_ee = problem.assemble().matrix[eliminated][:, eliminated].tocoo()
+    dims = mesh.dof_dims()[eliminated]
+    tangential = (a_ee.row != a_ee.col) & (dims[a_ee.row] == dims[a_ee.col])
+    assume(eliminated.size > 0 and not np.any(tangential))
+
+    # Each hundredfold boost cuts the deviations at least tenfold, until they
+    # reach round-off.
+    sweep = limit_equivalence_check(problem, None, [1e2, 1e4, 1e6])["sweep"]
+    for key in ("relative_matrix_deviation", "relative_pressure_difference"):
+        deviations = [entry[key] for entry in sweep]
+        for earlier, later in zip(deviations, deviations[1:]):
+            assert later < earlier / 10 or later <= 1e-13, (key, deviations)
 
 
 def _spd_tensors(draw, n_cells, ambient):

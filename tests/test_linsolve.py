@@ -1,4 +1,4 @@
-"""Direct solver, condition numbers and matrix export."""
+"""Direct solver and condition numbers."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from fracfv.linsolve import (
     as_csr,
     condition_number,
     direct_solve,
-    export_coordinate_format,
     factorize,
 )
 
@@ -137,13 +136,3 @@ def test_as_csr_canonicalizes():
     csr = as_csr(a)
     assert csr.nnz == 2  # duplicates summed
     assert csr[0, 1] == 3.0
-
-
-def test_coordinate_export(tmp_path):
-    a = sps.csr_matrix(np.array([[1.5, 0.0], [-2.25, 4.0]]))
-    path = tmp_path / "matrix.txt"
-    export_coordinate_format(a, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    entries = {(int(r), int(c)): float(v) for r, c, v in (l.split() for l in lines[1:])}
-    assert entries == {(0, 0): 1.5, (1, 0): -2.25, (1, 1): 4.0}
