@@ -62,6 +62,11 @@ class CaseSpec:
         if self.case not in CASES:
             raise FracfvError(f"unknown case {self.case!r}; available: {CASE_IDS}")
         declared = CASES[self.case]
+        if self.resolution is not None and declared.resolution is None:
+            raise FracfvError(
+                f"case {self.case} does not take resolution {self.resolution!r}; "
+                "it runs its own set of resolutions"
+            )
         for option, value, accepted in (
             ("discretization", self.discretization, declared.discretizations),
             ("elimination", self.elimination, declared.eliminations),
@@ -74,7 +79,7 @@ class CaseSpec:
         _parameters(self.case, self.overrides)
 
     @property
-    def resolved_resolution(self) -> int:
+    def resolved_resolution(self) -> int | None:
         return self.resolution or CASES[self.case].resolution
 
     @property
@@ -94,6 +99,8 @@ class CaseResult:
 class _Case:
     """One preset case.
 
+    ``resolution`` is the default resolution, None for a case whose study
+    runs its own set of resolutions and so takes none.
     ``problem(resolution, ...)`` builds the case's flow problem; the builder
     keywords named in ``physics`` are free parameters with the builder's
     own defaults. ``controls`` holds the study's other free parameters and
@@ -104,7 +111,7 @@ class _Case:
     those choices the study reads; a case that reads neither rejects both.
     """
 
-    resolution: int
+    resolution: int | None
     problem: Callable
     physics: tuple
     study: Callable
@@ -950,7 +957,7 @@ CASES = {
         eliminations=("none", "schur", "star_delta"),
     ),
     "2": _Case(
-        16,
+        None,
         case2_problem,
         ("angle", "k_fracture", "aperture"),
         _study_2,

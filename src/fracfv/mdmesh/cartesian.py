@@ -44,10 +44,11 @@ class FracturePatch:
 class FractureNetworkSpec:
     """Domain box, fracture patches, and the intersection permeability rule.
 
-    ``intersection_permeability`` is one of:
-      * ``"min"``: inherit the least permeable crossing fracture (default);
-      * ``"harmonic"``: isotropic harmonic mean of the crossing fractures;
-      * ``("patch", name)``: inherit the named patch's tensor;
+    ``intersection_permeability`` sets an intersection's tensor from its
+    parents, the subdomains that cross there. It is one of:
+      * ``"min"``: inherit the least permeable parent (default);
+      * ``"harmonic"``: isotropic harmonic mean of the parents;
+      * ``("patch", name)``: inherit the tensor of the named patch, an ancestor;
       * a scalar or PermeabilityTensor applied to every intersection.
     """
 
@@ -271,9 +272,6 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     internal = np.concatenate([grid.internal_boundary, np.ones(faces.size, dtype=bool)])
     internal[faces] = True
     grid.internal_boundary = internal
-
-    if hasattr(grid, "_face_nodes_csr"):
-        del grid._face_nodes_csr
     return new_faces
 
 
@@ -328,11 +326,11 @@ def _axis_node_arrays(domain, resolution, ambient_dim):
     return arrays
 
 
-def _snap(value: float, nodes: np.ndarray, tol: float, what: str):
+def _snap(value: float, nodes: np.ndarray, tol: float, what: str) -> int:
     idx = int(np.argmin(np.abs(nodes - value)))
     if abs(nodes[idx] - value) > tol:
         raise FractureAlignmentError(f"{what} at {value} does not coincide with a grid plane")
-    return nodes[idx], idx
+    return idx
 
 
 def _as_tensor(permeability, dim) -> PermeabilityTensor:
@@ -347,8 +345,11 @@ def _mean_eigenvalue(tensor: PermeabilityTensor) -> float:
     return float(np.trace(tensor.matrix)) / tensor.dim
 
 
-def _intersection_tensor(rule, parents: list[dict], ambient_dim: int) -> PermeabilityTensor:
-    """Apply the intersection permeability rule given parent metadata dicts."""
+def _intersection_tensor(
+    rule, parents: list[dict], lineage: list[dict], ambient_dim: int
+) -> PermeabilityTensor:
+    """Apply the intersection permeability rule to the metadata of a crossing's
+    direct parents; ``("patch", name)`` reads the fractures of its lineage."""
     tensors = [p["permeability"] for p in parents]
     if isinstance(rule, PermeabilityTensor):
         return rule
@@ -360,15 +361,45 @@ def _intersection_tensor(rule, parents: list[dict], ambient_dim: int) -> Permeab
         means = [_mean_eigenvalue(t) for t in tensors]
         return PermeabilityTensor.isotropic(len(means) / sum(1.0 / m for m in means), ambient_dim)
     if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "patch":
-        for p in parents:
-            if rule[1] in p["ancestors"]:
-                return p["ancestor_tensors"][p["ancestors"].index(rule[1])]
+        for fracture in lineage:
+            if fracture["name"] == rule[1]:
+                return fracture["permeability"]
         raise MeshError(f"intersection rule names patch {rule[1]!r}, not among parents")
     raise MeshError(f"unknown intersection permeability rule {rule!r}")
 
 
+def _free_axes(box: tuple) -> list[int]:
+    """Axes along which a box, one (lo, hi) pair of grid node indices per
+    axis, has positive length; on the others it is fixed at lo == hi."""
+    return [k for k, (lo, hi) in enumerate(box) if lo < hi]
+
+
+def _crossing(a: tuple, b: tuple) -> tuple | None:
+    """The box where boxes ``a`` and ``b`` cross, or None.
+
+    They cross when together they fix exactly one more axis than either does
+    alone, they meet on every axis (ends included), and every axis left free
+    keeps a positive length.
+    """
+    free_a, free_b = _free_axes(a), _free_axes(b)
+    free = [k for k in free_a if k in free_b]
+    box = tuple((max(ea[0], eb[0]), min(ea[1], eb[1])) for ea, eb in zip(a, b))
+    meet = all(lo <= hi for lo, hi in box)
+    if len(free) + 1 == len(free_a) == len(free_b) and meet and _free_axes(box) == free:
+        return box
+    return None
+
+
 def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> MixedDimensionalMesh:
     """Build the mixed-dimensional hierarchy for an axis-aligned fracture network.
+
+    Every subdomain below the matrix is a box (see ``_free_axes``), a fracture
+    one with a single fixed axis. Each further level holds the crossings of
+    pairs of boxes of the level above (``_crossing``); pairs that cross in the
+    same box give one subdomain whose parents are all of them, in the order
+    found. A crossing takes the least aperture of its parents and the
+    intersection permeability rule applied to them. Fractures come in patch
+    order, points sorted by coordinate, other crossings in the order found.
 
     Parameters:
         spec: Domain box, fracture patches, intersection permeability rule.
@@ -383,185 +414,82 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     spans = [a[-1] - a[0] for a in axes]
     tol = 1e-8 * max(spans)
 
-    # Normalize and validate patches.
+    # Snap and validate patches: (patch, name, box).
     patches = []
     for idx, patch in enumerate(spec.fractures):
         if ambient < 2:
             raise MeshError("fractures require an ambient dimension of at least 2")
         name = patch.name or f"fracture_{idx}"
-        coord, node_idx = _snap(patch.coordinate, axes[patch.normal_axis], tol, f"fracture {name!r} plane")
+        node_idx = _snap(patch.coordinate, axes[patch.normal_axis], tol, f"fracture {name!r} plane")
         if node_idx == 0 or node_idx == len(axes[patch.normal_axis]) - 1:
             raise FractureAlignmentError(f"fracture {name!r} lies on the domain boundary")
-        extents = []
+        box = [(node_idx, node_idx)] * ambient
         for axis, (lo, hi) in zip(patch.in_plane_axes(ambient), patch.extents):
-            lo_s, lo_i = _snap(lo, axes[axis], tol, f"fracture {name!r} extent")
-            hi_s, hi_i = _snap(hi, axes[axis], tol, f"fracture {name!r} extent")
+            lo_i = _snap(lo, axes[axis], tol, f"fracture {name!r} extent")
+            hi_i = _snap(hi, axes[axis], tol, f"fracture {name!r} extent")
             if hi_i <= lo_i:
                 raise MeshError(f"fracture {name!r} has empty extent on axis {axis}")
-            extents.append((lo_s, hi_s))
-        patches.append(
-            {
-                "name": name,
-                "normal_axis": patch.normal_axis,
-                "coordinate": coord,
-                "extents": extents,
-                "in_plane_axes": patch.in_plane_axes(ambient),
-                "aperture": float(patch.aperture),
-                "permeability": _as_tensor(patch.permeability, ambient),
-            }
-        )
+            box[axis] = (lo_i, hi_i)
+        patches.append((patch, name, tuple(box)))
 
     # Reject overlapping or touching same-orientation patches.
-    for a, b in itertools.combinations(patches, 2):
-        if a["normal_axis"] != b["normal_axis"] or a["coordinate"] != b["coordinate"]:
-            continue
-        boxes_touch = all(
-            ea[0] <= eb[1] and eb[0] <= ea[1] for ea, eb in zip(a["extents"], b["extents"])
-        )
-        if boxes_touch:
+    for (a, a_name, a_box), (b, b_name, b_box) in itertools.combinations(patches, 2):
+        if a.normal_axis == b.normal_axis and all(
+            ea[0] <= eb[1] and eb[0] <= ea[1] for ea, eb in zip(a_box, b_box)
+        ):
             raise FractureOverlapError(
-                f"fractures {a['name']!r} and {b['name']!r} overlap in the same plane"
+                f"fractures {a_name!r} and {b_name!r} overlap in the same plane"
             )
 
-    subdomains: list[SubdomainGrid] = []
     matrix = structured_grid(ambient, list(range(ambient)), axes, {}, aperture=1.0)
     matrix.metadata = {"role": "matrix", "name": "matrix"}
-    subdomains.append(matrix)
+    subdomains: list[SubdomainGrid] = [matrix]
+    boxes: list = [None]
+    lineages: list[list[dict]] = [[]]  # per subdomain: the fractures it descends from
 
-    def restricted(axis: int, lo: float, hi: float) -> np.ndarray:
-        arr = axes[axis]
-        i0 = int(np.argmin(np.abs(arr - lo)))
-        i1 = int(np.argmin(np.abs(arr - hi)))
-        return arr[i0 : i1 + 1]
-
-    fracture_sds = []
-    for p in patches:
-        g = structured_grid(
-            ambient,
-            p["in_plane_axes"],
-            [restricted(axis, *ext) for axis, ext in zip(p["in_plane_axes"], p["extents"])],
-            {p["normal_axis"]: p["coordinate"]},
-            aperture=p["aperture"],
-        )
-        g.metadata = {
-            "role": "fracture",
-            "name": p["name"],
-            "permeability": p["permeability"],
-            "ancestors": [p["name"]],
-            "ancestor_tensors": [p["permeability"]],
-        }
-        fracture_sds.append(len(subdomains))
+    def add(box: tuple, aperture: float, metadata: dict, lineage: list[dict]) -> int:
+        free = _free_axes(box)
+        nodes = [axes[k][box[k][0] : box[k][1] + 1] for k in free]
+        fixed = {k: axes[k][lo] for k, (lo, _) in enumerate(box) if k not in free}
+        g = structured_grid(ambient, free, nodes, fixed, aperture)
+        g.metadata = metadata
         subdomains.append(g)
+        boxes.append(box)
+        lineages.append(lineage)
+        return len(subdomains) - 1
 
-    # Pairwise patch intersections: dimension N-2 entities.
-    segments = []  # ambient == 3: {"axis", "range", "fixed", parents...}
-    point_records: dict[tuple, dict] = {}  # ambient == 2 (from patches) or 3 (from segments)
+    level = []
+    for patch, name, box in patches:
+        tensor = _as_tensor(patch.permeability, ambient)
+        metadata = {"role": "fracture", "name": name, "permeability": tensor}
+        level.append(add(box, float(patch.aperture), metadata, [metadata]))
 
-    def add_point(coords: tuple, parent: dict):
-        rec = point_records.setdefault(coords, {"parents": []})
-        if parent not in rec["parents"]:
-            rec["parents"].append(parent)
-
-    for pa, pb in itertools.combinations(patches, 2):
-        if pa["normal_axis"] == pb["normal_axis"]:
-            continue
-        ca_ok = _within(pa["coordinate"], pb, pa["normal_axis"], ambient)
-        cb_ok = _within(pb["coordinate"], pa, pb["normal_axis"], ambient)
-        if not (ca_ok and cb_ok):
-            continue
-        if ambient == 2:
-            coords = [0.0, 0.0]
-            coords[pa["normal_axis"]] = pa["coordinate"]
-            coords[pb["normal_axis"]] = pb["coordinate"]
-            add_point(tuple(coords), {"kind": "patch_pair", "patches": (pa, pb)})
-        else:
-            free = [k for k in range(3) if k not in (pa["normal_axis"], pb["normal_axis"])][0]
-            lo = max(pa["extents"][pa["in_plane_axes"].index(free)][0],
-                     pb["extents"][pb["in_plane_axes"].index(free)][0])
-            hi = min(pa["extents"][pa["in_plane_axes"].index(free)][1],
-                     pb["extents"][pb["in_plane_axes"].index(free)][1])
-            if hi <= lo:
-                continue  # zero-length contact carries no cells
-            segments.append(
-                {
-                    "axis": free,
-                    "range": (lo, hi),
-                    "fixed": {pa["normal_axis"]: pa["coordinate"], pb["normal_axis"]: pb["coordinate"]},
-                    "patches": (pa, pb),
-                }
-            )
-
-    segment_sds = []
     rule = spec.intersection_permeability
-    for seg in segments:
-        parents = [{"permeability": p["permeability"], "ancestors": [p["name"]],
-                    "ancestor_tensors": [p["permeability"]]} for p in seg["patches"]]
-        tensor = _intersection_tensor(rule, parents, ambient)
-        aperture = min(p["aperture"] for p in seg["patches"])
-        g = structured_grid(
-            ambient, [seg["axis"]], [restricted(seg["axis"], *seg["range"])], seg["fixed"], aperture
-        )
-        names = [p["name"] for p in seg["patches"]]
-        g.metadata = {
-            "role": "intersection",
-            "name": "x".join(names),
-            "permeability": tensor,
-            "ancestors": names,
-            "ancestor_tensors": [p["permeability"] for p in seg["patches"]],
-            "aperture_sources": [p["aperture"] for p in seg["patches"]],
-        }
-        seg["sd"] = len(subdomains)
-        seg["metadata"] = g.metadata
-        segment_sds.append(len(subdomains))
-        subdomains.append(g)
-
-    if ambient == 3:
-        for sa, sb in itertools.combinations(segments, 2):
-            if sa["axis"] == sb["axis"]:
-                continue
-            coords = [None, None, None]
-            coords[sa["axis"]] = sb["fixed"].get(sa["axis"])
-            coords[sb["axis"]] = sa["fixed"].get(sb["axis"])
-            third = [k for k in range(3) if k not in (sa["axis"], sb["axis"])][0]
-            if sa["fixed"][third] != sb["fixed"][third]:
-                continue
-            coords[third] = sa["fixed"][third]
-            if not (sa["range"][0] <= coords[sa["axis"]] <= sa["range"][1]):
-                continue
-            if not (sb["range"][0] <= coords[sb["axis"]] <= sb["range"][1]):
-                continue
-            add_point(tuple(coords), {"kind": "segment", "segment": sa})
-            add_point(tuple(coords), {"kind": "segment", "segment": sb})
-
-    point_sds = []
-    for coords in sorted(point_records):
-        rec = point_records[coords]
-        parents, ancestor_names = [], []
-        apertures = []
-        for parent in rec["parents"]:
-            if parent["kind"] == "patch_pair":
-                for p in parent["patches"]:
-                    parents.append({"permeability": p["permeability"], "ancestors": [p["name"]],
-                                    "ancestor_tensors": [p["permeability"]]})
-                    ancestor_names.append(p["name"])
-                    apertures.append(p["aperture"])
+    while level:
+        found: dict[tuple, list[int]] = {}
+        for a, b in itertools.combinations(level, 2):
+            box = _crossing(boxes[a], boxes[b])
+            if box is not None:
+                parents = found.setdefault(box, [])
+                parents += [i for i in (a, b) if i not in parents]
+        order = list(found)
+        if order and not _free_axes(order[0]):
+            order.sort()  # points, by coordinate
+        level = []
+        for box in order:
+            parents = [subdomains[i].metadata for i in found[box]]
+            lineage = [f for i in found[box] for f in lineages[i]]
+            if _free_axes(box):
+                name = "x".join(p["name"] for p in parents)
             else:
-                md = parent["segment"]["metadata"]
-                parents.append({"permeability": md["permeability"], "ancestors": md["ancestors"],
-                                "ancestor_tensors": md["ancestor_tensors"]})
-                ancestor_names.extend(md["ancestors"])
-                apertures.extend(parent["segment"]["metadata"]["aperture_sources"])
-        tensor = _intersection_tensor(rule, parents, ambient)
-        g = _point_grid(np.array(coords), ambient, min(apertures))
-        g.metadata = {
-            "role": "intersection",
-            "name": "point_" + "_".join(f"{c:g}" for c in coords),
-            "permeability": tensor,
-            "ancestors": sorted(set(ancestor_names)),
-            "ancestor_tensors": [],
-        }
-        point_sds.append(len(subdomains))
-        subdomains.append(g)
+                name = "point_" + "_".join(f"{axes[k][lo]:g}" for k, (lo, _) in enumerate(box))
+            metadata = {
+                "role": "intersection",
+                "name": name,
+                "permeability": _intersection_tensor(rule, parents, lineage, ambient),
+            }
+            aperture = min(subdomains[i].aperture for i in found[box])
+            level.append(add(box, aperture, metadata, lineage))
 
     # Split host faces and build interface maps, top dimension downward.
     interfaces: list[InterfaceMap] = []
@@ -594,11 +522,3 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     mesh = MixedDimensionalMesh(subdomains, interfaces)
     mesh.validate()
     return mesh
-
-
-def _within(coordinate: float, patch: dict, axis: int, ambient: int) -> bool:
-    """Whether a plane coordinate on ``axis`` falls inside a patch's extent."""
-    if axis == patch["normal_axis"]:
-        return False
-    lo, hi = patch["extents"][patch["in_plane_axes"].index(axis)]
-    return lo <= coordinate <= hi

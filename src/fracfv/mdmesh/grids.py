@@ -89,13 +89,6 @@ class SubdomainGrid:
         return float(self.apertures[0]) if self.apertures.size else 1.0
 
     @property
-    def face_nodes_csr(self) -> sps.csr_matrix:
-        """Node-to-face incidence in row form (rows are nodes)."""
-        if not hasattr(self, "_face_nodes_csr"):
-            self._face_nodes_csr = self.face_nodes.tocsr()
-        return self._face_nodes_csr
-
-    @property
     def boundary_faces(self) -> np.ndarray:
         """Mask of faces with exactly one adjacent cell."""
         return np.count_nonzero(self.face_cells >= 0, axis=1) == 1

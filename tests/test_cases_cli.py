@@ -28,6 +28,7 @@ class TestCaseSpec:
     def test_default_resolutions(self):
         assert CaseSpec(case="1.3").resolved_resolution == 8
         assert CaseSpec(case="1.2-lite", resolution=32).resolved_resolution == 32
+        assert CaseSpec(case="2").resolved_resolution is None  # its own ladder 4-32
 
     def test_overrides_take_the_type_of_their_default(self):
         spec = CaseSpec(case="4", overrides={"n_steps": 20.0, "k_upper": 1, "zero_d_only": "True"})
@@ -45,6 +46,7 @@ class TestCaseSpec:
         "case,option,value",
         [
             ("2", "discretization", "tpfa"),
+            ("2", "resolution", 64),
             ("1.1", "elimination", "schur"),
             ("1.2-lite", "discretization", "mpfa"),
             ("1.3", "discretization", "hybrid"),
@@ -260,6 +262,7 @@ class TestCommandLine:
 
     def test_choice_the_case_does_not_read_exit_code(self, tmp_path, capsys):
         assert main(["run", "2", "--disc", "tpfa", "--out", str(tmp_path)]) == 1
+        assert main(["run", "2", "--resolution", "64", "--out", str(tmp_path)]) == 1
         assert main(["run", "4", "--elim", "schur", "--out", str(tmp_path)]) == 1
         assert not (tmp_path / "report.json").exists()
 

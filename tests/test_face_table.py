@@ -5,12 +5,15 @@ construction, upwind assembly and face-node ordering are kept here as
 reference oracles. They read the signed incidence ``cell_faces`` row by row
 and never the table, so they check the table too. So are the per-node loop
 version of MPFA assembly, the tuple-key loop that matched face and cell
-centres, and the per-pair Star-Delta loop that updated the kept block entry by
-entry. The array versions must reproduce them on all six preset cases, on
-a perturbed simplex mesh and on random fracture networks.
+centres, the per-pair Star-Delta loop that updated the kept block entry by
+entry, and the network builder that wrote each level of the fracture
+hierarchy out by hand. The array versions and the one crossing rule must
+reproduce them on all six preset cases, on a perturbed simplex mesh and on
+random fracture networks.
 """
 
 import copy
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -28,6 +31,8 @@ from fracfv.errors import (
     DegenerateGeometryError,
     DiscretizationError,
     EliminationError,
+    FractureAlignmentError,
+    FractureOverlapError,
     InflowBoundaryError,
     MeshError,
     SingularLocalSystemError,
@@ -41,6 +46,7 @@ from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
 from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.grids import face_cells_of
+from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
 from fracfv.mdmesh.meshio import _ordered_face_nodes
 from fracfv.tensors import PermeabilityTensor, tensor_field
 
@@ -131,7 +137,7 @@ def loop_assemble_mpfa(grid, permeability, bc, eta=None):
     basis = _plane_basis(grid)
     d = grid.dim
     face_cells = grid.face_cells
-    fn_csr = grid.face_nodes_csr  # rows: nodes
+    fn_csr = grid.face_nodes.tocsr()  # rows: nodes
     nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
 
     faces_of_cell = grid.cell_faces.tocsc()
@@ -495,6 +501,261 @@ def loop_star_delta_reduce(system, eliminated=None):
     return sps.csr_matrix(a_kk), kept, eliminated
 
 
+def _snapped(value, nodes, tol, what):
+    idx = cartesian._snap(value, nodes, tol, what)
+    return nodes[idx], idx
+
+
+def loop_intersection_tensor(rule, parents, ambient_dim):
+    """Apply the intersection permeability rule given parent metadata dicts."""
+    tensors = [p["permeability"] for p in parents]
+    if isinstance(rule, PermeabilityTensor):
+        return rule
+    if np.isscalar(rule) and not isinstance(rule, str):
+        return PermeabilityTensor.isotropic(float(rule), ambient_dim)
+    if rule == "min":
+        return min(tensors, key=cartesian._mean_eigenvalue)
+    if rule == "harmonic":
+        means = [cartesian._mean_eigenvalue(t) for t in tensors]
+        return PermeabilityTensor.isotropic(len(means) / sum(1.0 / m for m in means), ambient_dim)
+    if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "patch":
+        for p in parents:
+            if rule[1] in p["ancestors"]:
+                return p["ancestor_tensors"][p["ancestors"].index(rule[1])]
+        raise MeshError(f"intersection rule names patch {rule[1]!r}, not among parents")
+    raise MeshError(f"unknown intersection permeability rule {rule!r}")
+
+
+def loop_build_cartesian_with_fractures(spec, resolution):
+    """The network builder that wrote each level out by hand: 2D points from
+    patch pairs, 3D lines from patch pairs, 3D points from line pairs, each
+    with its own parent records for the intersection permeability rule."""
+    ambient = spec.ambient_dim
+    axes = cartesian._axis_node_arrays(spec.domain, resolution, ambient)
+    spans = [a[-1] - a[0] for a in axes]
+    tol = 1e-8 * max(spans)
+
+    # Normalize and validate patches.
+    patches = []
+    for idx, patch in enumerate(spec.fractures):
+        if ambient < 2:
+            raise MeshError("fractures require an ambient dimension of at least 2")
+        name = patch.name or f"fracture_{idx}"
+        coord, node_idx = _snapped(patch.coordinate, axes[patch.normal_axis], tol, f"fracture {name!r} plane")
+        if node_idx == 0 or node_idx == len(axes[patch.normal_axis]) - 1:
+            raise FractureAlignmentError(f"fracture {name!r} lies on the domain boundary")
+        extents = []
+        for axis, (lo, hi) in zip(patch.in_plane_axes(ambient), patch.extents):
+            lo_s, lo_i = _snapped(lo, axes[axis], tol, f"fracture {name!r} extent")
+            hi_s, hi_i = _snapped(hi, axes[axis], tol, f"fracture {name!r} extent")
+            if hi_i <= lo_i:
+                raise MeshError(f"fracture {name!r} has empty extent on axis {axis}")
+            extents.append((lo_s, hi_s))
+        patches.append(
+            {
+                "name": name,
+                "normal_axis": patch.normal_axis,
+                "coordinate": coord,
+                "extents": extents,
+                "in_plane_axes": patch.in_plane_axes(ambient),
+                "aperture": float(patch.aperture),
+                "permeability": cartesian._as_tensor(patch.permeability, ambient),
+            }
+        )
+
+    # Reject overlapping or touching same-orientation patches.
+    for a, b in itertools.combinations(patches, 2):
+        if a["normal_axis"] != b["normal_axis"] or a["coordinate"] != b["coordinate"]:
+            continue
+        boxes_touch = all(
+            ea[0] <= eb[1] and eb[0] <= ea[1] for ea, eb in zip(a["extents"], b["extents"])
+        )
+        if boxes_touch:
+            raise FractureOverlapError(
+                f"fractures {a['name']!r} and {b['name']!r} overlap in the same plane"
+            )
+
+    subdomains = []
+    matrix = cartesian.structured_grid(ambient, list(range(ambient)), axes, {}, aperture=1.0)
+    matrix.metadata = {"role": "matrix", "name": "matrix"}
+    subdomains.append(matrix)
+
+    def restricted(axis, lo, hi):
+        arr = axes[axis]
+        i0 = int(np.argmin(np.abs(arr - lo)))
+        i1 = int(np.argmin(np.abs(arr - hi)))
+        return arr[i0 : i1 + 1]
+
+    fracture_sds = []
+    for p in patches:
+        g = cartesian.structured_grid(
+            ambient,
+            p["in_plane_axes"],
+            [restricted(axis, *ext) for axis, ext in zip(p["in_plane_axes"], p["extents"])],
+            {p["normal_axis"]: p["coordinate"]},
+            aperture=p["aperture"],
+        )
+        g.metadata = {
+            "role": "fracture",
+            "name": p["name"],
+            "permeability": p["permeability"],
+            "ancestors": [p["name"]],
+            "ancestor_tensors": [p["permeability"]],
+        }
+        fracture_sds.append(len(subdomains))
+        subdomains.append(g)
+
+    # Pairwise patch intersections: dimension N-2 entities.
+    segments = []  # ambient == 3: {"axis", "range", "fixed", parents...}
+    point_records = {}  # ambient == 2 (from patches) or 3 (from segments)
+
+    def add_point(coords, parent):
+        rec = point_records.setdefault(coords, {"parents": []})
+        if parent not in rec["parents"]:
+            rec["parents"].append(parent)
+
+    for pa, pb in itertools.combinations(patches, 2):
+        if pa["normal_axis"] == pb["normal_axis"]:
+            continue
+        ca_ok = loop_within(pa["coordinate"], pb, pa["normal_axis"], ambient)
+        cb_ok = loop_within(pb["coordinate"], pa, pb["normal_axis"], ambient)
+        if not (ca_ok and cb_ok):
+            continue
+        if ambient == 2:
+            coords = [0.0, 0.0]
+            coords[pa["normal_axis"]] = pa["coordinate"]
+            coords[pb["normal_axis"]] = pb["coordinate"]
+            add_point(tuple(coords), {"kind": "patch_pair", "patches": (pa, pb)})
+        else:
+            free = [k for k in range(3) if k not in (pa["normal_axis"], pb["normal_axis"])][0]
+            lo = max(pa["extents"][pa["in_plane_axes"].index(free)][0],
+                     pb["extents"][pb["in_plane_axes"].index(free)][0])
+            hi = min(pa["extents"][pa["in_plane_axes"].index(free)][1],
+                     pb["extents"][pb["in_plane_axes"].index(free)][1])
+            if hi <= lo:
+                continue  # zero-length contact carries no cells
+            segments.append(
+                {
+                    "axis": free,
+                    "range": (lo, hi),
+                    "fixed": {pa["normal_axis"]: pa["coordinate"], pb["normal_axis"]: pb["coordinate"]},
+                    "patches": (pa, pb),
+                }
+            )
+
+    segment_sds = []
+    rule = spec.intersection_permeability
+    for seg in segments:
+        parents = [{"permeability": p["permeability"], "ancestors": [p["name"]],
+                    "ancestor_tensors": [p["permeability"]]} for p in seg["patches"]]
+        tensor = loop_intersection_tensor(rule, parents, ambient)
+        aperture = min(p["aperture"] for p in seg["patches"])
+        g = cartesian.structured_grid(
+            ambient, [seg["axis"]], [restricted(seg["axis"], *seg["range"])], seg["fixed"], aperture
+        )
+        names = [p["name"] for p in seg["patches"]]
+        g.metadata = {
+            "role": "intersection",
+            "name": "x".join(names),
+            "permeability": tensor,
+            "ancestors": names,
+            "ancestor_tensors": [p["permeability"] for p in seg["patches"]],
+            "aperture_sources": [p["aperture"] for p in seg["patches"]],
+        }
+        seg["sd"] = len(subdomains)
+        seg["metadata"] = g.metadata
+        segment_sds.append(len(subdomains))
+        subdomains.append(g)
+
+    if ambient == 3:
+        for sa, sb in itertools.combinations(segments, 2):
+            if sa["axis"] == sb["axis"]:
+                continue
+            coords = [None, None, None]
+            coords[sa["axis"]] = sb["fixed"].get(sa["axis"])
+            coords[sb["axis"]] = sa["fixed"].get(sb["axis"])
+            third = [k for k in range(3) if k not in (sa["axis"], sb["axis"])][0]
+            if sa["fixed"][third] != sb["fixed"][third]:
+                continue
+            coords[third] = sa["fixed"][third]
+            if not (sa["range"][0] <= coords[sa["axis"]] <= sa["range"][1]):
+                continue
+            if not (sb["range"][0] <= coords[sb["axis"]] <= sb["range"][1]):
+                continue
+            add_point(tuple(coords), {"kind": "segment", "segment": sa})
+            add_point(tuple(coords), {"kind": "segment", "segment": sb})
+
+    point_sds = []
+    for coords in sorted(point_records):
+        rec = point_records[coords]
+        parents, ancestor_names = [], []
+        apertures = []
+        for parent in rec["parents"]:
+            if parent["kind"] == "patch_pair":
+                for p in parent["patches"]:
+                    parents.append({"permeability": p["permeability"], "ancestors": [p["name"]],
+                                    "ancestor_tensors": [p["permeability"]]})
+                    ancestor_names.append(p["name"])
+                    apertures.append(p["aperture"])
+            else:
+                md = parent["segment"]["metadata"]
+                parents.append({"permeability": md["permeability"], "ancestors": md["ancestors"],
+                                "ancestor_tensors": md["ancestor_tensors"]})
+                ancestor_names.extend(md["ancestors"])
+                apertures.extend(parent["segment"]["metadata"]["aperture_sources"])
+        tensor = loop_intersection_tensor(rule, parents, ambient)
+        g = cartesian._point_grid(np.array(coords), ambient, min(apertures))
+        g.metadata = {
+            "role": "intersection",
+            "name": "point_" + "_".join(f"{c:g}" for c in coords),
+            "permeability": tensor,
+            "ancestors": sorted(set(ancestor_names)),
+            "ancestor_tensors": [],
+        }
+        point_sds.append(len(subdomains))
+        subdomains.append(g)
+
+    # Split host faces and build interface maps, top dimension downward.
+    interfaces = []
+    match_tol = 1e-10 * max(spans)
+    by_dim = {d: [i for i, g in enumerate(subdomains) if g.dim == d] for d in range(ambient + 1)}
+    for d_high in range(ambient, 0, -1):
+        for hi_idx in by_dim.get(d_high, []):
+            higher = subdomains[hi_idx]
+            matches_per_lower = []
+            for lo_idx in by_dim.get(d_high - 1, []):
+                lower = subdomains[lo_idx]
+                pairs = cartesian.match_centres(higher.face_centres, lower.cell_centres, match_tol)
+                if pairs.size:
+                    matches_per_lower.append((lo_idx, pairs))
+            if not matches_per_lower:
+                continue
+            all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
+            to_split = all_faces[~higher.boundary_faces[all_faces]]
+            twin = np.full(higher.n_faces, -1)
+            twin[to_split] = cartesian.split_faces(higher, to_split)
+            higher.internal_boundary[all_faces] = True
+            for lo_idx, pairs in matches_per_lower:
+                # Each pair on a split face is followed by the pair of its copy.
+                split = twin[pairs[:, 0]] >= 0
+                rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
+                copies = np.cumsum(np.where(split, 2, 1))[split] - 1
+                rows[copies, 0] = twin[pairs[split, 0]]
+                interfaces.append(InterfaceMap(hi_idx, lo_idx, rows))
+
+    mesh = MixedDimensionalMesh(subdomains, interfaces)
+    mesh.validate()
+    return mesh
+
+
+def loop_within(coordinate, patch, axis, ambient):
+    """Whether a plane coordinate on ``axis`` falls inside a patch's extent."""
+    if axis == patch["normal_axis"]:
+        return False
+    lo, hi = patch["extents"][patch["in_plane_axes"].index(axis)]
+    return lo <= coordinate <= hi
+
+
 # ---------------------------------------------------------------------------
 # Comparison helpers
 # ---------------------------------------------------------------------------
@@ -600,8 +861,11 @@ class Spies:
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(
-            ["match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind", "star_delta"], 0
+            ["build", "match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind",
+             "star_delta"],
+            0,
         )
+        self._wrap(monkeypatch, cases, "build_cartesian_with_fractures", "build", _check_build)
         self._wrap(monkeypatch, cartesian, "match_centres", "match", _check_match)
         self._wrap(monkeypatch, coupling, "assemble_tpfa", "tpfa", _check_tpfa)
         self._wrap(monkeypatch, coupling, "assemble_mpfa", "mpfa", _check_mpfa)
@@ -641,7 +905,7 @@ SMALL_CASES = [
 def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
     spies = Spies(monkeypatch)
     run_case(CaseSpec(case=case, resolution=resolution, overrides=overrides))
-    assert spies.calls["interface"] > 0 and spies.calls["match"] > 0
+    assert spies.calls["build"] > 0 and spies.calls["interface"] > 0 and spies.calls["match"] > 0
     if case != "2":  # case 2 discretizes every subdomain by MPFA
         assert spies.calls["tpfa"] > 0
     if case in ("2", "3"):
@@ -792,10 +1056,22 @@ def networks(draw):
             extents.append((lo / res, hi / res))
         aperture = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
         permeability = 10.0 ** draw(st.integers(-4, 4))
-        patches.append(FracturePatch(axis, index / res, tuple(extents), aperture, permeability, f"p{n}"))
+        name = f"p{draw(st.integers(0, n))}"  # names may repeat
+        patches.append(FracturePatch(axis, index / res, tuple(extents), aperture, permeability, name))
     matrix_k = np.diag([10.0 ** draw(st.integers(-1, 1)) for _ in range(dim)])
-    spec = FractureNetworkSpec(domain=((0.0, 1.0),) * dim, fractures=patches)
-    return _build_against_loop_matching(spec, res), matrix_k
+    exponents = st.integers(-4, 4)
+    rule = draw(
+        st.one_of(
+            st.sampled_from(["min", "harmonic"]),
+            st.sampled_from([("patch", p.name) for p in patches]),
+            exponents.map(lambda e: 10.0**e),
+            st.lists(exponents, min_size=dim, max_size=dim).map(
+                lambda e: PermeabilityTensor.diagonal(*(10.0 ** np.array(e, dtype=float)))
+            ),
+        )
+    )
+    spec = FractureNetworkSpec(((0.0, 1.0),) * dim, patches, intersection_permeability=rule)
+    return _build_against_oracles(spec, res), matrix_k
 
 
 GRID_ARRAYS = [
@@ -804,16 +1080,11 @@ GRID_ARRAYS = [
 ]
 
 
-def _build_against_loop_matching(spec, res):
-    """Build a network mesh, and check that it equals, bit for bit, the mesh
-    built with the tuple-key matching loop."""
-    mesh = build_cartesian_with_fractures(spec, res)
-
-    def loop(*args):
-        return np.array(loop_match_centres(*args), dtype=int).reshape(-1, 2)
-
-    with mock.patch.object(cartesian, "match_centres", loop):
-        oracle = build_cartesian_with_fractures(spec, res)
+def _check_build(mesh, spec, resolution):
+    """The mesh equals, bit for bit, the one the hand-written hierarchy
+    builder makes: grid arrays, subdomain order, names, roles, tensors and
+    interface pairs."""
+    oracle = loop_build_cartesian_with_fractures(spec, resolution)
     assert len(mesh.subdomains) == len(oracle.subdomains)
     for g, o in zip(mesh.subdomains, oracle.subdomains):
         for name in GRID_ARRAYS:
@@ -823,10 +1094,35 @@ def _build_against_loop_matching(spec, res):
                 assert np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
                 a, b = a.data, b.data
             assert np.array_equal(a, b), name
+        assert set(g.metadata) == set(o.metadata) & {"role", "name", "permeability"}
+        assert (g.metadata["role"], g.metadata["name"]) == (o.metadata["role"], o.metadata["name"])
+        if "permeability" in g.metadata:
+            k, k_oracle = g.metadata["permeability"], o.metadata["permeability"]
+            assert np.array_equal(k.matrix, k_oracle.matrix)
     assert len(mesh.interfaces) == len(oracle.interfaces)
     for i, o in zip(mesh.interfaces, oracle.interfaces):
         assert (i.higher, i.lower) == (o.higher, o.lower)
         assert np.array_equal(i.face_cell_pairs, o.face_cell_pairs)
+
+
+def _build_against_oracles(spec, res):
+    """Build a network mesh, and check that it equals, bit for bit, the mesh
+    the hand-written hierarchy builder makes with the tuple-key matching loop.
+    Where that builder raises, the new one must raise the same error; the
+    draw is then rejected."""
+
+    def loop(*args):
+        return np.array(loop_match_centres(*args), dtype=int).reshape(-1, 2)
+
+    try:
+        mesh = build_cartesian_with_fractures(spec, res)
+    except MeshError as err:
+        with pytest.raises(type(err)) as oracle_err:
+            loop_build_cartesian_with_fractures(spec, res)
+        assert str(oracle_err.value) == str(err)
+        assume(False)
+    with mock.patch.object(cartesian, "match_centres", loop):
+        _check_build(mesh, spec, res)
     return mesh
 
 

@@ -255,3 +255,70 @@ class TestIntersectionRules:
     def test_unknown_rule_rejected(self):
         with pytest.raises(MeshError):
             self._mesh("geometric-mean")
+
+
+class TestDepthTwoIntersections:
+    """Three orthogonal patches crossing at the centre of the cube: each line
+    takes the rule from its two fractures, the point from the three lines."""
+
+    APERTURES = {"p": 2e-2, "q": 3e-2, "r": 1e-2}
+    PERMEABILITIES = {"p": 4.0, "q": 1.0, "r": 16.0}
+
+    def _mesh(self, rule, p_z=(0.0, 1.0), q_z=(0.0, 1.0)):
+        full = (0.0, 1.0)
+        extents = {"p": (full, p_z), "q": (full, q_z), "r": (full, full)}
+        spec = FractureNetworkSpec(
+            domain=(full,) * 3,
+            fractures=[
+                FracturePatch(axis, 0.5, extents[name], self.APERTURES[name],
+                              self.PERMEABILITIES[name], name)
+                for axis, name in enumerate("pqr")
+            ],
+            intersection_permeability=rule,
+        )
+        mesh = build_cartesian_with_fractures(spec, 2)
+        return {d: [g for g in mesh.subdomains if g.dim == d] for d in range(4)}
+
+    def _tensors(self, by_dim):
+        return [g.metadata["permeability"].matrix for g in by_dim[1] + by_dim[0]]
+
+    def test_counts_names_and_apertures(self):
+        by_dim = self._mesh("min")
+        assert [len(by_dim[d]) for d in (3, 2, 1, 0)] == [1, 3, 3, 1]
+        assert [g.metadata["name"] for g in by_dim[1]] == ["pxq", "pxr", "qxr"]
+        assert by_dim[0][0].metadata["name"] == "point_0.5_0.5_0.5"
+        assert [g.aperture for g in by_dim[1]] == [2e-2, 1e-2, 1e-2]
+        assert by_dim[0][0].aperture == 1e-2
+
+    @pytest.mark.parametrize(
+        "rule,expected",
+        [
+            ("min", [1.0, 4.0, 1.0, 1.0]),
+            # Lines: 2 / (1/k_a + 1/k_b). Point: 3 / (1/1.6 + 1/6.4 + 17/32).
+            ("harmonic", [1.6, 6.4, 32.0 / 17.0, 16.0 / 7.0]),
+            (1e3, [1e3] * 4),
+        ],
+        ids=["min", "harmonic", "scalar"],
+    )
+    def test_isotropic_rules(self, rule, expected):
+        for tensor, k in zip(self._tensors(self._mesh(rule)), expected, strict=True):
+            assert np.allclose(tensor, k * np.eye(3), rtol=1e-14, atol=0.0)
+
+    def test_explicit_tensor(self):
+        tensor = PermeabilityTensor.diagonal(1.0, 2.0, 3.0)
+        for matrix in self._tensors(self._mesh(tensor)):
+            assert np.array_equal(matrix, tensor.matrix)
+
+    def test_named_patch_must_be_an_ancestor_of_every_crossing(self):
+        # The line qxr does not descend from p.
+        with pytest.raises(MeshError, match="names patch 'p', not among parents"):
+            self._mesh(("patch", "p"))
+
+    def test_named_patch_reaches_the_point_through_its_lines(self):
+        # p and q only touch along z = 0.5, so they have no line; the point's
+        # parents are the lines pxr and qxr, and both descend from r.
+        by_dim = self._mesh(("patch", "r"), p_z=(0.5, 1.0), q_z=(0.0, 0.5))
+        assert [g.metadata["name"] for g in by_dim[1]] == ["pxr", "qxr"]
+        assert len(by_dim[0]) == 1
+        for tensor in self._tensors(by_dim):
+            assert np.array_equal(tensor, 16.0 * np.eye(3))
