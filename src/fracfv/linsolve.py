@@ -4,8 +4,10 @@ Matrices are held as scipy CSR with sorted, deduplicated column indices.
 Every matrix is factorized by SuperLU under one fixed policy: a minimum
 degree ordering of A^T + A in symmetric mode, with threshold pivoting that
 keeps a diagonal pivot unless it is below 1% of its column (Li, ACM TOMS 31,
-2005). The factor of a matrix serves its solves and its condition number,
-which Lanczos (ARPACK) takes from the largest eigenvalues of A and of A^-1.
+2005). A lower-triangular matrix, such as a transport step matrix in flux
+order, keeps its natural order instead and is factored with no fill. The
+factor of a matrix serves its solves and its condition number, which Lanczos
+(ARPACK) takes from the largest eigenvalues of A and of A^-1.
 """
 
 from __future__ import annotations
@@ -25,8 +27,16 @@ def as_csr(matrix) -> sps.csr_matrix:
     return csr
 
 
+def _is_lower_triangular(csr: sps.csr_matrix) -> bool:
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    return bool(np.all(csr.indices <= rows))
+
+
 def factorize(matrix) -> spla.SuperLU:
     """LU-factorize a square sparse matrix deterministically.
+
+    A lower-triangular matrix is factored in its natural order, any other by
+    minimum degree on A^T + A.
 
     Raises:
         SingularMatrixError: On exactly singular pivots.
@@ -38,7 +48,7 @@ def factorize(matrix) -> spla.SuperLU:
     try:
         lu = spla.splu(
             csr.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec="NATURAL" if _is_lower_triangular(csr) else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.01,
             options={"SymmetricMode": True},
         )

@@ -446,8 +446,11 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     subdomains: list[SubdomainGrid] = [matrix]
     boxes: list = [None]
     lineages: list[list[dict]] = [[]]  # per subdomain: the fractures it descends from
+    children: list[list[int]] = [[]]  # per subdomain: the subdomains immersed in it
 
-    def add(box: tuple, aperture: float, metadata: dict, lineage: list[dict]) -> int:
+    def add(
+        box: tuple, aperture: float, metadata: dict, lineage: list[dict], parents: list[int]
+    ) -> int:
         free = _free_axes(box)
         nodes = [axes[k][box[k][0] : box[k][1] + 1] for k in free]
         fixed = {k: axes[k][lo] for k, (lo, _) in enumerate(box) if k not in free}
@@ -456,13 +459,16 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
         subdomains.append(g)
         boxes.append(box)
         lineages.append(lineage)
+        children.append([])
+        for i in parents:
+            children[i].append(len(subdomains) - 1)
         return len(subdomains) - 1
 
     level = []
     for patch, name, box in patches:
         tensor = _as_tensor(patch.permeability, ambient)
         metadata = {"role": "fracture", "name": name, "permeability": tensor}
-        level.append(add(box, float(patch.aperture), metadata, [metadata]))
+        level.append(add(box, float(patch.aperture), metadata, [metadata], [0]))
 
     rule = spec.intersection_permeability
     while level:
@@ -489,35 +495,35 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
                 "permeability": _intersection_tensor(rule, parents, lineage, ambient),
             }
             aperture = min(subdomains[i].aperture for i in found[box])
-            level.append(add(box, aperture, metadata, lineage))
+            level.append(add(box, aperture, metadata, lineage, found[box]))
 
-    # Split host faces and build interface maps, top dimension downward.
+    # Split host faces and build interface maps, top dimension downward: each
+    # subdomain meets only those immersed in it, the matrix every fracture and
+    # the parents of a crossing that crossing. Subdomains come in descending
+    # dimension and children in ascending index.
     interfaces: list[InterfaceMap] = []
     match_tol = 1e-10 * max(spans)
-    by_dim = {d: [i for i, g in enumerate(subdomains) if g.dim == d] for d in range(ambient + 1)}
-    for d_high in range(ambient, 0, -1):
-        for hi_idx in by_dim.get(d_high, []):
-            higher = subdomains[hi_idx]
-            matches_per_lower = []
-            for lo_idx in by_dim.get(d_high - 1, []):
-                lower = subdomains[lo_idx]
-                pairs = match_centres(higher.face_centres, lower.cell_centres, match_tol)
-                if pairs.size:
-                    matches_per_lower.append((lo_idx, pairs))
-            if not matches_per_lower:
-                continue
-            all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
-            to_split = all_faces[~higher.boundary_faces[all_faces]]
-            twin = np.full(higher.n_faces, -1)
-            twin[to_split] = split_faces(higher, to_split)
-            higher.internal_boundary[all_faces] = True
-            for lo_idx, pairs in matches_per_lower:
-                # Each pair on a split face is followed by the pair of its copy.
-                split = twin[pairs[:, 0]] >= 0
-                rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
-                copies = np.cumsum(np.where(split, 2, 1))[split] - 1
-                rows[copies, 0] = twin[pairs[split, 0]]
-                interfaces.append(InterfaceMap(hi_idx, lo_idx, rows))
+    for hi_idx, lows in enumerate(children):
+        higher = subdomains[hi_idx]
+        matches_per_lower = []
+        for lo_idx in lows:
+            pairs = match_centres(higher.face_centres, subdomains[lo_idx].cell_centres, match_tol)
+            if pairs.size:
+                matches_per_lower.append((lo_idx, pairs))
+        if not matches_per_lower:
+            continue
+        all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
+        to_split = all_faces[~higher.boundary_faces[all_faces]]
+        twin = np.full(higher.n_faces, -1)
+        twin[to_split] = split_faces(higher, to_split)
+        higher.internal_boundary[all_faces] = True
+        for lo_idx, pairs in matches_per_lower:
+            # Each pair on a split face is followed by the pair of its copy.
+            split = twin[pairs[:, 0]] >= 0
+            rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
+            copies = np.cumsum(np.where(split, 2, 1))[split] - 1
+            rows[copies, 0] = twin[pairs[split, 0]]
+            interfaces.append(InterfaceMap(hi_idx, lo_idx, rows))
 
     mesh = MixedDimensionalMesh(subdomains, interfaces)
     mesh.validate()

@@ -9,7 +9,8 @@ centres, the per-pair Star-Delta loop that updated the kept block entry by
 entry, and the network builder that wrote each level of the fracture
 hierarchy out by hand. The array versions and the one crossing rule must
 reproduce them on all six preset cases, on a perturbed simplex mesh and on
-random fracture networks.
+random fracture networks. The transport step factored in cell order by
+minimum degree is the oracle of the flux-ordered factor on the preset cases.
 """
 
 import copy
@@ -19,6 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -42,7 +44,7 @@ from fracfv.fvdiscretize import DIRICHLET, NEUMANN, assemble_mpfa, flow_bc, tran
 from fracfv.fvdiscretize.mpfa import _plane_basis, default_eta
 from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, run_case
-from fracfv.linsolve import direct_solve
+from fracfv.linsolve import as_csr, direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
 from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.grids import face_cells_of
@@ -396,6 +398,18 @@ def loop_upwind_operator(graph, transport_bcs):
     operator = sps.csr_matrix((vals, (rows, cols)), shape=(n, n))
     operator.sum_duplicates()
     return operator, inflow
+
+
+def mmd_factorize_step(volumes, operator, dt):
+    """The step matrix in cell order, factored under the flow solver's
+    minimum-degree policy, as every transport run was before flux order."""
+    matrix = as_csr(sps.diags(volumes / dt) + operator)
+    return spla.splu(
+        matrix.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.01,
+        options={"SymmetricMode": True},
+    )
 
 
 def loop_match_centres(candidates, targets, tol):
@@ -916,6 +930,75 @@ def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
         assert spies.calls["reduced"] > 0
     if case in ("1.1", "1.2-lite", "1.3"):
         assert spies.calls["star_delta"] > 0
+
+
+def _tracer_runs(monkeypatch, spec, factorize_step=None):
+    """Report and tracer simulations of one case run, with the transport step
+    factored by ``factorize_step`` where given. Every step matrix factored in
+    flux order is returned with its LU factor."""
+    sims, factors = [], []
+    original = transport.factorize
+
+    class Recorded(transport.TracerSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    def recorded(matrix):
+        lu = original(matrix)
+        factors.append((as_csr(matrix), lu))
+        return lu
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cases, "TracerSimulation", Recorded)
+        patch.setattr(transport, "factorize", recorded)
+        if factorize_step is not None:
+            patch.setattr(transport, "factorize_step", factorize_step)
+        report = run_case(spec).report
+    return report, sims, factors
+
+
+def _same_results(new, old, path=""):
+    """Tracer and mass numbers within 1e-12 of their scale (at least 1: mass
+    errors are relative already, Schur tracer errors are round-off); every
+    other number bit-identical."""
+    if isinstance(old, dict):
+        assert new.keys() == old.keys()
+        for key in old:
+            _same_results(new[key], old[key], f"{path}/{key}")
+    elif isinstance(old, float) and ("tracer" in path or "mass" in path):
+        assert abs(new - old) <= 1e-12 * max(abs(old), 1.0), path
+    else:
+        assert new == old, path
+
+
+@pytest.mark.parametrize("case,resolution,overrides", SMALL_CASES, ids=[c[0] for c in SMALL_CASES])
+def test_flux_ordered_transport_matches_mmd_oracle(monkeypatch, case, resolution, overrides):
+    spec = CaseSpec(case=case, resolution=resolution, overrides=overrides)
+    report, sims, factors = _tracer_runs(monkeypatch, spec)
+    oracle_report, oracle_sims, oracle_factors = _tracer_runs(monkeypatch, spec, mmd_factorize_step)
+    assert not oracle_factors
+    assert len(sims) == len(oracle_sims) == len(factors)
+    assert bool(sims) == (case in ("1.3", "3", "4"))  # the others run no transport
+    _same_results(report["results"], oracle_report["results"])
+    for sim, oracle in zip(sims, oracle_sims):
+        field, oracle_field = sim.state.concentrations, oracle.state.concentrations
+        scale = np.abs(oracle_field).max()
+        assert np.abs(field - oracle_field).max() <= 1e-12 * scale
+        times, values = np.array(sim.state.series).reshape(-1, 2).T
+        oracle_times, oracle_values = np.array(oracle.state.series).reshape(-1, 2).T
+        assert np.array_equal(times, oracle_times)
+        assert np.abs(values - oracle_values).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(np.subtract(sim.bounds, oracle.bounds)).max() <= 1e-12 * scale
+        assert abs(sim.mass_accounting_error - oracle.mass_accounting_error) <= 1e-12
+    # Every step matrix of the presets is acyclic: lower triangular in flux
+    # order, every diagonal pivot kept, and L + U holds no entry beyond A's
+    # and L's unit diagonal.
+    for matrix, lu in factors:
+        n = matrix.shape[0]
+        assert sps.triu(matrix, 1).nnz == 0
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert lu.L.nnz + lu.U.nnz == matrix.nnz + n
 
 
 def test_perturbed_simplex_mesh_matches_loop_oracles(tmp_path):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfv.errors import SingularMatrixError
-from fracfv.harness.cases import sweep_case11
+from fracfv.harness.cases import case11_problem, sweep_case11
 from fracfv.linsolve import (
     as_csr,
     condition_number,
@@ -65,6 +66,55 @@ class TestDirectSolve:
         x2 = direct_solve(a, np.array([0.0, 1.0]), factor=lu)
         assert np.allclose(x1, [2.0 / 3.0, 1.0 / 3.0])
         assert np.allclose(x2, [1.0 / 3.0, 2.0 / 3.0])
+
+
+def mmd_splu(matrix):
+    """The flow policy, applied to any matrix: minimum degree on A^T + A."""
+    return spla.splu(
+        as_csr(matrix).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.01,
+        options={"SymmetricMode": True},
+    )
+
+
+def _lower_triangular(n, seed):
+    """Sparse lower-triangular matrix whose diagonal dominates its columns."""
+    rng = np.random.default_rng(seed)
+    strict = sps.tril(sps.random(n, n, density=0.05, random_state=rng), -1)
+    dominance = np.asarray(strict.sum(axis=0)).ravel()
+    return as_csr(sps.diags(dominance + rng.random(n) + 0.1) - strict)
+
+
+class TestOrderingPolicy:
+    def test_lower_triangular_factored_without_fill(self):
+        a = _lower_triangular(300, seed=5)
+        lu = factorize(a)
+        n = a.shape[0]
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert lu.L.nnz + lu.U.nnz == a.nnz + n
+        b = np.random.default_rng(6).standard_normal(n)
+        reference = np.linalg.solve(a.toarray(), b)
+        assert np.abs(lu.solve(b) - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            lambda: case11_problem(8)[0].assemble().matrix,
+            # One entry above the diagonal is enough to keep minimum degree.
+            lambda: _lower_triangular(300, seed=5)
+            + sps.csr_matrix(([1e-3], ([0], [299])), shape=(300, 300)),
+        ],
+        ids=["flow", "nearly-lower"],
+    )
+    def test_other_matrices_keep_the_flow_policy(self, matrix):
+        a = as_csr(matrix())
+        lu, reference = factorize(a), mmd_splu(a)
+        assert np.array_equal(lu.perm_c, reference.perm_c)
+        assert np.array_equal(lu.perm_r, reference.perm_r)
+        b = np.arange(a.shape[0], dtype=float)
+        assert np.array_equal(lu.solve(b), reference.solve(b))
 
 
 class TestConditionNumber:

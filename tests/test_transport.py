@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfv.errors import InflowBoundaryError, ProbeError, TransportError
 from fracfv.fvdiscretize import transport_bc
@@ -12,6 +15,7 @@ from fracfv.transport import (
     FluxGraph,
     TracerSimulation,
     TransportState,
+    factorize_step,
     flux_graph_from_system,
     implicit_euler_step,
     monitor,
@@ -121,6 +125,81 @@ class TestImplicitEuler:
         op2, _ = upwind_operator(g2, [])
         gap = abs(op2 - scale * op1)
         assert (gap.data.max() if gap.nnz else 0.0) <= 1e-14
+
+
+def _dense_step(graph, bcs, initial, dt):
+    """One implicit step by a dense solve of the same step matrix."""
+    op, inflow = upwind_operator(graph, bcs)
+    mass = graph.volumes / dt
+    return np.linalg.solve(np.diag(mass) + op.toarray(), mass * initial + inflow)
+
+
+def _flux_ordered(graph, bcs, dt) -> tuple[sps.csr_matrix, np.ndarray]:
+    """The step matrix permuted to the flux order of its factor, and the order."""
+    op, _ = upwind_operator(graph, bcs)
+    order = factorize_step(graph.volumes, op, dt).order
+    return sps.csr_matrix(sps.diags(graph.volumes / dt) + op)[order][:, order], order
+
+
+def _assert_matches_dense(graph, bcs, initial, dt):
+    dense = _dense_step(graph, bcs, initial, dt)
+    op, inflow = upwind_operator(graph, bcs)
+    state = implicit_euler_step(TransportState(initial.copy()), graph.volumes, op, inflow, None, dt)
+    sim = TracerSimulation(graph, bcs, initial, dt)
+    scale = np.abs(dense).max()
+    for new in (state.concentrations, sim.step().concentrations):
+        assert np.abs(new - dense).max() <= 1e-13 * scale
+
+
+def _inflow_outflow_bc():
+    """Subdomain 0's boundary data: tracer 1 on its first external face,
+    0 on its second. Flow entries may attach either face to any cell."""
+    g = _dummy_bc()
+    first, second = np.flatnonzero(g.external_boundary)[:2]
+    return transport_bc(g).set_dirichlet([first], 1.0).set_dirichlet([second], 0.0), first, second
+
+
+class TestCyclicFlux:
+    """A circulating flux field leaves the step matrix only block lower
+    triangular in flux order; the step must stay exact."""
+
+    def test_circulation_matches_dense_solve(self):
+        bc, first, second = _inflow_outflow_bc()
+        # Inflow into 0, then 0 -> 1, the loop 1 -> 2 -> 3 -> 1, 3 -> 4 and
+        # out of 4; one connection stored backwards, one with zero flux.
+        connections = [
+            (0, 1, 1.0), (2, 1, -3.0), (2, 3, 3.0), (3, 1, 2.0), (3, 4, 1.0), (0, 4, 0.0),
+        ]
+        boundary = [(0, int(first), 0, -1.0), (0, int(second), 4, 1.0)]
+        graph = _graph(connections, boundary, [1.0, 0.5, 2.0, 1.0, 0.8])
+        permuted, order = _flux_ordered(graph, [bc], 0.3)
+        assert sps.triu(permuted, 1).nnz > 0
+        assert order.tolist() == [0, 1, 2, 3, 4]  # the loop is one contiguous block
+        _assert_matches_dense(graph, [bc], np.array([0.0, 0.2, 0.9, 0.4, 0.1]), 0.3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_random_cyclic_graphs_match_dense_solve(self, data):
+        bc, first, second = _inflow_outflow_bc()
+        n = data.draw(st.integers(2, 12))
+        cells = st.integers(0, n - 1)
+        flux = st.floats(0.1, 4.0)
+        cycle = data.draw(st.lists(cells, min_size=2, max_size=n, unique=True))
+        connections = [(a, b, data.draw(flux)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        signed = st.one_of(st.just(0.0), flux, flux.map(lambda q: -q))
+        extra = data.draw(st.lists(st.tuples(cells, cells, signed), max_size=2 * n))
+        connections += [(i, j, q) for i, j, q in extra if i != j]
+        face_flows = st.tuples(cells, st.one_of(st.just(0.0), flux))
+        outflow = data.draw(st.lists(face_flows, max_size=n))
+        inflow = data.draw(st.lists(face_flows, max_size=2))
+        boundary = [(0, int(second), c, q) for c, q in outflow]
+        boundary += [(0, int(first), c, -q) for c, q in inflow]
+        volumes = data.draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+        initial = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        dt = data.draw(st.floats(0.25, 1.0))
+        graph = _graph(connections, boundary, volumes)
+        assert sps.triu(_flux_ordered(graph, [bc], dt)[0], 1).nnz > 0
+        _assert_matches_dense(graph, [bc], initial, dt)
 
 
 @pytest.fixture(scope="module")
