@@ -59,8 +59,8 @@ def interface_transmissibility(
             i = flipped[0]
             raise DegenerateGeometryError(
                 f"aperture {wide_a.flat[i]} is not small against the cell-face distance "
-                f"{wide_d.flat[i]}; the distance correction assumes apertures well below "
-                "the smallest cell size"
+                f"{wide_d.flat[i]}; the distance correction assumes an aperture well "
+                "below the smallest cell size"
             )
         distance = distance * np.expand_dims(1.0 - aperture / (2.0 * dist_norm), -1)
     alpha_higher = half_transmissibility(face_area, normal_out, distance, k_higher)
@@ -80,9 +80,7 @@ class CouplingDiscretization:
     interface: int
     higher: int
     lower: int
-    faces: np.ndarray
     higher_cells: np.ndarray
-    lower_cells: np.ndarray
     transmissibility: np.ndarray
     alpha_higher: np.ndarray
     alpha_lower: np.ndarray
@@ -101,8 +99,7 @@ def discretize_interface(
     intf = mesh.interfaces[interface_index]
     hi = mesh.subdomains[intf.higher]
     lo = mesh.subdomains[intf.lower]
-    faces = intf.face_cell_pairs[:, 0]
-    lower_cells = intf.face_cell_pairs[:, 1]
+    faces, lower_cells = intf.face_cell_pairs.T
     two_sided = np.flatnonzero(~hi.boundary_faces[faces])
     if two_sided.size:
         raise AssemblyError(f"interface face {faces[two_sided[0]]} is not one-sided")
@@ -112,7 +109,7 @@ def discretize_interface(
         signs[:, None] * hi.face_normals[faces],
         hi.face_centres[faces] - hi.cell_centres[higher_cells],
         permeability_higher[higher_cells],
-        lo.apertures[lower_cells],
+        lo.aperture,
         permeability_lower[lower_cells],
         lo.dim,
         distance_correction,
@@ -121,9 +118,7 @@ def discretize_interface(
         interface=interface_index,
         higher=intf.higher,
         lower=intf.lower,
-        faces=faces.copy(),
         higher_cells=higher_cells,
-        lower_cells=lower_cells.copy(),
         transmissibility=t,
         alpha_higher=a_hi,
         alpha_lower=a_lo,
@@ -242,15 +237,14 @@ def conservation_residual(system: GlobalSystem, p: np.ndarray) -> float:
 class FlowProblem:
     """Mesh plus per-subdomain physics, assembled on demand.
 
-    ``methods`` selects "tpfa" or "mpfa" per subdomain; ``etas`` overrides the
-    continuity-point parameter (None picks the grid-kind default).
+    ``methods`` selects "tpfa" or "mpfa" per subdomain; MPFA uses the
+    grid-kind default continuity point.
     """
 
     mesh: MixedDimensionalMesh
     permeability: list[np.ndarray]
     bcs: list[BoundaryConditionSet]
     methods: list[str] = field(default_factory=list)
-    etas: list = field(default_factory=list)
     source_density: np.ndarray | None = None
     distance_correction: bool = False
 
@@ -258,18 +252,15 @@ class FlowProblem:
         n = len(self.mesh.subdomains)
         if not self.methods:
             self.methods = ["tpfa"] * n
-        if not self.etas:
-            self.etas = [None] * n
         if len(self.permeability) != n or len(self.bcs) != n:
             raise AssemblyError("permeability and boundary conditions must cover all subdomains")
 
     def assemble(self) -> GlobalSystem:
         discs = []
-        for g, k, bc, method, eta in zip(
-            self.mesh.subdomains, self.permeability, self.bcs, self.methods, self.etas
-        ):
+        subdomains = self.mesh.subdomains
+        for g, k, bc, method in zip(subdomains, self.permeability, self.bcs, self.methods):
             if method == "mpfa":
-                discs.append(assemble_mpfa(g, k, bc, eta))
+                discs.append(assemble_mpfa(g, k, bc))
             elif method == "tpfa":
                 discs.append(assemble_tpfa(g, k, bc))
             else:

@@ -369,14 +369,13 @@ def case11_problem(
     on the vertical boundaries; the distance-corrected coupling keeps the
     uniform-permeability solution exactly linear.
     """
-    rule = ("patch", "vertical") if k_i is None else float(k_i)
     spec = FractureNetworkSpec(
         domain=((0.0, 1.0), (0.0, 1.0)),
         fractures=[
             FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, k_h, "horizontal"),
             FracturePatch(0, 0.5, ((0.0, 1.0),), aperture, k_v, "vertical"),
         ],
-        intersection_permeability=rule,
+        intersection_permeability=float(k_v if k_i is None else k_i),
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
 

@@ -18,7 +18,7 @@ import scipy.sparse as sps
 
 from ..errors import FractureAlignmentError, FractureOverlapError, MeshError
 from ..tensors import PermeabilityTensor
-from .grids import SubdomainGrid, cell_faces_of
+from .grids import SubdomainGrid
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 
@@ -48,7 +48,6 @@ class FractureNetworkSpec:
     parents, the subdomains that cross there. It is one of:
       * ``"min"``: inherit the least permeable parent (default);
       * ``"harmonic"``: isotropic harmonic mean of the parents;
-      * ``("patch", name)``: inherit the tensor of the named patch, an ancestor;
       * a scalar or PermeabilityTensor applied to every intersection.
     """
 
@@ -74,16 +73,14 @@ def _point_grid(point: np.ndarray, ambient_dim: int, aperture: float) -> Subdoma
         ambient_dim=ambient_dim,
         nodes=point.copy(),
         cell_centres=point.copy(),
-        cell_volumes=np.array([1.0]) * aperture**ambient_dim,
         geometric_cell_measures=np.array([1.0]),
         face_centres=empty_f,
         face_normals=empty_f.copy(),
-        face_areas=np.zeros(0),
         geometric_face_measures=np.zeros(0),
-        cell_faces=sps.csc_matrix((0, 1)),
+        face_cells=np.zeros((0, 2), dtype=int),
         face_nodes=sps.csc_matrix((1, 0), dtype=bool),
         cell_nodes=sps.csc_matrix(np.ones((1, 1), dtype=bool)),
-        apertures=np.array([aperture]),
+        aperture=float(aperture),
         internal_boundary=np.zeros(0, dtype=bool),
         kind="cartesian",
     )
@@ -148,8 +145,7 @@ def structured_grid(
     )
 
     # Faces: one block per active axis direction.
-    face_centres, face_measures, face_normals = [], [], []
-    cf_face, cf_cell, cf_sign = [], [], []
+    face_centres, face_measures, face_normals, face_cells = [], [], [], []
     fn_node, fn_face = [], []
     face_offset = 0
     for j, axis in enumerate(active_axes):
@@ -175,16 +171,14 @@ def structured_grid(
         fmulti = np.unravel_index(fidx, fshape)
         pos_j = fmulti[j]
         # Cell below the face along axis j sees the +normal as outward.
+        table = np.full((n_block, 2), -1)
         below = pos_j >= 1
         cmulti = tuple(fmulti[i][below] - (1 if i == j else 0) for i in range(d))
-        cf_face.append(fidx[below] + face_offset)
-        cf_cell.append(np.ravel_multi_index(cmulti, cell_shape))
-        cf_sign.append(np.ones(below.sum()))
+        table[below, 0] = np.ravel_multi_index(cmulti, cell_shape)
         above = pos_j <= n_cells_axis[j] - 1
         cmulti = tuple(fmulti[i][above] for i in range(d))
-        cf_face.append(fidx[above] + face_offset)
-        cf_cell.append(np.ravel_multi_index(cmulti, cell_shape))
-        cf_sign.append(-np.ones(above.sum()))
+        table[above, 1] = np.ravel_multi_index(cmulti, cell_shape)
+        face_cells.append(table)
 
         # Face-node incidence: 2^(d-1) corners per face.
         other = [i for i in range(d) if i != j]
@@ -197,33 +191,25 @@ def structured_grid(
         face_offset += n_block
 
     n_faces = face_offset
-    cell_faces = sps.csc_matrix(
-        (np.concatenate(cf_sign), (np.concatenate(cf_face), np.concatenate(cf_cell))),
-        shape=(n_faces, n_cells),
-    )
     fn_node = np.concatenate(fn_node)
     fn_face = np.concatenate(fn_face)
     face_nodes = sps.csc_matrix(
         (np.ones(fn_node.size, dtype=bool), (fn_node, fn_face)), shape=(n_nodes, n_faces)
     )
 
-    scale = aperture ** (ambient_dim - d)
-    face_measures = np.concatenate(face_measures)
     return SubdomainGrid(
         dim=d,
         ambient_dim=ambient_dim,
         nodes=nodes,
         cell_centres=cell_centres,
-        cell_volumes=cell_measures * scale,
         geometric_cell_measures=cell_measures,
         face_centres=np.concatenate(face_centres, axis=0),
         face_normals=np.concatenate(face_normals, axis=0).astype(float),
-        face_areas=face_measures * scale,
-        geometric_face_measures=face_measures,
-        cell_faces=cell_faces,
+        geometric_face_measures=np.concatenate(face_measures),
+        face_cells=np.concatenate(face_cells, axis=0),
         face_nodes=face_nodes,
         cell_nodes=cell_nodes,
-        apertures=np.full(n_cells, float(aperture)),
+        aperture=float(aperture),
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind="cartesian",
     )
@@ -254,7 +240,6 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     table = np.vstack([grid.face_cells, np.column_stack([pairs[:, 1], np.full(faces.size, -1)])])
     table[faces, 1] = -1
     grid.face_cells = table
-    grid.cell_faces = cell_faces_of(table, grid.n_cells)
 
     def dup(arr):
         return np.concatenate([arr, arr[faces]], axis=0)
@@ -263,7 +248,6 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     normals = dup(grid.face_normals)
     normals[n_old:] = -normals[n_old:]  # outward from the second cell
     grid.face_normals = normals
-    grid.face_areas = dup(grid.face_areas)
     grid.geometric_face_measures = dup(grid.geometric_face_measures)
 
     fn = grid.face_nodes.tocsc()
@@ -345,11 +329,9 @@ def _mean_eigenvalue(tensor: PermeabilityTensor) -> float:
     return float(np.trace(tensor.matrix)) / tensor.dim
 
 
-def _intersection_tensor(
-    rule, parents: list[dict], lineage: list[dict], ambient_dim: int
-) -> PermeabilityTensor:
+def _intersection_tensor(rule, parents: list[dict], ambient_dim: int) -> PermeabilityTensor:
     """Apply the intersection permeability rule to the metadata of a crossing's
-    direct parents; ``("patch", name)`` reads the fractures of its lineage."""
+    direct parents."""
     tensors = [p["permeability"] for p in parents]
     if isinstance(rule, PermeabilityTensor):
         return rule
@@ -360,11 +342,6 @@ def _intersection_tensor(
     if rule == "harmonic":
         means = [_mean_eigenvalue(t) for t in tensors]
         return PermeabilityTensor.isotropic(len(means) / sum(1.0 / m for m in means), ambient_dim)
-    if isinstance(rule, tuple) and len(rule) == 2 and rule[0] == "patch":
-        for fracture in lineage:
-            if fracture["name"] == rule[1]:
-                return fracture["permeability"]
-        raise MeshError(f"intersection rule names patch {rule[1]!r}, not among parents")
     raise MeshError(f"unknown intersection permeability rule {rule!r}")
 
 
@@ -445,12 +422,9 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     matrix.metadata = {"role": "matrix", "name": "matrix"}
     subdomains: list[SubdomainGrid] = [matrix]
     boxes: list = [None]
-    lineages: list[list[dict]] = [[]]  # per subdomain: the fractures it descends from
     children: list[list[int]] = [[]]  # per subdomain: the subdomains immersed in it
 
-    def add(
-        box: tuple, aperture: float, metadata: dict, lineage: list[dict], parents: list[int]
-    ) -> int:
+    def add(box: tuple, aperture: float, metadata: dict, parents: list[int]) -> int:
         free = _free_axes(box)
         nodes = [axes[k][box[k][0] : box[k][1] + 1] for k in free]
         fixed = {k: axes[k][lo] for k, (lo, _) in enumerate(box) if k not in free}
@@ -458,7 +432,6 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
         g.metadata = metadata
         subdomains.append(g)
         boxes.append(box)
-        lineages.append(lineage)
         children.append([])
         for i in parents:
             children[i].append(len(subdomains) - 1)
@@ -468,7 +441,7 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     for patch, name, box in patches:
         tensor = _as_tensor(patch.permeability, ambient)
         metadata = {"role": "fracture", "name": name, "permeability": tensor}
-        level.append(add(box, float(patch.aperture), metadata, [metadata], [0]))
+        level.append(add(box, float(patch.aperture), metadata, [0]))
 
     rule = spec.intersection_permeability
     while level:
@@ -484,7 +457,6 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
         level = []
         for box in order:
             parents = [subdomains[i].metadata for i in found[box]]
-            lineage = [f for i in found[box] for f in lineages[i]]
             if _free_axes(box):
                 name = "x".join(p["name"] for p in parents)
             else:
@@ -492,10 +464,10 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
             metadata = {
                 "role": "intersection",
                 "name": name,
-                "permeability": _intersection_tensor(rule, parents, lineage, ambient),
+                "permeability": _intersection_tensor(rule, parents, ambient),
             }
             aperture = min(subdomains[i].aperture for i in found[box])
-            level.append(add(box, aperture, metadata, lineage, found[box]))
+            level.append(add(box, aperture, metadata, found[box]))
 
     # Split host faces and build interface maps, top dimension downward: each
     # subdomain meets only those immersed in it, the matrix every fracture and

@@ -21,28 +21,27 @@ from ..errors import MeshError
 class SubdomainGrid:
     """Geometry and topology of one subdomain.
 
+    Each fact is stored once; the signed incidence and the aperture-weighted
+    measures are derived from the stored table, aperture and measures.
+
     Attributes:
         dim: Topological dimension of the subdomain (0..ambient_dim).
         ambient_dim: Dimension of the embedding space.
         nodes: Node coordinates, shape (n_nodes, ambient_dim).
         cell_centres: Shape (n_cells, ambient_dim).
-        cell_volumes: Aperture-weighted volumes, shape (n_cells,).
         geometric_cell_measures: Unweighted d-measures, shape (n_cells,).
         face_centres: Shape (n_faces, ambient_dim).
-        face_normals: Unit normals, shape (n_faces, ambient_dim). The sign
-            convention is carried by ``cell_faces``: +1 means the normal
-            points out of the cell.
-        face_areas: Aperture-weighted areas, shape (n_faces,).
+        face_normals: Unit normals, shape (n_faces, ambient_dim). They point
+            out of the cell in column 0 of ``face_cells``.
         geometric_face_measures: Unweighted (d-1)-measures, shape (n_faces,).
-        cell_faces: Signed incidence, sparse (n_faces, n_cells) with +-1.
         face_cells: Face-neighbour table, integer (n_faces, 2): column 0 holds
-            the cell whose sign is +1, column 1 the cell whose sign is -1,
-            and -1 marks a missing side. Derived from ``cell_faces`` on
-            construction; ``split_faces`` keeps it current.
+            the cell the normal points out of (sign +1 in ``cell_faces``),
+            column 1 the cell it points into (sign -1), and -1 marks a
+            missing side. ``split_faces`` keeps it current.
         face_nodes: Incidence, sparse (n_nodes, n_faces), boolean.
         cell_nodes: Incidence, sparse (n_nodes, n_cells), boolean.
-        apertures: Per-cell aperture (length), shape (n_cells,). Constant
-            within a subdomain; the top-dimensional subdomain has aperture 1.
+        aperture: The subdomain's aperture (length); 1 for the
+            top-dimensional subdomain.
         internal_boundary: Boolean mask of faces created by splitting along
             immersed lower-dimensional subdomains (or matched to them).
         kind: "cartesian" or "simplex"; steers discretization defaults.
@@ -53,23 +52,17 @@ class SubdomainGrid:
     ambient_dim: int
     nodes: np.ndarray
     cell_centres: np.ndarray
-    cell_volumes: np.ndarray
     geometric_cell_measures: np.ndarray
     face_centres: np.ndarray
     face_normals: np.ndarray
-    face_areas: np.ndarray
     geometric_face_measures: np.ndarray
-    cell_faces: sps.csc_matrix
+    face_cells: np.ndarray
     face_nodes: sps.csc_matrix
     cell_nodes: sps.csc_matrix
-    apertures: np.ndarray
+    aperture: float
     internal_boundary: np.ndarray
     kind: str = "cartesian"
     metadata: dict = field(default_factory=dict)
-    face_cells: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.face_cells = face_cells_of(self.cell_faces)
 
     @property
     def n_cells(self) -> int:
@@ -84,9 +77,19 @@ class SubdomainGrid:
         return self.nodes.shape[0]
 
     @property
-    def aperture(self) -> float:
-        """The subdomain-constant aperture."""
-        return float(self.apertures[0]) if self.apertures.size else 1.0
+    def cell_faces(self) -> sps.csc_matrix:
+        """Signed incidence, sparse (n_faces, n_cells) with +-1."""
+        return cell_faces_of(self.face_cells, self.n_cells)
+
+    @property
+    def cell_volumes(self) -> np.ndarray:
+        """Cell measures weighted by aperture^(N-d), shape (n_cells,)."""
+        return self.geometric_cell_measures * self.aperture ** (self.ambient_dim - self.dim)
+
+    @property
+    def face_areas(self) -> np.ndarray:
+        """Face measures weighted by aperture^(N-d), shape (n_faces,)."""
+        return self.geometric_face_measures * self.aperture ** (self.ambient_dim - self.dim)
 
     @property
     def boundary_faces(self) -> np.ndarray:
@@ -128,25 +131,6 @@ class SubdomainGrid:
         return float(np.sqrt((span**2).sum()))
 
 
-def face_cells_of(cell_faces: sps.spmatrix) -> np.ndarray:
-    """Face-neighbour table (plus cell, minus cell; -1 where none) of a
-    signed face-cell incidence.
-
-    Raises:
-        MeshError: If a face has two cells of the same sign.
-    """
-    cf = sps.coo_matrix(cell_faces)
-    n_faces = cf.shape[0]
-    slot = 2 * cf.row + (cf.data < 0)
-    taken = np.bincount(slot, minlength=2 * n_faces)
-    if taken.max(initial=0) > 1:
-        face = int(np.flatnonzero(taken > 1)[0]) // 2
-        raise MeshError(f"face {face} has two cells of the same sign")
-    table = np.full(2 * n_faces, -1, dtype=int)
-    table[slot] = cf.col
-    return table.reshape(n_faces, 2)
-
-
 def cell_faces_of(face_cells: np.ndarray, n_cells: int) -> sps.csc_matrix:
     """Signed face-cell incidence of a face-neighbour table."""
     rows, side = np.nonzero(face_cells >= 0)
@@ -163,11 +147,13 @@ def validate_grid(grid: SubdomainGrid) -> None:
         MeshError: If any invariant is violated.
     """
     n_cells, n_faces = grid.n_cells, grid.n_faces
-    if grid.cell_faces.shape != (n_faces, n_cells):
-        raise MeshError(f"cell_faces shape {grid.cell_faces.shape} != ({n_faces}, {n_cells})")
     if n_cells == 0:
         raise MeshError("subdomain has no cells")
 
+    outside = (grid.face_cells < -1) | (grid.face_cells >= n_cells)
+    if outside.any():
+        face, side = np.argwhere(outside)[0]
+        raise MeshError(f"face {face} names cell {grid.face_cells[face, side]} of {n_cells}")
     counts = np.count_nonzero(grid.face_cells >= 0, axis=1)
     if n_faces and (counts.min() < 1 or counts.max() > 2):
         bad = int(np.flatnonzero((counts < 1) | (counts > 2))[0])
@@ -182,25 +168,13 @@ def validate_grid(grid: SubdomainGrid) -> None:
     if grid.cell_volumes.min() <= 0.0 or grid.geometric_cell_measures.min() <= 0.0:
         raise MeshError("non-positive cell volume")
 
-    if grid.apertures.shape != (n_cells,):
-        raise MeshError("apertures must be per cell")
-    if grid.apertures.size and not np.all(grid.apertures == grid.apertures[0]):
-        raise MeshError("aperture must be constant within a subdomain")
-    if grid.dim == grid.ambient_dim and grid.apertures.size and grid.apertures[0] != 1.0:
+    if grid.dim == grid.ambient_dim and grid.aperture != 1.0:
         raise MeshError("the highest-dimensional subdomain must have unit aperture")
-
-    # Aperture scaling of measures.
-    scale = grid.aperture ** (grid.ambient_dim - grid.dim)
-    if not np.array_equal(grid.cell_volumes, grid.geometric_cell_measures * scale):
-        raise MeshError("cell volumes are not geometric measures scaled by aperture^(N-d)")
-    if n_faces and not np.array_equal(grid.face_areas, grid.geometric_face_measures * scale):
-        raise MeshError("face areas are not geometric measures scaled by aperture^(N-d)")
 
     # Geometric closure: signed unweighted face areas sum to zero per cell.
     if grid.dim >= 1 and n_faces:
-        cf = grid.cell_faces.tocsc()
         vec = grid.face_normals * grid.geometric_face_measures[:, None]
-        closure = cf.T @ vec  # (n_cells, N) signed sums
+        closure = grid.cell_faces.T @ vec  # (n_cells, N) signed sums
         scale_area = np.abs(vec).max()
         if np.abs(closure).max() > 1e-12 * max(scale_area, 1e-300):
             raise MeshError("cells are not geometrically closed")

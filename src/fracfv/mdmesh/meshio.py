@@ -104,7 +104,8 @@ def _build_grid_from_entities(
 
     # Face centroids, measures and unit normals, then normals oriented
     # outward from the plus cell.
-    c_plus, c_minus = np.asarray(face_cells, dtype=int).reshape(n_faces, 2).T
+    table = np.asarray(face_cells, dtype=int).reshape(n_faces, 2)
+    c_plus, c_minus = table.T
     face_normals = None  # unless the face alone fixes it, the adjacent cell does
     if dim == 3:
         face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_node_lists)
@@ -139,13 +140,11 @@ def _build_grid_from_entities(
     flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
     face_normals[flip] *= -1.0
 
-    cell_faces = cell_faces_of(np.column_stack([c_plus, c_minus]), n_cells)
-
     # Cell volumes by the divergence theorem over outward-oriented faces.
     if dim == 0:
         cell_measures = np.ones(n_cells)
     else:
-        cf = cell_faces.tocoo()
+        cf = cell_faces_of(table, n_cells).tocoo()
         offsets = face_centres[cf.row] - cell_centres[cf.col]
         contrib = face_measures[cf.row] * np.sum(face_normals[cf.row] * offsets, axis=1)
         cell_measures = np.bincount(cf.col, weights=cf.data * contrib / dim, minlength=n_cells)
@@ -164,22 +163,19 @@ def _build_grid_from_entities(
         (np.ones(len(cn_rows), dtype=bool), (cn_rows, cn_cols)), shape=(n_nodes, n_cells)
     )
 
-    scale = aperture ** (ambient - dim)
     return SubdomainGrid(
         dim=dim,
         ambient_dim=ambient,
         nodes=nodes,
         cell_centres=cell_centres,
-        cell_volumes=cell_measures * scale,
         geometric_cell_measures=cell_measures,
         face_centres=face_centres,
         face_normals=face_normals,
-        face_areas=face_measures * scale,
         geometric_face_measures=face_measures,
-        cell_faces=cell_faces,
+        face_cells=table,
         face_nodes=face_nodes,
         cell_nodes=cell_nodes,
-        apertures=np.full(n_cells, aperture),
+        aperture=aperture,
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind=kind,
     )
@@ -238,6 +234,14 @@ class _Lines:
         return self.lines[self.pos].split()[0]
 
 
+def _check_range(indices, stop: int, what: str, start: int = 0) -> None:
+    """Raise MeshFormatError unless every index lies in [start, stop)."""
+    indices = np.fromiter(indices, dtype=int)
+    outside = indices[(indices < start) | (indices >= stop)]
+    if outside.size:
+        raise MeshFormatError(f"{what} {outside[0]} is out of range [{start}, {stop})")
+
+
 def load_mesh(path) -> MixedDimensionalMesh:
     """Read a conforming mixed-dimensional mesh and validate all invariants.
 
@@ -280,6 +284,7 @@ def load_mesh(path) -> MixedDimensionalMesh:
                     f"({len(node_list)} nodes, expected {dim + 1})"
                 )
             cell_node_lists.append(node_list)
+        _check_range(itertools.chain(*cell_node_lists), n_nodes, f"subdomain {idx} cell node")
 
         if lines.peek_keyword() == "faces":
             n_faces = int(lines.expect("faces")[0])
@@ -289,6 +294,8 @@ def load_mesh(path) -> MixedDimensionalMesh:
                 c_plus, c_minus = (int(v) for v in left.split())
                 face_node_lists.append([int(v) for v in right.split()])
                 face_cells.append((c_plus, c_minus))
+            _check_range(itertools.chain(*face_node_lists), n_nodes, f"subdomain {idx} face node")
+            _check_range(itertools.chain(*face_cells), n_cells, f"subdomain {idx} face cell", -1)
         elif cell_type == "simplex" and dim > 0:
             face_node_lists, face_cells = _derive_simplex_faces(dim, cell_node_lists)
         elif dim == 0:
@@ -308,9 +315,12 @@ def load_mesh(path) -> MixedDimensionalMesh:
     for _ in range(n_intf):
         head = lines.expect("interface")
         higher, lower, n_pairs = int(head[0]), int(head[1]), int(head[2])
+        _check_range((higher, lower), n_sub, "interface subdomain")
         pairs = np.empty((n_pairs, 2), dtype=int)
         for i in range(n_pairs):
             pairs[i] = [int(v) for v in lines.next().split()]
+        _check_range(pairs[:, 0], subdomains[higher].n_faces, f"interface {higher} {lower} face")
+        _check_range(pairs[:, 1], subdomains[lower].n_cells, f"interface {higher} {lower} cell")
         interfaces.append(InterfaceMap(higher, lower, pairs))
         subdomains[higher].internal_boundary[pairs[:, 0]] = True
     lines.expect("end")

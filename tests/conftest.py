@@ -23,6 +23,31 @@ def crossing_mesh():
     return build_cartesian_with_fractures(spec, 2)
 
 
+# One unit-square cell with explicit faces, each with the cell on its plus side.
+UNIT_SQUARE_CELL = """fracfv-mesh 1
+ambient 2
+subdomains 1
+subdomain 0
+dim 2
+aperture 1
+nodes 4
+0 0
+1 0
+0 1
+1 1
+cells 1 explicit
+0 1 3 2
+faces 4
+0 -1 : 0 1
+0 -1 : 1 3
+0 -1 : 3 2
+0 -1 : 2 0
+end
+interfaces 0
+end
+"""
+
+
 def write_triangle_square_mesh(path, perturb: float = 0.0):
     """Structured triangulation of the unit square (two triangles per cell).
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import UNIT_SQUARE_CELL
 from fracfv.errors import FracfvError
 from fracfv.harness import l2_error, read_field_csv
 from fracfv.harness.cases import CaseSpec, run_case
@@ -255,6 +256,12 @@ class TestCommandLine:
         path = tmp_path / "bad.txt"
         path.write_text("not-a-mesh 1\n")
         assert main(["validate-mesh", str(path)]) == 2
+
+    def test_validate_mesh_out_of_range_cell_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(UNIT_SQUARE_CELL.replace("0 -1 : 2 0", "5 -1 : 2 0"))
+        assert main(["validate-mesh", str(path)]) == 2
+        assert "face cell 5 is out of range" in capsys.readouterr().err
 
     def test_bad_override_exit_code(self, tmp_path, capsys):
         code = main(["run", "1.1", "--override", "bogus=1", "--out", str(tmp_path)])

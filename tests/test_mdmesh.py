@@ -9,6 +9,7 @@ from fracfv.mdmesh import (
     FracturePatch,
     build_cartesian_with_fractures,
     min_cell_diameter,
+    validate_grid,
 )
 from fracfv.tensors import PermeabilityTensor
 
@@ -196,6 +197,14 @@ class TestMeshInvariants:
         mesh.validate()
 
 
+@pytest.mark.parametrize("cell", [-2, 16])
+def test_validate_rejects_face_cell_out_of_range(unit_square_4, cell):
+    g = unit_square_4.subdomains[0]  # 16 cells
+    g.face_cells[3, 1] = cell
+    with pytest.raises(MeshError, match=f"face 3 names cell {cell} of 16"):
+        validate_grid(g)
+
+
 class TestMinCellDiameter:
     def test_square(self, unit_square_4):
         assert np.isclose(min_cell_diameter(unit_square_4), 0.25 * np.sqrt(2), rtol=1e-14)
@@ -234,10 +243,6 @@ class TestIntersectionRules:
     def test_harmonic_rule(self):
         g = self._point_grid(self._mesh("harmonic"))
         assert np.allclose(g.metadata["permeability"].matrix, 1.6 * np.eye(2))
-
-    def test_named_patch_rule(self):
-        g = self._point_grid(self._mesh(("patch", "v")))
-        assert np.allclose(g.metadata["permeability"].matrix, 4.0 * np.eye(2))
 
     def test_explicit_value(self):
         g = self._point_grid(self._mesh(1e10))
@@ -309,16 +314,11 @@ class TestDepthTwoIntersections:
         for matrix in self._tensors(self._mesh(tensor)):
             assert np.array_equal(matrix, tensor.matrix)
 
-    def test_named_patch_must_be_an_ancestor_of_every_crossing(self):
-        # The line qxr does not descend from p.
-        with pytest.raises(MeshError, match="names patch 'p', not among parents"):
-            self._mesh(("patch", "p"))
-
-    def test_named_patch_reaches_the_point_through_its_lines(self):
+    def test_touching_patches_reach_the_point_through_other_lines(self):
         # p and q only touch along z = 0.5, so they have no line; the point's
-        # parents are the lines pxr and qxr, and both descend from r.
-        by_dim = self._mesh(("patch", "r"), p_z=(0.5, 1.0), q_z=(0.0, 0.5))
+        # parents are the lines pxr and qxr.
+        by_dim = self._mesh("min", p_z=(0.5, 1.0), q_z=(0.0, 0.5))
         assert [g.metadata["name"] for g in by_dim[1]] == ["pxr", "qxr"]
         assert len(by_dim[0]) == 1
-        for tensor in self._tensors(by_dim):
-            assert np.array_equal(tensor, 16.0 * np.eye(3))
+        for tensor, k in zip(self._tensors(by_dim), [4.0, 1.0, 1.0], strict=True):
+            assert np.array_equal(tensor, k * np.eye(3))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import write_triangle_square_mesh
+from conftest import UNIT_SQUARE_CELL, write_triangle_square_mesh
 from fracfv.errors import ConformityError, MeshFormatError
 from fracfv.harness.cases import case13_problem
 from fracfv.mdmesh import (
@@ -224,6 +224,32 @@ def test_explicit_cells_require_faces(tmp_path):
     path = tmp_path / "nofaces.txt"
     path.write_text(text)
     with pytest.raises(MeshFormatError, match="faces"):
+        load_mesh(path)
+
+
+def test_unit_square_cell_loads(tmp_path):
+    path = tmp_path / "square.txt"
+    path.write_text(UNIT_SQUARE_CELL)
+    g = load_mesh(path).subdomains[0]
+    assert g.face_cells.tolist() == [[0, -1]] * 4
+    assert np.isclose(g.cell_volumes[0], 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (UNIT_SQUARE_CELL.replace("0 -1 : 2 0", "5 -1 : 2 0"), "face cell 5"),
+        (TRIANGLE_PAIR.replace("nodes 4", "nodes 3").replace("1 1\n", "")
+         .replace("cells 2 simplex\n0 1 2\n1 3 2", "cells 1 simplex\n0 1 7"), "cell node 7"),
+        (TRIANGLE_PAIR.replace("interfaces 0", "interfaces 1\ninterface 0 3 1\n0 0"),
+         "interface subdomain 3"),
+    ],
+    ids=["face-cell", "cell-node", "interface-subdomain"],
+)
+def test_index_out_of_range_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=message):
         load_mesh(path)
 
 

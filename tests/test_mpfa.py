@@ -149,29 +149,22 @@ class TestErrorPaths:
         g = unit_square_4.subdomains[0]
         f = int(np.flatnonzero(~g.boundary_faces)[0])
         cell = int(g.face_cells[f, 0])
-        cf = g.cell_faces.tocoo()
-        n_faces = g.n_faces
-        rows = np.concatenate([cf.row, [n_faces]])
-        cols = np.concatenate([cf.col, [cell]])
-        data = np.concatenate([cf.data, [1.0]])
         fn = g.face_nodes.tocsc()
         clone = SubdomainGrid(
             dim=g.dim,
             ambient_dim=g.ambient_dim,
             nodes=g.nodes,
             cell_centres=g.cell_centres,
-            cell_volumes=g.cell_volumes,
             geometric_cell_measures=g.geometric_cell_measures,
             face_centres=np.vstack([g.face_centres, g.face_centres[f]]),
             face_normals=np.vstack([g.face_normals, g.face_normals[f]]),
-            face_areas=np.concatenate([g.face_areas, [g.face_areas[f]]]),
             geometric_face_measures=np.concatenate(
                 [g.geometric_face_measures, [g.geometric_face_measures[f]]]
             ),
-            cell_faces=sps.csc_matrix((data, (rows, cols)), shape=(n_faces + 1, g.n_cells)),
+            face_cells=np.vstack([g.face_cells, [cell, -1]]),
             face_nodes=sps.hstack([fn, fn[:, [f]]], format="csc").astype(bool),
             cell_nodes=g.cell_nodes,
-            apertures=g.apertures,
+            aperture=g.aperture,
             internal_boundary=np.concatenate([g.internal_boundary, [True]]),
             kind=g.kind,
         )
