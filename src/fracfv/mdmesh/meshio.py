@@ -234,6 +234,18 @@ class _Lines:
         return self.lines[self.pos].split()[0]
 
 
+def _indices(line: str, part: str | None = None, count: int | None = None) -> list[int]:
+    """The integers in ``part`` of ``line`` (all of it by default), of which
+    there must be ``count`` if given; MeshFormatError names the line."""
+    try:
+        values = [int(v) for v in (line if part is None else part).split()]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise MeshFormatError(f"malformed line {line!r}")
+    return values
+
+
 def _check_range(indices, stop: int, what: str, start: int = 0) -> None:
     """Raise MeshFormatError unless every index lies in [start, stop)."""
     indices = np.fromiter(indices, dtype=int)
@@ -277,7 +289,7 @@ def load_mesh(path) -> MixedDimensionalMesh:
             raise MeshFormatError(f"unknown cell type {cell_type!r}")
         cell_node_lists = []
         for c in range(n_cells):
-            node_list = [int(v) for v in lines.next().split()]
+            node_list = _indices(lines.next())
             if cell_type == "simplex" and dim > 0 and len(node_list) != dim + 1:
                 raise MeshFormatError(
                     f"subdomain {idx} cell {c} is not a {dim}-simplex "
@@ -290,10 +302,12 @@ def load_mesh(path) -> MixedDimensionalMesh:
             n_faces = int(lines.expect("faces")[0])
             face_node_lists, face_cells = [], []
             for f in range(n_faces):
-                left, right = lines.next().split(":")
-                c_plus, c_minus = (int(v) for v in left.split())
-                face_node_lists.append([int(v) for v in right.split()])
-                face_cells.append((c_plus, c_minus))
+                line = lines.next()
+                left, colon, right = line.partition(":")
+                if not colon:
+                    raise MeshFormatError(f"face line {line!r} has no ':'")
+                face_cells.append(tuple(_indices(line, left, 2)))
+                face_node_lists.append(_indices(line, right))
             _check_range(itertools.chain(*face_node_lists), n_nodes, f"subdomain {idx} face node")
             _check_range(itertools.chain(*face_cells), n_cells, f"subdomain {idx} face cell", -1)
         elif cell_type == "simplex" and dim > 0:
@@ -318,7 +332,7 @@ def load_mesh(path) -> MixedDimensionalMesh:
         _check_range((higher, lower), n_sub, "interface subdomain")
         pairs = np.empty((n_pairs, 2), dtype=int)
         for i in range(n_pairs):
-            pairs[i] = [int(v) for v in lines.next().split()]
+            pairs[i] = _indices(lines.next(), count=2)
         _check_range(pairs[:, 0], subdomains[higher].n_faces, f"interface {higher} {lower} face")
         _check_range(pairs[:, 1], subdomains[lower].n_cells, f"interface {higher} {lower} cell")
         interfaces.append(InterfaceMap(higher, lower, pairs))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracfv.fvdiscretize import flow_bc
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 
 
@@ -21,6 +22,17 @@ def crossing_mesh():
         ],
     )
     return build_cartesian_with_fractures(spec, 2)
+
+
+def x_dirichlet(sd, grid):
+    """Pressure 1 on the x = 0 faces and 0 on the x = 1 faces of every subdomain."""
+    ext = np.flatnonzero(grid.external_boundary)
+    bc = flow_bc(grid)
+    for value, pressure in ((0.0, 1.0), (1.0, 0.0)):
+        faces = ext[np.abs(grid.face_centres[ext, 0] - value) < 1e-12]
+        if faces.size:
+            bc.set_dirichlet(faces, pressure)
+    return bc
 
 
 # One unit-square cell with explicit faces, each with the cell on its plus side.

@@ -25,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import write_triangle_square_mesh
+from conftest import write_triangle_square_mesh, x_dirichlet
 from fracfv import coupling, transport
 from fracfv.coupling import conservation_residual, uniform_problem
 from fracfv.elimination import limit_equivalence_check, schur_reduce, star_delta_reduce
@@ -1183,16 +1183,6 @@ def _build_against_oracles(spec, res):
     return mesh
 
 
-def _x_dirichlet(sd, grid):
-    ext = np.flatnonzero(grid.external_boundary)
-    bc = flow_bc(grid)
-    for value, pressure in ((0.0, 1.0), (1.0, 0.0)):
-        faces = ext[np.abs(grid.face_centres[ext, 0] - value) < 1e-12]
-        if faces.size:
-            bc.set_dirichlet(faces, pressure)
-    return bc
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(networks())
 def test_random_networks(network):
@@ -1204,7 +1194,7 @@ def test_random_networks(network):
         assert np.array_equal(g.face_cells[cf.row[minus], 1], cf.col[minus])
         assert np.count_nonzero(g.face_cells >= 0) == cf.nnz
     perms = [matrix_k] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
-    system = uniform_problem(mesh, perms, _x_dirichlet).assemble()
+    system = uniform_problem(mesh, perms, x_dirichlet).assemble()
 
     a = system.matrix
     asym = abs(a - a.T)
@@ -1231,7 +1221,7 @@ def test_random_networks(network):
 def _matrix_dirichlet(sd, grid):
     """Dirichlet pressure on the matrix's x faces only: no eliminated cell
     carries boundary data."""
-    return _x_dirichlet(sd, grid) if sd == 0 else None
+    return x_dirichlet(sd, grid) if sd == 0 else None
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -1297,7 +1287,7 @@ def mpfa_networks(draw):
 def _x_dirichlet_y_neumann(sd, grid):
     # Inflow through y = 0, where cells see the stored normal as inward,
     # and outflow through y = 1, where they see it as outward.
-    bc = _x_dirichlet(sd, grid)
+    bc = x_dirichlet(sd, grid)
     ext = np.flatnonzero(grid.external_boundary & (bc.kind == NEUMANN))
     for value, flux in ((0.0, -0.5), (1.0, 0.25)):
         faces = ext[np.abs(grid.face_centres[ext, 1] - value) < 1e-12]

@@ -1,5 +1,7 @@
 """Direct solver and condition numbers."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -7,14 +9,26 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import x_dirichlet
+from fracfv import linsolve
+from fracfv.coupling import uniform_problem
 from fracfv.errors import SingularMatrixError
-from fracfv.harness.cases import case11_problem, sweep_case11
+from fracfv.harness.cases import (
+    case2_problem,
+    case3_problem,
+    case11_problem,
+    case12_problem,
+    case13_problem,
+    sweep_case11,
+)
 from fracfv.linsolve import (
+    _certified_stieltjes_3d,
     as_csr,
     condition_number,
     direct_solve,
     factorize,
 )
+from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 
 
 def dense_condition(matrix) -> float:
@@ -179,6 +193,137 @@ class TestConditionNumber:
                 cond = dense_condition(point[tag]["reduced"].matrix)
                 assert point[tag]["cond"] == pytest.approx(cond, rel=1e-8)
                 assert point[tag]["r_c"] == pytest.approx(cond_full / cond, rel=1e-8)
+
+
+def backward_error(a, x, b) -> float:
+    """Componentwise backward error max_i |b - A x|_i / (|A| |x| + |b|)_i."""
+    residual = np.abs(b - a @ x)
+    scale = abs(a) @ np.abs(x) + np.abs(b)
+    return float(np.max(np.divide(residual, scale, out=np.zeros_like(scale), where=scale > 0)))
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Record every factorization ``direct_solve`` makes."""
+    calls = []
+    factorize_ = linsolve.factorize
+    monkeypatch.setattr(linsolve, "factorize", lambda a: calls.append(a) or factorize_(a))
+    return calls
+
+
+def _scaled_row(system, row: int, factor: float):
+    """The system with one equation multiplied by ``factor``."""
+    scale = np.ones(system.matrix.shape[0])
+    scale[row] = factor
+    return SimpleNamespace(matrix=sps.diags(scale) @ system.matrix, rhs=scale * system.rhs)
+
+
+@st.composite
+def networks_3d(draw):
+    """Unit cube at res 6-12, crossed by 1-3 full or partial axis-aligned planes."""
+    res = draw(st.integers(6, 12))
+    planes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(1, res - 1)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    patches = []
+    for n, (axis, index) in enumerate(planes):
+        extents = []
+        full = draw(st.booleans())
+        for _ in range(2):
+            lo = 0 if full else draw(st.integers(0, res - 1))
+            hi = res if full else draw(st.integers(lo + 1, res))
+            extents.append((lo / res, hi / res))
+        aperture = 10.0 ** draw(st.floats(-6.0, -2.0))
+        permeability = 10.0 ** draw(st.floats(-6.0, 6.0))
+        patches.append(
+            FracturePatch(axis, index / res, tuple(extents), aperture, permeability, f"p{n}")
+        )
+    spec = FractureNetworkSpec(((0.0, 1.0),) * 3, patches, intersection_permeability="min")
+    return build_cartesian_with_fractures(spec, res)
+
+
+class TestConjugateGradientRoute:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(networks_3d())
+    def test_random_3d_networks_match_lu(self, mesh):
+        perms = [1.0] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
+        system = uniform_problem(mesh, perms, x_dirichlet).assemble()
+        a, b = as_csr(system.matrix), system.rhs
+        assert _certified_stieltjes_3d(a)
+        x = direct_solve(a, b)
+        reference = direct_solve(a, b, factor=factorize(a))  # the LU route is the oracle
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert backward_error(a, x, b) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # 2D md-mesh above the crossover: 4,593 unknowns, five-point stencil.
+            lambda: case12_problem(64)[0].assemble(),
+            # Symmetric MPFA with positive off-diagonal entries: 1,056 unknowns.
+            lambda: case2_problem(32, 1.0)[0].assemble(),
+            # Nonsymmetric 3D MPFA: 576 unknowns.
+            lambda: case3_problem(8, "mpfa")[0].assemble(),
+            # A certified 3D TPFA matrix with one row doubled: a nonsymmetric Z-matrix.
+            lambda: _scaled_row(case3_problem(8, "tpfa")[0].assemble(), 100, 2.0),
+            # 3D TPFA under the crossover: 100 unknowns.
+            lambda: case13_problem(4)[0].assemble(),
+        ],
+        ids=["2d-tpfa", "symmetric-mpfa", "nonsymmetric-mpfa", "nonsymmetric-z", "small-3d"],
+    )
+    def test_other_matrices_stay_on_lu(self, monkeypatch, build):
+        system = build()
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(system.matrix, system.rhs)
+        assert len(calls) == 1
+        reference = direct_solve(system.matrix, system.rhs, factor=factorize(system.matrix))
+        assert np.array_equal(x, reference)
+
+    def test_certified_matrix_is_not_factorized(self, monkeypatch):
+        system = case3_problem(8, "tpfa")[0].assemble()
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(system.matrix, system.rhs)
+        assert calls == []
+        assert backward_error(as_csr(system.matrix), x, system.rhs) <= 1e-14
+
+    def test_exactly_zero_residual_ends_the_iteration(self):
+        # A periodic 7 x 7 x 7 grid with diagonal 8 and A x = b for x = 1:
+        # every number in CG's first step is a power of two, so that step
+        # lands on x exactly and leaves a zero residual.
+        cycle = sps.diags([1.0, 1.0, 1.0, 1.0], [-6, -1, 1, 6], shape=(7, 7))
+        eye = sps.eye(7)
+        neighbours = (
+            sps.kron(sps.kron(cycle, eye), eye)
+            + sps.kron(sps.kron(eye, cycle), eye)
+            + sps.kron(sps.kron(eye, eye), cycle)
+        )
+        a = as_csr(8.0 * sps.eye(343) - neighbours)
+        assert _certified_stieltjes_3d(a)
+        assert np.array_equal(direct_solve(a, a @ np.ones(343)), np.ones(343))
+
+    def test_pure_neumann_3d_still_raises(self):
+        mesh = case13_problem(8)[1]
+        perms = [1.0] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
+        system = uniform_problem(mesh, perms, None).assemble()
+        assert system.matrix.shape[0] >= linsolve.CG_MIN_ROWS
+        assert not _certified_stieltjes_3d(as_csr(system.matrix))
+        with pytest.raises(SingularMatrixError):
+            direct_solve(system.matrix, system.rhs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rhs_raises_on_both_routes(self, value):
+        a = as_csr(case3_problem(8, "tpfa")[0].assemble().matrix)
+        assert _certified_stieltjes_3d(a)
+        b = np.ones(a.shape[0])
+        b[7] = value
+        with pytest.raises(SingularMatrixError):
+            direct_solve(a, b)
+        with pytest.raises(SingularMatrixError):
+            direct_solve(a, b, factor=factorize(a))
 
 
 def test_as_csr_canonicalizes():

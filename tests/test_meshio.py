@@ -253,6 +253,22 @@ def test_index_out_of_range_rejected(tmp_path, text, message):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (UNIT_SQUARE_CELL.replace("0 -1 : 2 0", "0 -1 2 0"), "has no ':'"),
+        (UNIT_SQUARE_CELL.replace("0 1 3 2", "0 1 3 two"), "malformed line '0 1 3 two'"),
+        (UNIT_SQUARE_CELL.replace("0 -1 : 2 0", "0 -1.5 : 2 0"), "malformed line '0 -1.5 : 2 0'"),
+    ],
+    ids=["face-without-colon", "non-integer-cell-node", "non-integer-face-cell"],
+)
+def test_malformed_index_token_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=message):
+        load_mesh(path)
+
+
 def test_bad_header_rejected(tmp_path):
     path = tmp_path / "hdr.txt"
     path.write_text("some-other-format 3\n")
