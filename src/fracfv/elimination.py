@@ -46,10 +46,6 @@ class ReducedSystem:
     b_e: np.ndarray | None = None
     system: GlobalSystem | None = None
 
-    @property
-    def n_kept(self) -> int:
-        return self.kept.size
-
 
 def _mirror_upper(matrix: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy: the upper triangle mirrored onto the lower."""
@@ -186,21 +182,6 @@ def back_substitute(reduced: ReducedSystem, p_kept: np.ndarray) -> np.ndarray:
     for loc, lu_piv in reduced.blocks:
         full[reduced.eliminated[loc]] = sla.lu_solve(lu_piv, rhs_e[loc])
     return full
-
-
-def star_transmissibilities(alphas: np.ndarray) -> np.ndarray:
-    """Pairwise direct transmissibilities of one star of branch conductances.
-
-    Entry (i, j) holds ``alpha_i alpha_j / sum_k alpha_k`` for i != j; the
-    diagonal is zero. An n-branch star yields n(n-1)/2 distinct connections.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    total = alphas.sum()
-    if total == 0.0:
-        raise EliminationError("star with zero total conductance")
-    t = np.outer(alphas, alphas) / total
-    np.fill_diagonal(t, 0.0)
-    return t
 
 
 def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None) -> ReducedSystem:

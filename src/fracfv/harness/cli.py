@@ -1,5 +1,4 @@
-"""Command-line interface: run cases, sweep the crossing-fracture grid,
-validate mesh documents.
+"""Command-line interface: run cases, validate mesh documents.
 
 Exit codes: 0 success, 2 mesh errors, 3 discretization/assembly errors,
 4 solver errors (a singular or numerically singular system), 1 anything else.
@@ -21,8 +20,7 @@ from ..errors import (
     SolverError,
     TransportError,
 )
-from .cases import CASE_IDS, CaseSpec, run_case, sweep_case11
-from .export import report_envelope, write_report
+from .cases import CASE_IDS, CaseSpec, run_case
 
 
 def _parse_overrides(pairs):
@@ -53,11 +51,6 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("fracfv-out"))
     run.add_argument("--override", action="append", metavar="KEY=VALUE")
     run.add_argument("--vtk", action="store_true", help="also write legacy VTK fields")
-
-    sweep = sub.add_parser("sweep", help="crossing-fracture permeability sweep")
-    sweep.add_argument("--resolution", type=int, default=8)
-    sweep.add_argument("--values", default="1e-3,1,1e3", help="comma-separated permeabilities")
-    sweep.add_argument("--out", type=Path, default=Path("fracfv-out"))
 
     validate = sub.add_parser("validate-mesh", help="check a mesh document")
     validate.add_argument("file", type=Path)
@@ -91,17 +84,6 @@ def _summarize(results: dict, indent: str = "  ") -> None:
             print(f"{indent}{key} = {value}")
 
 
-def _cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",")]
-    sweep = sweep_case11(values, args.resolution)
-    report = report_envelope(
-        {"id": "1.1-sweep", "resolution": args.resolution, "values": values}, sweep["matrices"]
-    )
-    path = write_report(report, args.out)
-    print(f"sweep finished; report at {path}")
-    return 0
-
-
 def _cmd_validate(args) -> int:
     from ..mdmesh import load_mesh
 
@@ -118,8 +100,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         return _cmd_validate(args)
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)

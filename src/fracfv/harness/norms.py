@@ -51,11 +51,6 @@ def nearest_cell_map(fine_centres: np.ndarray, coarse_centres: np.ndarray) -> np
     return np.asarray(idx, dtype=int)
 
 
-def project_piecewise_constant(coarse_values: np.ndarray, mapping: np.ndarray) -> np.ndarray:
-    """Inject coarse cell values onto fine cells through a nearest-cell map."""
-    return np.asarray(coarse_values, dtype=float)[mapping]
-
-
 def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Slope of log(y) against log(x) by least squares."""
     lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))

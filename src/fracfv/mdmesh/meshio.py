@@ -222,11 +222,14 @@ class _Lines:
         self.pos += 1
         return line
 
-    def expect(self, keyword: str) -> list[str]:
-        parts = self.next().split()
+    def expect(self, keyword: str, count: int = 0, kind=int) -> list:
+        """The tokens after ``keyword``, which must open the next line, the
+        first ``count`` of them read as numbers of type ``kind``."""
+        line = self.next()
+        parts = line.split()
         if parts[0] != keyword:
             raise MeshFormatError(f"expected {keyword!r}, found {parts[0]!r}")
-        return parts[1:]
+        return _numbers(line, " ".join(parts[1 : count + 1]), count, kind) + parts[count + 1 :]
 
     def peek_keyword(self) -> str:
         if self.pos >= len(self.lines):
@@ -234,11 +237,12 @@ class _Lines:
         return self.lines[self.pos].split()[0]
 
 
-def _indices(line: str, part: str | None = None, count: int | None = None) -> list[int]:
-    """The integers in ``part`` of ``line`` (all of it by default), of which
-    there must be ``count`` if given; MeshFormatError names the line."""
+def _numbers(line: str, part: str | None = None, count: int | None = None, kind=int) -> list:
+    """The numbers of type ``kind`` in ``part`` of ``line`` (all of it by
+    default), of which there must be ``count`` if given; MeshFormatError
+    names the line."""
     try:
-        values = [int(v) for v in (line if part is None else part).split()]
+        values = [kind(v) for v in (line if part is None else part).split()]
     except ValueError:
         values = None
     if values is None or count not in (None, len(values)):
@@ -264,32 +268,32 @@ def load_mesh(path) -> MixedDimensionalMesh:
     text = Path(path).read_text()
     lines = _Lines(text)
     header = lines.next().split()
-    if len(header) != 2 or header[0] != FORMAT_NAME or int(header[1]) != FORMAT_VERSION:
+    if header != [FORMAT_NAME, str(FORMAT_VERSION)]:
         raise MeshFormatError(f"unsupported mesh header {' '.join(header)!r}")
-    ambient = int(lines.expect("ambient")[0])
-    n_sub = int(lines.expect("subdomains")[0])
+    ambient = lines.expect("ambient", 1)[0]
+    n_sub = lines.expect("subdomains", 1)[0]
 
     subdomains: list[SubdomainGrid] = []
     for expected in range(n_sub):
-        idx = int(lines.expect("subdomain")[0])
+        idx = lines.expect("subdomain", 1)[0]
         if idx != expected:
             raise MeshFormatError(f"subdomain {expected} out of order (found {idx})")
-        dim = int(lines.expect("dim")[0])
-        aperture = float(lines.expect("aperture")[0])
-        n_nodes = int(lines.expect("nodes")[0])
+        dim = lines.expect("dim", 1)[0]
+        aperture = lines.expect("aperture", 1, float)[0]
+        n_nodes = lines.expect("nodes", 1)[0]
         nodes = np.empty((n_nodes, ambient))
         for i in range(n_nodes):
-            vals = [float(v) for v in lines.next().split()]
+            vals = _numbers(lines.next(), kind=float)
             if len(vals) != ambient:
                 raise MeshFormatError(f"node {i}: expected {ambient} coordinates")
             nodes[i] = vals
-        cell_head = lines.expect("cells")
-        n_cells, cell_type = int(cell_head[0]), cell_head[1]
+        cell_head = lines.expect("cells", 1)
+        n_cells, cell_type = cell_head[0], " ".join(cell_head[1:])
         if cell_type not in ("simplex", "explicit"):
             raise MeshFormatError(f"unknown cell type {cell_type!r}")
         cell_node_lists = []
         for c in range(n_cells):
-            node_list = _indices(lines.next())
+            node_list = _numbers(lines.next())
             if cell_type == "simplex" and dim > 0 and len(node_list) != dim + 1:
                 raise MeshFormatError(
                     f"subdomain {idx} cell {c} is not a {dim}-simplex "
@@ -299,15 +303,15 @@ def load_mesh(path) -> MixedDimensionalMesh:
         _check_range(itertools.chain(*cell_node_lists), n_nodes, f"subdomain {idx} cell node")
 
         if lines.peek_keyword() == "faces":
-            n_faces = int(lines.expect("faces")[0])
+            n_faces = lines.expect("faces", 1)[0]
             face_node_lists, face_cells = [], []
             for f in range(n_faces):
                 line = lines.next()
                 left, colon, right = line.partition(":")
                 if not colon:
                     raise MeshFormatError(f"face line {line!r} has no ':'")
-                face_cells.append(tuple(_indices(line, left, 2)))
-                face_node_lists.append(_indices(line, right))
+                face_cells.append(tuple(_numbers(line, left, 2)))
+                face_node_lists.append(_numbers(line, right))
             _check_range(itertools.chain(*face_node_lists), n_nodes, f"subdomain {idx} face node")
             _check_range(itertools.chain(*face_cells), n_cells, f"subdomain {idx} face cell", -1)
         elif cell_type == "simplex" and dim > 0:
@@ -324,15 +328,14 @@ def load_mesh(path) -> MixedDimensionalMesh:
             )
         )
 
-    n_intf = int(lines.expect("interfaces")[0])
+    n_intf = lines.expect("interfaces", 1)[0]
     interfaces = []
     for _ in range(n_intf):
-        head = lines.expect("interface")
-        higher, lower, n_pairs = int(head[0]), int(head[1]), int(head[2])
+        higher, lower, n_pairs = lines.expect("interface", 3)[:3]
         _check_range((higher, lower), n_sub, "interface subdomain")
         pairs = np.empty((n_pairs, 2), dtype=int)
         for i in range(n_pairs):
-            pairs[i] = _indices(lines.next(), count=2)
+            pairs[i] = _numbers(lines.next(), count=2)
         _check_range(pairs[:, 0], subdomains[higher].n_faces, f"interface {higher} {lower} face")
         _check_range(pairs[:, 1], subdomains[lower].n_cells, f"interface {higher} {lower} cell")
         interfaces.append(InterfaceMap(higher, lower, pairs))

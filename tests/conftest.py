@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,32 @@ def write_triangle_square_mesh(path, perturb: float = 0.0):
     lines += ["end", "interfaces 0", "end"]
     path.write_text("\n".join(lines) + "\n")
     return nodes, cells
+
+
+def write_kuhn_mesh(path, cubes: int, seed: int):
+    """Kuhn triangulation of a cubes^3 grid on the unit cube (six tetrahedra
+    per cube along its main diagonal), interior nodes moved by up to 0.1 h per
+    axis from ``seed``. Returns the cell-node lists."""
+    n = cubes + 1
+    axis = np.linspace(0.0, 1.0, n)
+    z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
+    nodes = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
+    interior = np.all((nodes > 0.0) & (nodes < 1.0), axis=1)
+    rng = np.random.default_rng(seed)
+    nodes[interior] += 0.1 / cubes * (2.0 * rng.random((interior.sum(), 3)) - 1.0)
+    cells = []
+    for k, j, i in itertools.product(range(cubes), repeat=3):
+        for order in itertools.permutations(range(3)):
+            corner = np.array([i, j, k])
+            verts = [corner]
+            for a in order:
+                corner = corner + np.eye(3, dtype=int)[a]
+                verts.append(corner)
+            cells.append([int(v[0] + n * (v[1] + n * v[2])) for v in verts])
+    lines = ["fracfv-mesh 1", "ambient 3", "subdomains 1", "subdomain 0", "dim 3",
+             "aperture 1", f"nodes {len(nodes)}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in nodes]
+    lines += [f"cells {len(cells)} simplex"] + [" ".join(map(str, c)) for c in cells]
+    lines += ["end", "interfaces 0", "end"]
+    path.write_text("\n".join(lines) + "\n")
+    return cells

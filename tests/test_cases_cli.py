@@ -234,14 +234,6 @@ class TestCommandLine:
         assert code == 0
         assert (tmp_path / "out" / "report.json").exists()
 
-    def test_sweep_exit_zero(self, tmp_path):
-        code = main(
-            ["sweep", "--resolution", "4", "--values", "1e-3,1", "--out", str(tmp_path / "sw")]
-        )
-        assert code == 0
-        report = json.loads((tmp_path / "sw" / "report.json").read_text())
-        assert report["case"]["id"] == "1.1-sweep"
-
     def test_validate_mesh_ok(self, tmp_path):
         spec = FractureNetworkSpec(
             domain=((0.0, 1.0), (0.0, 1.0)),
@@ -262,6 +254,12 @@ class TestCommandLine:
         path.write_text(UNIT_SQUARE_CELL.replace("0 -1 : 2 0", "5 -1 : 2 0"))
         assert main(["validate-mesh", str(path)]) == 2
         assert "face cell 5 is out of range" in capsys.readouterr().err
+
+    def test_validate_mesh_non_numeric_count_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(UNIT_SQUARE_CELL.replace("nodes 4", "nodes four"))
+        assert main(["validate-mesh", str(path)]) == 2
+        assert "malformed line 'nodes four'" in capsys.readouterr().err
 
     def test_bad_override_exit_code(self, tmp_path, capsys):
         code = main(["run", "1.1", "--override", "bogus=1", "--out", str(tmp_path)])

@@ -1,5 +1,7 @@
 """Intersection-cell elimination: Schur complement and Star-Delta."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -11,7 +13,6 @@ from fracfv.elimination import (
     schur_reduce,
     schur_reduce_matrix,
     star_delta_reduce,
-    star_transmissibilities,
 )
 from fracfv.errors import EliminationError, UnsupportedSourceError
 from fracfv.harness.cases import case4_problem, case11_problem, case13_problem
@@ -122,6 +123,29 @@ class TestSchurSystemLevel:
         assert np.abs(full - p_full).max() <= 1e-12 * scale
 
 
+def star_transmissibilities(alphas) -> np.ndarray:
+    """The direct transmissibilities that Star-Delta gives the branch cells of
+    one star: kept cells 0..n-1, each coupled to the eliminated centre n by a
+    branch of kept-side conductance ``alphas[i]``."""
+    alphas = np.asarray(alphas, dtype=float)
+    n = alphas.size
+    t = alphas / 2.0  # the two-point coupling that the star replaces
+    matrix = np.diag(np.append(t, t.sum()))
+    matrix[:n, n] = matrix[n, :n] = -t
+    coupling = SimpleNamespace(
+        higher_dofs=np.arange(n), lower_dofs=np.full(n, n), alpha_higher=alphas, transmissibility=t
+    )
+    system = SimpleNamespace(
+        mesh=SimpleNamespace(intersection_dofs=lambda: np.array([n])),
+        matrix=sps.csr_matrix(matrix),
+        rhs=np.zeros(n + 1),
+        couplings=[coupling],
+    )
+    delta = -star_delta_reduce(system).matrix.toarray()
+    np.fill_diagonal(delta, 0.0)
+    return delta
+
+
 class TestStarDelta:
     def test_two_branch_star_is_harmonic_average(self):
         t = star_transmissibilities(np.array([2.0, 2.0]))
@@ -170,7 +194,7 @@ class TestStarDelta:
         )
         system = neutral.assemble()
         star = star_delta_reduce(system)
-        assert np.abs(star.matrix @ np.ones(star.n_kept)).max() <= 1e-13
+        assert np.abs(star.matrix @ np.ones(star.kept.size)).max() <= 1e-13
 
 
 class TestReducedFluxes:

@@ -1,19 +1,23 @@
 """Direct solver and condition numbers."""
 
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import x_dirichlet
+from conftest import write_kuhn_mesh, x_dirichlet
 from fracfv import linsolve
 from fracfv.coupling import uniform_problem
 from fracfv.errors import SingularMatrixError
+from fracfv.fvdiscretize import assemble_mpfa, flow_bc
 from fracfv.harness.cases import (
+    case2_fine_reference,
     case2_problem,
     case3_problem,
     case11_problem,
@@ -22,13 +26,20 @@ from fracfv.harness.cases import (
     sweep_case11,
 )
 from fracfv.linsolve import (
+    _anchored_wide_stencil,
     _certified_stieltjes_3d,
     as_csr,
     condition_number,
     direct_solve,
     factorize,
 )
-from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
+from fracfv.mdmesh import (
+    FractureNetworkSpec,
+    FracturePatch,
+    build_cartesian_with_fractures,
+    load_mesh,
+)
+from fracfv.tensors import tensor_field
 
 
 def dense_condition(matrix) -> float:
@@ -266,6 +277,10 @@ class TestConjugateGradientRoute:
             lambda: case12_problem(64)[0].assemble(),
             # Symmetric MPFA with positive off-diagonal entries: 1,056 unknowns.
             lambda: case2_problem(32, 1.0)[0].assemble(),
+            # Anisotropic 2D MPFA: 1,056 unknowns, 8.4 entries per row.
+            lambda: case2_problem(32, 3.0)[0].assemble(),
+            # Case 2's fine reference: 16,512 unknowns, 8.9 entries per row.
+            lambda: case2_fine_reference(128, 3.0)[1],
             # Nonsymmetric 3D MPFA: 576 unknowns.
             lambda: case3_problem(8, "mpfa")[0].assemble(),
             # A certified 3D TPFA matrix with one row doubled: a nonsymmetric Z-matrix.
@@ -273,7 +288,15 @@ class TestConjugateGradientRoute:
             # 3D TPFA under the crossover: 100 unknowns.
             lambda: case13_problem(4)[0].assemble(),
         ],
-        ids=["2d-tpfa", "symmetric-mpfa", "nonsymmetric-mpfa", "nonsymmetric-z", "small-3d"],
+        ids=[
+            "2d-tpfa",
+            "symmetric-mpfa",
+            "anisotropic-2d-mpfa",
+            "2d-mpfa-reference",
+            "nonsymmetric-mpfa",
+            "nonsymmetric-z",
+            "small-3d",
+        ],
     )
     def test_other_matrices_stay_on_lu(self, monkeypatch, build):
         system = build()
@@ -324,6 +347,111 @@ class TestConjugateGradientRoute:
             direct_solve(a, b)
         with pytest.raises(SingularMatrixError):
             direct_solve(a, b, factor=factorize(a))
+
+
+TENSOR = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]])
+GRADIENT = np.array([0.8, -1.4, 0.6])
+
+
+def tetrahedral_mpfa(cubes: int, seed: int, tensor=TENSOR, dirichlet: bool = True):
+    """Full-tensor MPFA on a perturbed Kuhn mesh of ``cubes``^3 cubes, with the
+    linear pressure 0.25 + GRADIENT . x on the boundary (no-flow without
+    ``dirichlet``). Returns the grid, the CSR matrix and the right-hand side."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kuhn.txt"
+        write_kuhn_mesh(path, cubes, seed)
+        grid = load_mesh(path).subdomains[0]
+    bc = flow_bc(grid)
+    if dirichlet:
+        bc.set_dirichlet(np.flatnonzero(grid.external_boundary), lambda x: 0.25 + GRADIENT @ x)
+    disc = assemble_mpfa(grid, tensor_field(tensor, grid.n_cells, 3), bc)
+    return grid, as_csr(disc.matrix), disc.rhs
+
+
+def rotated_tensor(rotation_seed: int, log_eigenvalues) -> np.ndarray:
+    """SPD tensor with eigenvalues 10**log_eigenvalues, in axes rotated from
+    ``rotation_seed``."""
+    rng = np.random.default_rng(rotation_seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return rotation @ np.diag(10.0 ** np.asarray(log_eigenvalues)) @ rotation.T
+
+
+@st.composite
+def spd_tensors(draw):
+    """A rotated SPD tensor whose smallest eigenvalue lies in [1e-6, 1e6] and
+    whose anisotropy ratio is at most 10^2.5."""
+    ratio = draw(st.floats(0.0, 2.5))
+    logs = np.array([0.0, draw(st.floats(0.0, 1.0)) * ratio, ratio]) + draw(st.floats(-6.0, 6.0))
+    return rotated_tensor(draw(st.integers(0, 2**32 - 1)), logs)
+
+
+class TestBiCGSTABRoute:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(3, 8), st.integers(0, 2**32 - 1), spd_tensors())
+    # The strongest anisotropy on the largest meshes, which the draws miss.
+    @example(8, 1, rotated_tensor(1, [0.0, 1.25, 2.5]))
+    @example(7, 2, rotated_tensor(2, [-6.0, -6.0, -3.5]))
+    @example(6, 3, rotated_tensor(3, [6.0, 8.5, 8.5]))
+    def test_tetrahedral_mpfa_matches_lu(self, cubes, seed, tensor):
+        _, a, b = tetrahedral_mpfa(cubes, seed, tensor)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_factorizations(monkeypatch)
+            x = direct_solve(a, b)
+        # Three cubes give 162 unknowns, below the crossover: LU.
+        assert len(calls) == int(a.shape[0] < linsolve.CG_MIN_ROWS)
+        reference = direct_solve(a, b, factor=factorize(a))
+        assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert backward_error(a, x, b) <= 1e-14
+
+    def test_twelve_cubes_reproduce_the_linear_field(self, monkeypatch):
+        grid, a, b = tetrahedral_mpfa(12, seed=3)
+        assert a.shape[0] == 10_368
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert calls == []
+        assert np.abs(x - (0.25 + grid.cell_centres @ GRADIENT)).max() <= 1e-10
+
+    def test_a_miss_falls_back_to_lu(self, monkeypatch):
+        _, a, b = tetrahedral_mpfa(4, seed=1)
+        assert _anchored_wide_stencil(a)
+        monkeypatch.setattr(linsolve, "BICGSTAB_MAX_ITERATIONS", 0)
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert len(calls) == 1
+        assert np.array_equal(x, direct_solve(a, b, factor=factorize(a)))
+
+    def test_exactly_zero_residual_ends_the_iteration(self, monkeypatch):
+        # Diagonal 64 and 22 off-diagonal entries of alternating sign per row,
+        # which cancel on x = 1: the first step lands on x exactly and leaves
+        # s = t = 0, where omega = (t . s) / (t . t) is undefined.
+        n = 256
+        offsets = np.arange(1, 23)
+        signs = np.where(offsets % 2, 1.0, -1.0)
+        rows = np.repeat(np.arange(n), offsets.size)
+        cols = (rows + np.tile(offsets, n)) % n
+        a = as_csr(64.0 * sps.eye(n) + sps.csr_matrix((np.tile(signs, n), (rows, cols)), (n, n)))
+        assert _anchored_wide_stencil(a) and not _certified_stieltjes_3d(a)
+        calls = count_factorizations(monkeypatch)
+        assert np.array_equal(direct_solve(a, a @ np.ones(n)), np.ones(n))
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rhs_raises(self, value):
+        _, a, b = tetrahedral_mpfa(4, seed=1)
+        assert _anchored_wide_stencil(a)
+        b[7] = value
+        with pytest.raises(SingularMatrixError, match="right-hand side"):
+            direct_solve(a, b)
+
+    def test_pure_neumann_stays_on_lu(self, monkeypatch):
+        # No anchor: the constant is in the null space, and LU reports it.
+        _, a, _ = tetrahedral_mpfa(4, seed=1, dirichlet=False)
+        assert a.shape[0] >= linsolve.CG_MIN_ROWS and not _anchored_wide_stencil(a)
+        b = a @ np.random.default_rng(0).standard_normal(a.shape[0])
+        calls = count_factorizations(monkeypatch)
+        with pytest.raises(SingularMatrixError):
+            direct_solve(a, b)
+        assert len(calls) == 1
 
 
 def test_as_csr_canonicalizes():

@@ -1,11 +1,9 @@
 """Mesh document format: import, export, round-trips and error paths."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import UNIT_SQUARE_CELL, write_triangle_square_mesh
+from conftest import UNIT_SQUARE_CELL, write_kuhn_mesh, write_triangle_square_mesh
 from fracfv.errors import ConformityError, MeshFormatError
 from fracfv.harness.cases import case13_problem
 from fracfv.mdmesh import (
@@ -128,31 +126,10 @@ def test_polygon_geometry_matches_loop_on_case13_round_trip(tmp_path):
 
 
 def test_polygon_geometry_matches_loop_on_perturbed_tetrahedra(tmp_path):
-    # Kuhn triangulation of a 3 x 3 x 3 cube grid: six tetrahedra per cube
-    # along its main diagonal; interior nodes moved by up to 0.1 h per axis.
-    cubes, n = 3, 4
-    axis = np.linspace(0.0, 1.0, n)
-    z, y, x = np.meshgrid(axis, axis, axis, indexing="ij")
-    nodes = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    interior = np.all((nodes > 0.0) & (nodes < 1.0), axis=1)
-    rng = np.random.default_rng(20240917)
-    nodes[interior] += 0.1 / cubes * (2.0 * rng.random((interior.sum(), 3)) - 1.0)
-    cells = []
-    for k, j, i in itertools.product(range(cubes), repeat=3):
-        for order in itertools.permutations(range(3)):
-            corner = np.array([i, j, k])
-            verts = [corner]
-            for a in order:
-                corner = corner + np.eye(3, dtype=int)[a]
-                verts.append(corner)
-            cells.append([int(v[0] + n * (v[1] + n * v[2])) for v in verts])
-    lines = ["fracfv-mesh 1", "ambient 3", "subdomains 1", "subdomain 0", "dim 3",
-             "aperture 1", f"nodes {len(nodes)}"]
-    lines += [" ".join(f"{v:.17g}" for v in row) for row in nodes]
-    lines += [f"cells {len(cells)} simplex"] + [" ".join(map(str, c)) for c in cells]
-    lines += ["end", "interfaces 0", "end"]
+    # Kuhn triangulation of a 3 x 3 x 3 cube grid, interior nodes perturbed.
+    cubes = 3
     path = tmp_path / "kuhn.txt"
-    path.write_text("\n".join(lines) + "\n")
+    cells = write_kuhn_mesh(path, cubes, seed=20240917)
     grid = load_mesh(path).subdomains[0]
     faces, _ = _derive_simplex_faces(3, cells)
     assert grid.n_cells == 6 * cubes**3
@@ -266,6 +243,30 @@ def test_malformed_index_token_rejected(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(MeshFormatError, match=message):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("nodes 4", "nodes four", "malformed line 'nodes four'"),
+        ("\n1 0\n", "\none 0\n", "malformed line 'one 0'"),
+        ("fracfv-mesh 1", "fracfv-mesh x", "unsupported mesh header 'fracfv-mesh x'"),
+        ("aperture 1", "aperture wide", "malformed line 'aperture wide'"),
+    ],
+    ids=["count", "coordinate", "header-version", "aperture"],
+)
+def test_non_numeric_token_rejected(tmp_path, old, new, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(UNIT_SQUARE_CELL.replace(old, new))
+    with pytest.raises(MeshFormatError, match=message):
+        load_mesh(path)
+
+
+def test_missing_cell_type_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(UNIT_SQUARE_CELL.replace("cells 1 explicit", "cells 1"))
+    with pytest.raises(MeshFormatError, match="unknown cell type"):
         load_mesh(path)
 
 
