@@ -17,6 +17,12 @@ matrix is inverted in one stacked call. Regions with the same signature
 (numbers of sub-faces, cells and unknowns) are assembled, checked and solved
 as stacks, in blocks of bounded size. Each node's entries are accumulated in
 the order a node-by-node assembly would use, so batching changes no sum.
+
+The regions write their sub-face fluxes as one CSR matrix S (sub-face x
+cell), whose rows are taken in node order. The face fluxes are the sparse
+product P @ S with the face x sub-face incidence P, and the face boundary
+terms P times the sub-face ones; both add up each face's sub-faces in node
+order, so every face sum is the one a node-by-node assembly would take.
 """
 
 from __future__ import annotations
@@ -123,9 +129,10 @@ def _singular(stack: np.ndarray) -> list[tuple[int, np.linalg.LinAlgError]]:
 def _interaction_regions(grid, permeability, bc, eta):
     """Solve every interaction region of a grid with faces.
 
-    Returns per sub-face (in node-by-node order) its face, its number of
-    output slots, the slots' flux coefficients and cell columns (flat, in
-    cell order per sub-face), and its boundary term; and the diagnostics.
+    Returns per sub-face (in node-by-node order) its face; the sub-face
+    fluxes per unit cell pressure, a CSR matrix of shape (sub-face, cell)
+    with one row of slots per sub-face, in cell order; the boundary term of
+    each sub-face; and the diagnostics.
 
     Raises:
         SingularLocalSystemError: At the lowest-numbered degenerate node.
@@ -217,9 +224,13 @@ def _interaction_regions(grid, permeability, bc, eta):
     # boundary term, the Neumann flux or the evaluated constant part.
     evaluated = (kind == INTERIOR) | (kind == DIRICHLET_SUB)
     n_slots = np.where(evaluated, cells_of_region[region_of_sub], 0)
-    first_slot = np.cumsum(n_slots) - n_slots
-    slot_val = np.zeros(n_slots.sum())
-    slot_col = np.zeros(n_slots.sum(), dtype=int)
+    # Slot columns and row pointers in scipy's index dtype, so that the
+    # sparse matrix made of them below holds them without a copy.
+    index = np.int32 if max(n_slots.sum(), grid.n_cells) < 2**31 else np.int64
+    slot_ptr = np.concatenate([[0], np.cumsum(n_slots)]).astype(index)
+    first_slot = slot_ptr[:-1]
+    slot_val = np.zeros(slot_ptr[-1])
+    slot_col = np.zeros(slot_ptr[-1], dtype=index)
     boundary_term = np.where(kind == NEUMANN_SUB, (1.0 - 2.0 * one_side) * neumann_flux, 0.0)
 
     def solve(block: np.ndarray, n_s: int, n_loc: int, n_unk: int) -> float:
@@ -333,7 +344,8 @@ def _interaction_regions(grid, permeability, bc, eta):
             raise DiscretizationError(message)
         raise SingularLocalSystemError(node, message) from cause
 
-    return sub_face, n_slots, slot_val, slot_col, boundary_term, {
+    sub_flux = sps.csr_matrix((slot_val, slot_col, slot_ptr), shape=(n_sub, grid.n_cells))
+    return sub_face, sub_flux, boundary_term, {
         "mpfa_regions": n_regions,
         "mpfa_max_local_condition": float(max_condition),
     }
@@ -374,19 +386,22 @@ def assemble_mpfa(
             diagnostics={"mpfa_regions": 0, "mpfa_max_local_condition": 0.0},
         )
 
-    sub_face, n_slots, slot_val, slot_col, boundary_term, diagnostics = _interaction_regions(
+    sub_face, sub_flux, boundary_term, diagnostics = _interaction_regions(
         grid, permeability, bc, eta
     )
-    # One COO build of the nonzero slots, whose duplicates (a face's entries
-    # from each of its nodes) are summed in node order.
-    nonzero = slot_val != 0.0
-    rows = np.repeat(sub_face, n_slots)[nonzero]
-    flux_cell = sps.csr_matrix(
-        (slot_val[nonzero], (rows, slot_col[nonzero])), shape=(n_faces, n_cells)
+    # Face sums as products with the face x sub-face incidence P. Scipy's
+    # product (Gustavson, ACM TOMS 4, 1978) adds up row f of P @ S over
+    # face f's sub-faces in ascending order, which is node order, and
+    # leaves each row's columns unsorted. It drops sums that cancel to
+    # zero, but does not promise to, so they are dropped here too.
+    n_sub = sub_face.size
+    incidence = sps.csr_matrix(
+        (np.ones(n_sub), (sub_face, np.arange(n_sub))), shape=(n_faces, n_sub)
     )
-    flux_cell.sum_duplicates()
-    flux_boundary = np.zeros(n_faces)
-    np.add.at(flux_boundary, sub_face, boundary_term)
+    flux_cell = incidence @ sub_flux
+    flux_cell.eliminate_zeros()
+    flux_cell.sort_indices()
+    flux_boundary = incidence @ boundary_term
     diagnostics["eta"] = eta
     return SubdomainDiscretization(
         flux_cell=flux_cell,

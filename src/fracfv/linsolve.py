@@ -16,21 +16,24 @@ at least 200 rows (below which LU is as fast), takes one of two Krylov routes.
   other matrix with a positive diagonal, an anchor in every component and
   more than 20 entries per row, such as full-tensor MPFA on tetrahedra
   (44-61 per row from 4 to 12 cubes; 2D MPFA has at most 8.9, where LU is
-  faster). BiCGSTAB has no convergence proof: a breakdown, or 500 steps
-  that miss the stop, hands the same call on to LU.
+  faster). BiCGSTAB has no convergence proof: a breakdown, 100 steps that
+  do not cut its best backward error tenfold, or 500 steps that miss the
+  stop hand the same call on to LU.
 
 Both stop once the componentwise backward error
 max_i |b - A x|_i / (|A| |x| + |b|)_i is at most 1e-14 (Oettli and Prager,
 1964), so x solves exactly a system within 1e-14 of (A, b), entry by entry.
 
 Every other matrix, every solve given a ``factor`` and every condition number
-uses a SuperLU factor under one fixed policy: a minimum degree ordering of
-A^T + A in symmetric mode, with threshold pivoting that keeps a diagonal
-pivot unless it is below 1% of its column (Li, ACM TOMS 31, 2005). A
-lower-triangular matrix, such as a transport step matrix in flux order, keeps
-its natural order instead and is factored with no fill. The factor of a
-matrix serves its solves and its condition number, which Lanczos (ARPACK)
-takes from the largest eigenvalues of A and of A^-1."""
+uses a SuperLU factor. A matrix with a connected component whose rows all sum
+to round-off (at most 64 eps times their absolute sums) is refused as
+singular before factoring. The factor follows one fixed policy: a minimum
+degree ordering of A^T + A in symmetric mode, with threshold pivoting that
+keeps a diagonal pivot unless it is below 1% of its column (Li, ACM TOMS 31,
+2005). A lower-triangular matrix, such as a transport step matrix in flux
+order, keeps its natural order instead and is factored with no fill. The
+factor of a matrix serves its solves and its condition number, which Lanczos
+(ARPACK) takes from the largest eigenvalues of A and of A^-1."""
 
 from __future__ import annotations
 
@@ -55,6 +58,11 @@ def _is_lower_triangular(csr: sps.csr_matrix) -> bool:
     return bool(np.all(csr.indices <= rows))
 
 
+# A component whose every row sums to at most this many eps times the row's
+# absolute sum maps the constant on it to round-off: a null vector.
+NULL_ROW_SUM_EPS = 64
+
+
 def factorize(matrix) -> spla.SuperLU:
     """LU-factorize a square sparse matrix deterministically.
 
@@ -62,12 +70,20 @@ def factorize(matrix) -> spla.SuperLU:
     minimum degree on A^T + A.
 
     Raises:
-        SingularMatrixError: On exactly singular pivots.
+        SingularMatrixError: On a connected component whose rows all sum to
+            round-off, such as a pure-Neumann subdomain, or on exactly
+            singular pivots.
     """
     csr = as_csr(matrix)
     n, m = csr.shape
     if n != m:
         raise SingularMatrixError(f"matrix is not square: {csr.shape}")
+    ones = np.ones(n)
+    if not _anchored(csr, csr @ ones, NULL_ROW_SUM_EPS * np.finfo(float).eps * (abs(csr) @ ones)):
+        raise SingularMatrixError(
+            "matrix is numerically singular: the rows of a connected component sum to "
+            "round-off, so the constant on that component is a null vector"
+        )
     try:
         lu = spla.splu(
             csr.tocsc(),
@@ -94,16 +110,20 @@ BICGSTAB_MIN_ROW_NNZ = 20
 # Three times the most steps measured on tetrahedral MPFA with anisotropy
 # ratios up to 1e3 (165, at 3,072 unknowns).
 BICGSTAB_MAX_ITERATIONS = 500
+# BiCGSTAB also hands over to LU once this many steps have not cut its best
+# backward error tenfold. Over 122 solves of tetrahedral MPFA (4-8 cubes,
+# anisotropy ratios 1 to 1e6), none that met the stop within the cap went
+# 80 steps without such a cut; 25 of the 29 that missed it stalled early.
+BICGSTAB_STALL_STEPS = 100
 
 
-def _row_sums_anchored(csr: sps.csr_matrix, diag: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The row sums of A, and whether every connected component of A's graph
-    holds an anchor: a row whose sum exceeds 1e-8 times its diagonal in
-    magnitude. A component without one, such as a pure-Neumann subdomain,
-    may carry a floating null space."""
-    sums = csr @ np.ones(csr.shape[0])
+def _anchored(csr: sps.csr_matrix, sums: np.ndarray, floor) -> bool:
+    """Whether every connected component of A's graph holds an anchor: a row
+    whose sum ``sums`` exceeds ``floor`` (per row) in magnitude. A component
+    without one, such as a pure-Neumann subdomain, may carry a floating null
+    space."""
     n_comp, labels = connected_components(csr, directed=False)
-    return sums, bool(np.bincount(labels[np.abs(sums) > 1e-8 * diag], minlength=n_comp).all())
+    return bool(np.bincount(labels[np.abs(sums) > floor], minlength=n_comp).all())
 
 
 def _certified_stieltjes_3d(csr: sps.csr_matrix) -> bool:
@@ -117,8 +137,10 @@ def _certified_stieltjes_3d(csr: sps.csr_matrix) -> bool:
     # Off-diagonal zeros are refused: stored, they would join components.
     if not (np.all(diag > 0) and np.all(csr.data[csr.indices != rows] < 0)) or (csr - csr.T).nnz:
         return False
-    sums, anchored = _row_sums_anchored(csr, diag)
-    return anchored and bool(np.all(sums >= -64 * np.finfo(float).eps * diag))
+    sums = csr @ np.ones(n)
+    return _anchored(csr, sums, 1e-8 * diag) and bool(
+        np.all(sums >= -64 * np.finfo(float).eps * diag)
+    )
 
 
 def _anchored_wide_stencil(csr: sps.csr_matrix) -> bool:
@@ -128,12 +150,14 @@ def _anchored_wide_stencil(csr: sps.csr_matrix) -> bool:
     if n != csr.shape[1] or csr.nnz <= BICGSTAB_MIN_ROW_NNZ * n:
         return False
     diag = csr.diagonal()
-    return bool(np.all(diag > 0)) and _row_sums_anchored(csr, diag)[1]
+    return bool(np.all(diag > 0)) and _anchored(csr, csr @ np.ones(n), 1e-8 * diag)
 
 
-def _backward_error_met(csr: sps.csr_matrix, abs_a: sps.csr_matrix, x, b) -> bool:
-    """max_i |b - A x|_i / (|A| |x| + |b|)_i <= ``CG_BACKWARD_ERROR``."""
-    return bool(np.all(np.abs(b - csr @ x) <= CG_BACKWARD_ERROR * (abs_a @ np.abs(x) + np.abs(b))))
+def _backward_error(csr: sps.csr_matrix, abs_a: sps.csr_matrix, x, b) -> float:
+    """max_i |b - A x|_i / (|A| |x| + |b|)_i, where a zero denominator
+    implies a zero residual and the row counts as 0."""
+    scale = abs_a @ np.abs(x) + np.abs(b)
+    return float(np.max(np.abs(b - csr @ x) / np.where(scale > 0, scale, 1.0)))
 
 
 def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
@@ -146,7 +170,7 @@ def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
         # The backward error costs two products, so it is taken every 8 steps,
         # and where the residual is exactly zero, since CG cannot go on.
         if iteration % 8 == 0 or rz == 0.0:
-            if _backward_error_met(csr, abs_a, x, b):
+            if _backward_error(csr, abs_a, x, b) <= CG_BACKWARD_ERROR:
                 return x
             if rz == 0.0:
                 break
@@ -165,12 +189,15 @@ def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
 
 def _jacobi_bicgstab(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
     """BiCGSTAB preconditioned by D = diag A (van der Vorst, 1992) to
-    ``CG_BACKWARD_ERROR``; None after a breakdown or after
-    ``BICGSTAB_MAX_ITERATIONS`` steps that miss it."""
+    ``CG_BACKWARD_ERROR``; None after a breakdown, after
+    ``BICGSTAB_STALL_STEPS`` steps that do not cut the best backward error
+    tenfold, or after ``BICGSTAB_MAX_ITERATIONS`` steps that miss it."""
     inv_diag, abs_a = 1.0 / csr.diagonal(), abs(csr)
     x, r = np.zeros_like(b), b.copy()
     shadow, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
+    best = []  # the best backward error so far, at every 4th step
+    stall = BICGSTAB_STALL_STEPS // 4
     # A breakdown leaves rho or omega zero or non-finite, which ends the loop.
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(BICGSTAB_MAX_ITERATIONS + 1):
@@ -179,9 +206,11 @@ def _jacobi_bicgstab(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
             # A step costs two products and so does the backward error, which
             # is therefore taken every 4 steps and before giving up.
             if step % 4 == 0 or last:
-                if _backward_error_met(csr, abs_a, x, b):
+                error = _backward_error(csr, abs_a, x, b)
+                if error <= CG_BACKWARD_ERROR:
                     return x
-                if last:
+                best.append(min(error, best[-1]) if best else error)
+                if last or (len(best) > stall and best[-1] > 0.1 * best[-1 - stall]):
                     return None
             p = r + (rho / rho_old) * (alpha / omega) * (p - omega * v)
             p_hat = inv_diag * p

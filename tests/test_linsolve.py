@@ -420,6 +420,33 @@ class TestBiCGSTABRoute:
         assert len(calls) == 1
         assert np.array_equal(x, direct_solve(a, b, factor=factorize(a)))
 
+    def test_a_stall_hands_over_to_lu_early(self, monkeypatch):
+        # Anisotropy ratio 10^5.5 on six cubes: the best backward error stops
+        # falling tenfold per 100 steps, and LU takes over after 136 steps
+        # instead of the cap's 500.
+        _, a, b = tetrahedral_mpfa(6, seed=1, tensor=rotated_tensor(1, [0.0, 3.0, 5.5]))
+        assert _anchored_wide_stencil(a)
+        checks = []
+        backward_error = linsolve._backward_error
+        monkeypatch.setattr(
+            linsolve, "_backward_error", lambda *args: checks.append(1) or backward_error(*args)
+        )
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert len(calls) == 1
+        assert 4 * (len(checks) - 1) <= 200  # one check per 4 steps
+        assert np.array_equal(x, direct_solve(a, b, factor=factorize(a)))
+
+    def test_a_slow_steady_solve_keeps_the_krylov_route(self, monkeypatch):
+        # Anisotropy ratio 1e4 on five cubes: the stop is met after 396 steps,
+        # 76 of them in a row without a tenfold cut of the best backward
+        # error, which the stall rule must not take for a stall.
+        _, a, b = tetrahedral_mpfa(5, seed=1, tensor=rotated_tensor(1, [0.0, 1.0, 4.0]))
+        calls = count_factorizations(monkeypatch)
+        x = direct_solve(a, b)
+        assert calls == []
+        assert backward_error(a, x, b) <= 1e-14
+
     def test_exactly_zero_residual_ends_the_iteration(self, monkeypatch):
         # Diagonal 64 and 22 off-diagonal entries of alternating sign per row,
         # which cancel on x = 1: the first step lands on x exactly and leaves
@@ -452,6 +479,21 @@ class TestBiCGSTABRoute:
         with pytest.raises(SingularMatrixError):
             direct_solve(a, b)
         assert len(calls) == 1
+
+    def test_pure_neumann_singular_to_round_off_raises(self):
+        # Six cubes, seed 1: LU's smallest pivot is 1.5e-14 of its largest,
+        # just above the pivot guard, but every row sums to round-off, so the
+        # constant is a null vector. Beside an anchored component it still is.
+        _, neumann, _ = tetrahedral_mpfa(6, seed=1, dirichlet=False)
+        ones = np.ones(neumann.shape[0])
+        assert np.all(np.abs(neumann @ ones) <= 1e-15 * (abs(neumann) @ ones))
+        anchored = tetrahedral_mpfa(4, seed=1)[1]
+        for a in (neumann, as_csr(sps.block_diag((anchored, neumann)))):
+            b = a @ np.random.default_rng(0).standard_normal(a.shape[0])
+            with pytest.raises(SingularMatrixError, match="null vector"):
+                direct_solve(a, b)
+            with pytest.raises(SingularMatrixError, match="null vector"):
+                factorize(a)
 
 
 def test_as_csr_canonicalizes():

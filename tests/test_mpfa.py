@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import write_triangle_square_mesh
+from conftest import write_kuhn_mesh, write_triangle_square_mesh
 from test_face_table import loop_assemble_mpfa
 from fracfv.errors import DiscretizationError, SingularLocalSystemError
 from fracfv.fvdiscretize import assemble_mpfa, assemble_tpfa, default_eta, flow_bc
+from fracfv.fvdiscretize.mpfa import _interaction_regions
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import (
     FractureNetworkSpec,
@@ -109,6 +110,35 @@ def test_constant_pressure_exactness(unit_square_4):
     assert np.abs(fluxes[interior]).max() <= 1e-12 * scale
     assert disc.diagnostics["mpfa_regions"] == g.n_nodes
     assert np.isfinite(disc.diagnostics["mpfa_max_local_condition"])
+
+
+def test_face_sums_are_taken_in_node_order(tmp_path):
+    # Every entry of a face row is the sum of its sub-faces' slots, added one
+    # by one in node order, bit for bit.
+    path = tmp_path / "kuhn.txt"
+    write_kuhn_mesh(path, 4, 1)
+    g = load_mesh(path).subdomains[0]
+    k = tensor_field(np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]]), g.n_cells, 3)
+    ext = np.flatnonzero(g.external_boundary)
+    bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: 0.25 + x @ [0.8, -1.4, 0.6])
+    bc.set_neumann(ext[1::2], 0.7)
+    disc = assemble_mpfa(g, k, bc)
+    sub_face, sub_flux, boundary_term, _ = _interaction_regions(g, k, bc, default_eta(g))
+    node_faces = g.face_nodes.tocsr()
+    node_faces.sort_indices()
+    assert np.array_equal(sub_face, node_faces.indices)  # node by node, then face
+    sums, boundary = {}, np.zeros(g.n_faces)
+    for s, f in enumerate(sub_face.tolist()):
+        start, end = sub_flux.indptr[s], sub_flux.indptr[s + 1]
+        for c, value in zip(sub_flux.indices[start:end].tolist(), sub_flux.data[start:end].tolist()):
+            sums[f, c] = sums.get((f, c), 0.0) + value
+        boundary[f] += boundary_term[s]
+    flux = disc.flux_cell.tocoo()
+    assert disc.flux_cell.has_canonical_format
+    assert dict(zip(zip(flux.row.tolist(), flux.col.tolist()), flux.data.tolist())) == {
+        key: value for key, value in sums.items() if value != 0.0
+    }
+    assert np.array_equal(disc.flux_boundary, boundary)
 
 
 class TestSymmetry:
