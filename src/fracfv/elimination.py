@@ -314,12 +314,7 @@ def inherited_source_rates(reduced: ReducedSystem) -> np.ndarray:
     return reduced.rhs - reduced.rhs_kept_raw
 
 
-def limit_equivalence_check(
-    problem,
-    eliminated: np.ndarray | None,
-    k_boost_values,
-    solve=None,
-) -> dict:
+def limit_equivalence_check(problem, eliminated: np.ndarray | None, k_boost_values) -> dict:
     """Compare Schur reductions at boosted intersection permeability with Star-Delta.
 
     Rebuilds the problem with every intersection subdomain's tensor replaced
@@ -333,13 +328,12 @@ def limit_equivalence_check(
     on a 3D network with a two-cell line, the relative matrix deviation grew
     from 5.9e-3 at a boost of 1e2 to 7.7e-2 at 1e10.
     """
-    solve = solve or direct_solve
     mesh = problem.mesh
     base = problem.assemble()
     if eliminated is None:
         eliminated = mesh.intersection_dofs()
     star = star_delta_reduce(base, eliminated)
-    p_star = solve(star.matrix, star.rhs)
+    p_star = direct_solve(star.matrix, star.rhs)
     scale = np.abs(star.matrix.data).max()
     intersection_sds = [
         i for i, g in enumerate(mesh.subdomains) if g.dim <= mesh.ambient_dim - 2
@@ -352,7 +346,7 @@ def limit_equivalence_check(
         schur = schur_reduce(sys_b, eliminated)
         dev = abs(schur.matrix - star.matrix)
         max_dev = dev.data.max() if dev.nnz else 0.0
-        p_schur = solve(schur.matrix, schur.rhs)
+        p_schur = direct_solve(schur.matrix, schur.rhs)
         p_scale = np.linalg.norm(p_star)
         entries.append(
             {

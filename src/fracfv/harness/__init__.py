@@ -2,7 +2,7 @@
 
 from .cases import CaseResult, CaseSpec, run_case, sweep_case11
 from .export import export_field_csv, export_field_vtk, read_field_csv, write_report
-from .norms import NORM_VERSION, l2_error, l2_error_detailed, least_squares_slope
+from .norms import NORM_VERSION, l2_error, least_squares_slope
 
 __all__ = [
     "CaseResult",
@@ -11,7 +11,6 @@ __all__ = [
     "export_field_csv",
     "export_field_vtk",
     "l2_error",
-    "l2_error_detailed",
     "least_squares_slope",
     "read_field_csv",
     "run_case",

@@ -2,15 +2,12 @@
 
 The discrete L2 error is volume weighted and relative:
 ``sqrt(sum V_i (x_i - r_i)^2) / sqrt(sum V_i r_i^2)``. When the reference
-norm vanishes the unnormalized error is returned, flagged in the detailed
-result. Coarse-to-fine comparisons inject coarse cell values as piecewise
-constants onto the fine cells (nearest coarse centre, which equals
-containment on nested Cartesian grids).
+norm vanishes the unnormalized error is returned. Coarse-to-fine comparisons
+inject coarse cell values as piecewise constants onto the fine cells (nearest
+coarse centre, which equals containment on nested Cartesian grids).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,13 +15,8 @@ from scipy.spatial import cKDTree
 NORM_VERSION = "l2-rel-volume-weighted-v1"
 
 
-@dataclass(frozen=True)
-class L2Result:
-    value: float
-    normalized: bool
-
-
-def l2_error_detailed(values, reference, volumes, subset=None) -> L2Result:
+def l2_error(values, reference, volumes, subset=None) -> float:
+    """Volume-weighted relative discrete L2 error (absolute if ref is zero)."""
     x = np.asarray(values, dtype=float)
     r = np.asarray(reference, dtype=float)
     v = np.asarray(volumes, dtype=float)
@@ -34,14 +26,7 @@ def l2_error_detailed(values, reference, volumes, subset=None) -> L2Result:
         raise ValueError("values, reference and volumes must agree in shape")
     num = float(np.sqrt(v @ (x - r) ** 2))
     den = float(np.sqrt(v @ r**2))
-    if den == 0.0:
-        return L2Result(num, normalized=False)
-    return L2Result(num / den, normalized=True)
-
-
-def l2_error(values, reference, volumes, subset=None) -> float:
-    """Volume-weighted relative discrete L2 error (absolute if ref is zero)."""
-    return l2_error_detailed(values, reference, volumes, subset).value
+    return num if den == 0.0 else num / den
 
 
 def nearest_cell_map(fine_centres: np.ndarray, coarse_centres: np.ndarray) -> np.ndarray:

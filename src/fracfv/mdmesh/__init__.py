@@ -7,7 +7,7 @@ from .cartesian import (
     structured_grid,
 )
 from .grids import SubdomainGrid, validate_grid
-from .mdmesh import InterfaceMap, MixedDimensionalMesh, min_cell_diameter
+from .mdmesh import InterfaceMap, MixedDimensionalMesh
 from .meshio import load_mesh, save_mesh
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "SubdomainGrid",
     "build_cartesian_with_fractures",
     "load_mesh",
-    "min_cell_diameter",
     "save_mesh",
     "structured_grid",
     "validate_grid",

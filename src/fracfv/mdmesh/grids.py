@@ -112,17 +112,6 @@ class SubdomainGrid:
         cn = self.cell_nodes.tocsc()
         return [cn.indices[cn.indptr[c] : cn.indptr[c + 1]] for c in range(self.n_cells)]
 
-    def cell_diameters(self) -> np.ndarray:
-        """Per-cell diameter: maximum pairwise node distance."""
-        out = np.zeros(self.n_cells)
-        for c, nodes in enumerate(self.cell_node_lists()):
-            pts = self.nodes[nodes]
-            if pts.shape[0] < 2:
-                continue
-            diff = pts[:, None, :] - pts[None, :, :]
-            out[c] = np.sqrt((diff**2).sum(axis=2)).max()
-        return out
-
     def diameter(self) -> float:
         """Extent of the subdomain's bounding box diagonal."""
         if self.n_nodes == 0:

@@ -136,9 +136,3 @@ class MixedDimensionalMesh:
                     f"interface {k} pair {worst} (face {pairs[worst, 0]}, cell "
                     f"{pairs[worst, 1]}) mismatches by {dist[worst]:.3e}"
                 )
-
-
-def min_cell_diameter(mesh: MixedDimensionalMesh) -> float:
-    """Smallest cell diameter over the highest-dimensional subdomain."""
-    grid = mesh.highest_dim_subdomain()
-    return float(grid.cell_diameters().min())

@@ -7,7 +7,8 @@ flux advect nothing. Implicit stepping solves
 and is unconditionally stable, so the step size is purely an accuracy knob.
 The step matrix is factored in flux order, upstream cells first, where it is
 lower triangular unless the flux field circulates (Natvig & Lie, J. Comput.
-Phys. 227, 2008).
+Phys. 227, 2008). ``TracerSimulation`` factors it once and steps; an optional
+probe cell is sampled into the state's series at t = 0 and after every step.
 """
 
 from __future__ import annotations
@@ -47,10 +48,13 @@ class FluxGraph:
     dofs, or kept-local dofs for reduced runs).
     """
 
-    n_cells: int
     connections: tuple
     boundary: tuple
     volumes: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        return self.volumes.size
 
 
 def _boundary_flows(sd: int, grid, fluxes: np.ndarray, cell_index: np.ndarray) -> tuple:
@@ -81,7 +85,6 @@ def flux_graph_from_system(system: GlobalSystem, p: np.ndarray) -> FluxGraph:
         conn_j.append(c.lower_dofs)
         conn_q.append(flux)
     return FluxGraph(
-        n_cells=mesh.n_dofs,
         connections=tuple(np.concatenate(c) for c in (conn_i, conn_j, conn_q)),
         boundary=tuple(np.concatenate(column) for column in zip(*boundary)),
         volumes=mesh.all_cell_volumes(),
@@ -112,7 +115,6 @@ def flux_graph_from_reduced(reduced: ReducedSystem, p_kept: np.ndarray) -> FluxG
         fluxes = reconstruct_fluxes(disc, p_kept[locs])
         boundary.append(_boundary_flows(sd, mesh.subdomains[sd], fluxes, locs))
     return FluxGraph(
-        n_cells=reduced.kept.size,
         connections=(i_loc, j_loc, q),
         boundary=tuple(np.concatenate(column) for column in zip(*boundary)),
         volumes=volumes,
@@ -207,34 +209,6 @@ def factorize_step(volumes: np.ndarray, operator: sps.csr_matrix, dt: float) -> 
     return StepFactor(order, factorize(matrix[order][:, order]))
 
 
-def implicit_euler_step(
-    state: TransportState,
-    volumes: np.ndarray,
-    operator: sps.csr_matrix,
-    inflow: np.ndarray,
-    source_rates: np.ndarray | None,
-    dt: float,
-    factor=None,
-) -> TransportState:
-    """One implicit Euler step of the advection equation.
-
-    ``source_rates`` are per-cell integrated tracer rates. The step matrix
-    factor of ``factorize_step`` may be supplied for repeated stepping.
-    """
-    if dt <= 0.0:
-        raise TransportError(f"step size must be positive, got {dt}")
-    mass = volumes / dt
-    if factor is None:
-        factor = factorize_step(volumes, operator, dt)
-    rhs = mass * state.concentrations + inflow
-    if source_rates is not None:
-        rhs = rhs + source_rates
-    new = factor.solve(rhs)
-    return TransportState(
-        concentrations=new, time=state.time + dt, dt=dt, series=state.series
-    )
-
-
 def resolve_probe(mesh, point: np.ndarray, dims=None) -> int:
     """Global dof of the cell nearest to a probe point.
 
@@ -261,15 +235,16 @@ def resolve_probe(mesh, point: np.ndarray, dims=None) -> int:
     return int(ties[0])
 
 
-def monitor(state: TransportState, cell: int) -> tuple[float, float]:
-    """Record and return the (time, concentration) sample of one cell."""
-    sample = (state.time, float(state.concentrations[cell]))
-    state.series.append(sample)
-    return sample
-
-
 class TracerSimulation:
-    """Implicit-Euler advection on a fixed flux field, with monitoring."""
+    """Implicit-Euler advection on a fixed flux field.
+
+    The step matrix is factored once. ``source_rates`` are per-cell
+    integrated tracer rates. A ``probe`` cell is sampled into
+    ``state.series`` as (time, concentration) at t = 0 and after every step.
+
+    Raises:
+        TransportError: ``dt`` is not finite and positive.
+    """
 
     def __init__(
         self,
@@ -278,11 +253,15 @@ class TracerSimulation:
         initial: np.ndarray,
         dt: float,
         source_rates: np.ndarray | None = None,
+        probe: int | None = None,
     ):
+        self.dt = float(dt)
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise TransportError(f"step size must be finite and positive, got {dt}")
         self.graph = graph
         self.operator, self.inflow = upwind_operator(graph, transport_bcs)
-        self.dt = float(dt)
         self.source_rates = source_rates
+        self.probe = probe
         self.state = TransportState(np.asarray(initial, dtype=float).copy(), 0.0, self.dt)
         self._factor = factorize_step(graph.volumes, self.operator, self.dt)
         # Outflow terms that entered the operator (advective upwind outflow).
@@ -293,22 +272,28 @@ class TracerSimulation:
         self._mass_error_abs = 0.0
         self._mass_scale = 0.0
         self.bounds = (float(self.state.concentrations.min()), float(self.state.concentrations.max()))
+        self._sample()
 
-    def step(self, probe_cell: int | None = None) -> TransportState:
+    def step(self) -> TransportState:
         previous = self.state.concentrations
-        self.state = implicit_euler_step(
-            self.state, self.graph.volumes, self.operator, self.inflow,
-            self.source_rates, self.dt, factor=self._factor,
-        )
-        current = self.state.concentrations
+        rhs = self.graph.volumes / self.dt * previous + self.inflow
+        if self.source_rates is not None:
+            rhs = rhs + self.source_rates
+        current = self._factor.solve(rhs)
+        self.state = TransportState(current, self.state.time + self.dt, self.dt, self.state.series)
         self._account(previous, current)
         self.bounds = (
             min(self.bounds[0], float(current.min())),
             max(self.bounds[1], float(current.max())),
         )
-        if probe_cell is not None:
-            monitor(self.state, probe_cell)
+        self._sample()
         return self.state
+
+    def _sample(self):
+        """Append the probe cell's (time, concentration) to the series."""
+        if self.probe is not None:
+            value = float(self.state.concentrations[self.probe])
+            self.state.series.append((self.state.time, value))
 
     @property
     def mass_accounting_error(self) -> float:
@@ -325,9 +310,9 @@ class TracerSimulation:
         self._mass_error_abs = max(self._mass_error_abs, abs(storage - through))
         self._mass_scale = max(self._mass_scale, abs(storage), abs(through))
 
-    def run(self, n_steps: int, probe_cell: int | None = None) -> TransportState:
+    def run(self, n_steps: int) -> TransportState:
         for _ in range(n_steps):
-            self.step(probe_cell)
+            self.step()
         return self.state
 
 

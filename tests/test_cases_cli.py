@@ -81,6 +81,27 @@ class TestZeroDOnly:
         assert "zero_d_only" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,status,message",
+    [
+        (["4", "--override", "n_steps=0"], 1, "n_steps must be at least 1"),
+        (["4", "--override", "n_steps=-5"], 1, "n_steps must be at least 1"),
+        (["3", "--override", "n_steps=0"], 1, "n_steps must be at least 1"),
+        (["1.2-lite", "--override", "fine_resolution=0"], 1, "fine_resolution must be at least 1"),
+        (["2", "--override", "fine_resolution=0"], 1, "fine_resolution must be at least 1"),
+        (["1.3", "--resolution", "0"], 1, "resolution must be at least 1"),
+        (["1.3", "--resolution", "-2"], 1, "resolution must be at least 1"),
+        (["1.3", "--resolution", "4", "--override", "t_final=0"], 3, "step size must be"),
+    ],
+    ids=["4-steps0", "4-steps-5", "3-steps0", "1.2-fine0", "2-fine0", "res0", "res-2", "dt0"],
+)
+def test_counts_below_one_and_zero_step_size_rejected(tmp_path, capsys, args, status, message):
+    """Every integer parameter of a case is a count of at least 1; a zero
+    step size is a transport error, caught before the step matrix is built."""
+    assert main(["run", *args, "--out", str(tmp_path)]) == status
+    assert message in capsys.readouterr().err
+
+
 def _names(stems, vtk=False):
     return [f"{stem}.{ext}" for stem in stems for ext in (("csv", "vtk") if vtk else ("csv",))]
 

@@ -8,7 +8,6 @@ from fracfv.mdmesh import (
     FractureNetworkSpec,
     FracturePatch,
     build_cartesian_with_fractures,
-    min_cell_diameter,
     validate_grid,
 )
 from fracfv.tensors import PermeabilityTensor
@@ -203,22 +202,6 @@ def test_validate_rejects_face_cell_out_of_range(unit_square_4, cell):
     g.face_cells[3, 1] = cell
     with pytest.raises(MeshError, match=f"face 3 names cell {cell} of 16"):
         validate_grid(g)
-
-
-class TestMinCellDiameter:
-    def test_square(self, unit_square_4):
-        assert np.isclose(min_cell_diameter(unit_square_4), 0.25 * np.sqrt(2), rtol=1e-14)
-
-    def test_cube(self):
-        mesh = build_cartesian_with_fractures(FractureNetworkSpec(domain=((0.0, 1.0),) * 3), 2)
-        assert np.isclose(min_cell_diameter(mesh), 0.5 * np.sqrt(3), rtol=1e-14)
-
-    def test_nonuniform_takes_smallest(self):
-        nodes = np.array([0.0, 0.1, 1.0])
-        mesh = build_cartesian_with_fractures(
-            FractureNetworkSpec(domain=((0.0, 1.0), (0.0, 1.0))), (nodes, nodes)
-        )
-        assert np.isclose(min_cell_diameter(mesh), 0.1 * np.sqrt(2), rtol=1e-13)
 
 
 class TestIntersectionRules:

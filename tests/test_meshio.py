@@ -11,7 +11,6 @@ from fracfv.mdmesh import (
     FracturePatch,
     build_cartesian_with_fractures,
     load_mesh,
-    min_cell_diameter,
     save_mesh,
 )
 from fracfv.mdmesh.meshio import _derive_simplex_faces, _ordered_face_nodes
@@ -275,23 +274,6 @@ def test_bad_header_rejected(tmp_path):
     path.write_text("some-other-format 3\n")
     with pytest.raises(MeshFormatError):
         load_mesh(path)
-
-
-def test_simplex_min_cell_diameter_hand_check(tmp_path):
-    path = tmp_path / "tri.txt"
-    nodes, cells = write_triangle_square_mesh(path, perturb=0.5)
-    mesh = load_mesh(path)
-    # Independent oracle: smallest over cells of the largest node distance.
-    diameters = []
-    for cell in cells:
-        pts = nodes[cell]
-        d = max(
-            np.linalg.norm(pts[a] - pts[b])
-            for a in range(3)
-            for b in range(a + 1, 3)
-        )
-        diameters.append(d)
-    assert np.isclose(min_cell_diameter(mesh), min(diameters), rtol=1e-13)
 
 
 def test_perturbed_triangle_mesh_validates(tmp_path):

@@ -13,7 +13,6 @@ from fracfv.harness.export import (
 )
 from fracfv.harness.norms import (
     l2_error,
-    l2_error_detailed,
     least_squares_slope,
     nearest_cell_map,
 )
@@ -31,10 +30,8 @@ class TestL2Error:
         r = np.ones(4)
         assert l2_error(x, r, weights) == pytest.approx(0.1, rel=1e-12)
 
-    def test_zero_reference_flagged_absolute(self):
-        res = l2_error_detailed(np.array([2.0]), np.array([0.0]), np.array([4.0]))
-        assert not res.normalized
-        assert res.value == pytest.approx(4.0)
+    def test_zero_reference_gives_absolute_error(self):
+        assert l2_error(np.array([2.0]), np.array([0.0]), np.array([4.0])) == pytest.approx(4.0)
 
     def test_subset_restriction(self):
         x = np.array([1.0, 5.0])

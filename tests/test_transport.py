@@ -1,4 +1,4 @@
-"""Upwind transport: operator structure, stepping, monitoring, accounting."""
+"""Upwind transport: operator structure, stepping, probing, accounting."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,8 @@ from fracfv.mdmesh import FractureNetworkSpec, build_cartesian_with_fractures
 from fracfv.transport import (
     FluxGraph,
     TracerSimulation,
-    TransportState,
     factorize_step,
     flux_graph_from_system,
-    implicit_euler_step,
-    monitor,
     resolve_probe,
     upwind_operator,
     write_series_csv,
@@ -29,7 +26,6 @@ def _graph(connections, boundary, volumes):
     i, j, q = zip(*connections) if connections else ((), (), ())
     sd, face, cell, q_out = zip(*boundary) if boundary else ((), (), (), ())
     return FluxGraph(
-        n_cells=len(volumes),
         connections=(np.array(i, dtype=int), np.array(j, dtype=int), np.array(q, dtype=float)),
         boundary=(
             np.array(sd, dtype=int),
@@ -98,24 +94,25 @@ class TestImplicitEuler:
         graph = _graph(
             [], [(0, int(faces[0]), 0, -1.0), (0, int(faces[1]), 0, 1.0)], [1.0]
         )
-        op, inflow = upwind_operator(graph, [bc])
-        state = TransportState(np.array([1.0]))
-        state = implicit_euler_step(state, graph.volumes, op, inflow, None, 1.0)
+        state = TracerSimulation(graph, [bc], np.array([1.0]), 1.0).step()
         assert state.concentrations == pytest.approx([0.5])
         assert state.time == 1.0
 
     def test_no_flow_leaves_field_unchanged(self):
         graph = _graph([], [], [1.0, 2.0, 0.5])
-        op, inflow = upwind_operator(graph, [])
         initial = np.array([0.2, 0.9, 0.4])
-        state = implicit_euler_step(TransportState(initial.copy()), graph.volumes, op, inflow, None, 0.3)
+        state = TracerSimulation(graph, [], initial, 0.3).step()
         assert np.allclose(state.concentrations, initial, rtol=1e-14, atol=0.0)
 
-    def test_nonpositive_step_rejected(self):
+    def test_nonpositive_step_rejected(self, monkeypatch):
+        def factor(*args):
+            raise AssertionError("the step matrix was factored before dt was checked")
+
+        monkeypatch.setattr("fracfv.transport.factorize_step", factor)
         graph = _graph([], [], [1.0])
-        op, inflow = upwind_operator(graph, [])
-        with pytest.raises(TransportError):
-            implicit_euler_step(TransportState(np.zeros(1)), graph.volumes, op, inflow, None, 0.0)
+        for dt in (0.0, -0.4, np.inf, np.nan):
+            with pytest.raises(TransportError, match="step size"):
+                TracerSimulation(graph, [], np.zeros(1), dt)
 
     def test_operator_linear_in_fluxes(self):
         scale = 1.0 + 1e-6
@@ -143,12 +140,8 @@ def _flux_ordered(graph, bcs, dt) -> tuple[sps.csr_matrix, np.ndarray]:
 
 def _assert_matches_dense(graph, bcs, initial, dt):
     dense = _dense_step(graph, bcs, initial, dt)
-    op, inflow = upwind_operator(graph, bcs)
-    state = implicit_euler_step(TransportState(initial.copy()), graph.volumes, op, inflow, None, dt)
-    sim = TracerSimulation(graph, bcs, initial, dt)
-    scale = np.abs(dense).max()
-    for new in (state.concentrations, sim.step().concentrations):
-        assert np.abs(new - dense).max() <= 1e-13 * scale
+    new = TracerSimulation(graph, bcs, initial, dt).step().concentrations
+    assert np.abs(new - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def _inflow_outflow_bc():
@@ -232,13 +225,12 @@ class TestCaseTransport:
         probe = resolve_probe(mesh, np.array([1.0 - 0.125, 0.5 - 0.125, 0.5 - 0.125]), dims=3)
         sims = {}
         for n_steps in (50, 100):
-            sim = TracerSimulation(graph, bcs, np.ones(mesh.n_dofs), dt=0.5 / n_steps)
-            sim.run(n_steps, probe)
-            sims[n_steps] = sim.state.series
+            sim = TracerSimulation(graph, bcs, np.ones(mesh.n_dofs), 0.5 / n_steps, probe=probe)
+            sims[n_steps] = sim.run(n_steps).series
         coarse = np.array([v for _, v in sims[50]])
-        fine = np.array([v for _, v in sims[100]][1::2])  # matching sample times
+        fine = np.array([v for _, v in sims[100]][::2])  # matching sample times
         t_coarse = np.array([t for t, _ in sims[50]])
-        t_fine = np.array([t for t, _ in sims[100]][1::2])
+        t_fine = np.array([t for t, _ in sims[100]][::2])
         assert np.abs(t_coarse - t_fine).max() <= 1e-10
         assert np.abs(coarse - fine).max() <= 0.01
 
@@ -254,12 +246,10 @@ class TestMonitor:
             resolve_probe(unit_square_4, np.array([0.5, 0.125]))
 
     def test_constant_state_flat_series(self):
-        state = TransportState(np.full(3, 0.7))
-        monitor(state, 1)
-        state = TransportState(state.concentrations, 1.0, 1.0, state.series)
-        monitor(state, 1)
-        values = [v for _, v in state.series]
-        assert values == [0.7, 0.7]
+        graph = _graph([], [], [1.0, 1.0, 1.0])
+        sim = TracerSimulation(graph, [], np.full(3, 0.7), 0.5, probe=1)
+        assert sim.run(2).series == [(0.0, 0.7), (0.5, 0.7), (1.0, 0.7)]
+        assert TracerSimulation(graph, [], np.full(3, 0.7), 0.5).run(2).series == []
 
     def test_series_csv_round_trip(self, tmp_path):
         series = [(0.0, 1.0), (0.25, 0.5), (0.5, 0.125)]
