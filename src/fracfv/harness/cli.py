@@ -104,8 +104,11 @@ def main(argv=None) -> int:
     except MeshError as exc:
         print(f"mesh error: {exc}", file=sys.stderr)
         return 2
-    except (DiscretizationError, AssemblyError, EliminationError, TransportError) as exc:
+    except (DiscretizationError, AssemblyError, EliminationError) as exc:
         print(f"discretization error: {exc}", file=sys.stderr)
+        return 3
+    except TransportError as exc:
+        print(f"transport error: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

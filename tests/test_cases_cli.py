@@ -91,7 +91,11 @@ class TestZeroDOnly:
         (["2", "--override", "fine_resolution=0"], 1, "fine_resolution must be at least 1"),
         (["1.3", "--resolution", "0"], 1, "resolution must be at least 1"),
         (["1.3", "--resolution", "-2"], 1, "resolution must be at least 1"),
-        (["1.3", "--resolution", "4", "--override", "t_final=0"], 3, "step size must be"),
+        (
+            ["1.3", "--resolution", "4", "--override", "t_final=0"],
+            3,
+            "transport error: step size must be",
+        ),
     ],
     ids=["4-steps0", "4-steps-5", "3-steps0", "1.2-fine0", "2-fine0", "res0", "res-2", "dt0"],
 )

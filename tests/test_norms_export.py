@@ -1,10 +1,20 @@
 """Error norms, projections, field exports and report files."""
 
+import ast
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fracfv
+from fracfv.harness.cases import case2_fine_reference, case2_problem, case12_problem
 from fracfv.harness.export import (
     export_field_csv,
     export_field_vtk,
@@ -63,6 +73,165 @@ class TestProjection:
         h = np.array([0.25, 0.125, 0.0625])
         err = 3.0 * h**1.0
         assert least_squares_slope(h, err) == pytest.approx(1.0, abs=1e-12)
+
+
+def brute_force_squared_distances(fine, coarse):
+    """Every fine-to-coarse squared distance, summed axis by axis."""
+    d2 = np.zeros((len(fine), len(coarse)))
+    for axis in range(fine.shape[1]):
+        d2 = d2 + (fine[:, axis, None] - coarse[None, :, axis]) ** 2
+    return d2
+
+
+def assert_nearest(fine, coarse):
+    """The map picks a centre at the brute-force minimum distance, exactly,
+    and the brute-force argmin wherever that minimum is unique."""
+    mapping = nearest_cell_map(fine, coarse)
+    assert mapping.shape == (len(fine),)
+    assert mapping.dtype.kind == "i"
+    d2 = brute_force_squared_distances(fine, coarse)
+    minimum = d2.min(axis=1)
+    assert np.array_equal(d2[np.arange(len(fine)), mapping], minimum)
+    unique = (d2 == minimum[:, None]).sum(axis=1) == 1
+    assert np.array_equal(mapping[unique], d2.argmin(axis=1)[unique])
+
+
+COORDINATES = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_sets(draw):
+    """Fine and coarse point sets in 1 to 3 dimensions: a shuffled lattice
+    with holes, where many centres share rows and many distances tie, or
+    coarse points in general position."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        axes = [
+            draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True))
+            for _ in range(dim)
+        ]
+        scale = draw(st.sampled_from([1.0, 0.25, 0.1, 1e-3]))
+        lattice = np.array(list(itertools.product(*axes)), dtype=float) * scale
+        keep = draw(st.lists(st.booleans(), min_size=len(lattice), max_size=len(lattice)))
+        coarse = lattice[np.array(keep)] if any(keep) else lattice
+        coarse = coarse[np.array(draw(st.permutations(range(len(coarse)))), dtype=int)]
+        # Fine points on the half-step lattice sit on ties and on centres.
+        fine_lattice = st.lists(st.integers(-9, 9), min_size=dim, max_size=dim).map(
+            lambda p: [0.5 * scale * v for v in p]
+        )
+    else:
+        coarse = np.array(
+            draw(
+                st.lists(
+                    st.lists(COORDINATES, min_size=dim, max_size=dim), min_size=1, max_size=40
+                )
+            )
+        )
+        fine_lattice = st.lists(st.sampled_from(list(coarse.ravel())), min_size=dim, max_size=dim)
+    general = st.lists(COORDINATES, min_size=dim, max_size=dim)
+    fine = draw(st.lists(st.one_of(fine_lattice, general), min_size=1, max_size=40))
+    return np.array(fine, dtype=float), coarse
+
+
+class TestNearestCellMap:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_sets())
+    # Rows that differ in the last coordinate alone.
+    @example(
+        (
+            np.array([[0.2, 0.0, 0.9], [1.9, 0.0, 0.1]]),
+            np.array(list(itertools.product([0.0, 1.0, 2.0], [0.0], [0.0, 1.0]))),
+        )
+    )
+    def test_matches_brute_force(self, points):
+        assert_nearest(*points)
+
+    def test_ties_go_to_the_first_row_and_the_lower_neighbour(self):
+        coarse = np.array([[1.0, 1.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 1.0]])
+        fine = np.array([[0.0, 0.5], [0.0, 1.0], [1.0, 0.5]])
+        assert nearest_cell_map(fine, coarse).tolist() == [1, 3, 2]
+
+    def test_no_fine_points_give_an_empty_map(self):
+        for coarse in (np.ones((3, 2)), np.zeros((0, 2))):
+            mapping = nearest_cell_map(np.zeros((0, 2)), coarse)
+            assert mapping.shape == (0,)
+            assert mapping.dtype.kind == "i"
+
+    def test_no_coarse_centres_rejected(self):
+        with pytest.raises(ValueError, match="no coarse centres"):
+            nearest_cell_map(np.zeros((2, 2)), np.zeros((0, 2)))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="coordinates"):
+            nearest_cell_map(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_preset_groups_equal_kdtree(self):
+        """On case 2's 64 x 64 reference against its coarse grids, and on
+        case 1.2-lite's fine and coarse groups, the map is cKDTree's."""
+        from scipy.spatial import cKDTree
+
+        fine_mesh, _, _, strip = case2_fine_reference(64, 1.0)
+        fine_centres = fine_mesh.subdomains[0].cell_centres
+        pairs = []
+        for n in (4, 8, 16, 32):
+            _, mesh = case2_problem(n, 1.0)
+            dims = mesh.dof_dims()
+            for fine, coarse in ((~strip, dims == 2), (strip, dims == 1)):
+                pairs.append((fine_centres[fine], mesh.all_cell_centres()[coarse]))
+        _, fine_mesh = case12_problem(64)
+        _, mesh = case12_problem(16)
+        for d in (1, 2):
+            pairs.append(
+                (
+                    fine_mesh.all_cell_centres()[fine_mesh.dof_dims() == d],
+                    mesh.all_cell_centres()[mesh.dof_dims() == d],
+                )
+            )
+        for fine, coarse in pairs:
+            _, expected = cKDTree(coarse).query(fine)
+            assert np.array_equal(nearest_cell_map(fine, coarse), expected)
+
+
+# The modules perfbench/study.py imports, and the CLI.
+FRACFV_ENTRY_MODULES = [
+    "fracfv.coupling",
+    "fracfv.elimination",
+    "fracfv.fvdiscretize",
+    "fracfv.harness",
+    "fracfv.linsolve",
+    "fracfv.mdmesh",
+    "fracfv.tensors",
+    "fracfv.transport",
+    "fracfv.harness.cli",
+]
+
+
+def test_no_module_loads_scipy_spatial():
+    """A fresh interpreter that imports fracfv's entry modules has not loaded
+    scipy.spatial, and no fracfv source file imports it, even lazily. A
+    subprocess, because other tests import scipy.spatial into this one."""
+    source = Path(fracfv.__file__).parent
+    path = [str(source.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = (
+        "import importlib, sys\n"
+        f"for name in {FRACFV_ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+    for module in source.rglob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.spatial") for name in names), module
 
 
 @pytest.fixture()
