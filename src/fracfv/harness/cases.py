@@ -39,9 +39,14 @@ from ..transport import (
     flux_graph_from_reduced,
     flux_graph_from_system,
     resolve_probe,
+)
+from .export import (
+    export_field_csv,
+    export_field_vtk,
+    report_envelope,
+    write_report,
     write_series_csv,
 )
-from .export import export_field_csv, export_field_vtk, report_envelope, write_report
 from .norms import l2_error, least_squares_slope, nearest_cell_map
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: run cases, validate mesh documents.
 
-Exit codes: 0 success, 2 mesh errors, 3 discretization/assembly errors,
-4 solver errors (a singular or numerically singular system), 1 anything else.
+Exit codes: 0 success, 2 mesh errors (an unreadable mesh file included),
+3 discretization/assembly errors, 4 solver errors (a singular or numerically
+singular system), 1 anything else (artifacts that cannot be written included).
 Condition numbers have no size limit.
 """
 
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    except FracfvError as exc:
+    except (FracfvError, OSError) as exc:  # OSError: artifacts could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,9 +1,11 @@
-"""Field and report output: CSV (always), legacy VTK (on request), JSON reports."""
+"""Artifact output: field and series CSV (always), legacy VTK (on request),
+JSON reports."""
 
 from __future__ import annotations
 
 import json
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,107 +23,93 @@ def export_field_csv(mesh: MixedDimensionalMesh, values: np.ndarray, path, subse
     ``subset`` restricts the rows (boolean mask or index array over dofs).
     """
     path = Path(path)
-    n = mesh.n_dofs
-    mask = np.ones(n, dtype=bool)
-    if subset is not None:
-        subset = np.asarray(subset)
-        if subset.dtype == bool:
-            mask = subset
-        else:
-            mask = np.zeros(n, dtype=bool)
-            mask[subset] = True
-    centres = mesh.all_cell_centres()
-    dims = mesh.dof_dims()
-    sds = mesh.dof_subdomains()
-    volumes = mesh.all_cell_volumes()
-    values = np.asarray(values, dtype=float)
-    coord_names = ["x", "y", "z"][: mesh.ambient_dim]
-    with open(path, "w") as handle:
-        handle.write(",".join(coord_names + ["dim", "subdomain", "volume", "value"]) + "\n")
-        for dof in np.flatnonzero(mask):
-            coords = ",".join(f"{c:.17g}" for c in centres[dof])
-            handle.write(
-                f"{coords},{dims[dof]},{sds[dof]},{volumes[dof]:.17g},{values[dof]:.17g}\n"
-            )
+    keep = np.zeros(mesh.n_dofs, dtype=bool)
+    keep[slice(None) if subset is None else np.asarray(subset)] = True
+    columns = [mesh.dof_dims(), mesh.dof_subdomains(), mesh.all_cell_volumes(), values]
+    table = np.column_stack([mesh.all_cell_centres(), *columns])[keep]
+    coords = ["x", "y", "z"][: mesh.ambient_dim]
+    header = ",".join(coords + ["dim", "subdomain", "volume", "value"])
+    fmt = ["%.17g"] * len(coords) + ["%d", "%d", "%.17g", "%.17g"]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
     return path
 
 
 def read_field_csv(path) -> dict[str, np.ndarray]:
-    """Parse a field CSV back into arrays keyed by column name."""
+    """Parse a field CSV back into arrays keyed by column name; ``dim`` and
+    ``subdomain`` are integers."""
     with open(path) as handle:
         header = handle.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in handle if line.strip()]
-    out = {}
-    for i, name in enumerate(header):
-        col = [row[i] for row in rows]
-        if name in ("dim", "subdomain"):
-            out[name] = np.array([int(v) for v in col], dtype=int)
-        else:
-            out[name] = np.array([float(v) for v in col])
-    return out
+        columns = [(name, int if name in ("dim", "subdomain") else float) for name in header]
+        with warnings.catch_warnings():  # a header-only file is an empty field
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(handle, dtype=columns, delimiter=",", ndmin=1)
+    return {name: table[name] for name in header}
 
 
-_VTK_SIMPLEX = {1: 3, 2: 5, 3: 10}  # line, triangle, tetrahedron
-_VTK_BOX = {1: 3, 2: 8, 3: 11}  # line, pixel, voxel
+def write_series_csv(path, series) -> None:
+    """Monitored (time, concentration) samples as CSV with header
+    ``time,concentration``."""
+    samples = np.reshape(series, (-1, 2))
+    np.savetxt(path, samples, fmt="%.17g", delimiter=",", header="time,concentration", comments="")
 
 
-def export_field_vtk(mesh: MixedDimensionalMesh, values: np.ndarray, path, dims=None) -> Path:
-    """Legacy-VTK unstructured export of 2D/3D subdomains with cell data.
+_VTK_SIMPLEX = {2: 5, 3: 10}  # triangle, tetrahedron
+_VTK_BOX = {2: 8, 3: 11}  # pixel, voxel
+
+
+def export_field_vtk(mesh: MixedDimensionalMesh, values: np.ndarray, path) -> Path:
+    """Legacy-VTK unstructured export of the 2D/3D subdomains with cell data.
 
     Cartesian cells map to pixel/voxel types (axis-aligned node ordering),
     simplex cells to triangle/tetrahedron.
     """
     path = Path(path)
     values = np.asarray(values, dtype=float)
-    if dims is None:
-        dims = [d for d in (2, 3) if d <= mesh.ambient_dim]
-    points = []
-    cells = []
-    cell_types = []
-    cell_values = []
+    points, cells, types, data = [], [], [], []
+    n_points = 0
     for sd, grid in enumerate(mesh.subdomains):
-        if grid.dim not in dims:
+        if grid.dim < 2:
             continue
-        offset = len(points)
-        pts = np.zeros((grid.n_nodes, 3))
-        pts[:, : mesh.ambient_dim] = grid.nodes
-        points.extend(pts.tolist())
-        simplex = grid.kind == "simplex"
-        for c, node_list in enumerate(grid.cell_node_lists()):
-            node_list = list(node_list)
-            if simplex:
-                vtk_type = _VTK_SIMPLEX[grid.dim]
-            else:
-                vtk_type = _VTK_BOX[grid.dim]
-                order = np.lexsort(grid.nodes[node_list].T)  # last key x: voxel order
-                node_list = [node_list[i] for i in order]
-            cells.append([offset + int(v) for v in node_list])
-            cell_types.append(vtk_type)
-            cell_values.append(values[mesh.global_index(sd, c)])
+        cn = grid.cell_nodes.tocsc()
+        widths = np.diff(cn.indptr)
+        if widths.min() != widths.max():
+            raise FracfvError(f"subdomain {sd}: VTK export needs one node count for all cells")
+        rows = cn.indices.reshape(grid.n_cells, widths[0])
+        if grid.kind == "simplex":
+            vtk_type = _VTK_SIMPLEX[grid.dim]
+        else:
+            vtk_type = _VTK_BOX[grid.dim]
+            # Sort each cell's nodes with x varying fastest: pixel/voxel order.
+            keys = np.moveaxis(grid.nodes[rows], -1, 0)
+            rows = np.take_along_axis(rows, np.lexsort(keys, axis=-1), axis=1)
+        points.append(np.pad(grid.nodes, ((0, 0), (0, 3 - mesh.ambient_dim))))
+        cells.append(np.column_stack([widths, rows + n_points]))
+        types.append(np.full(grid.n_cells, vtk_type))
+        data.append(values[mesh.subdomain_slice(sd)])
+        n_points += grid.n_nodes
+    n_cells = sum(block.size for block in types)
+    sections = [
+        (f"POINTS {n_points} double", points, "%.17g"),
+        (f"CELLS {n_cells} {sum(block.size for block in cells)}", cells, "%d"),
+        (f"CELL_TYPES {n_cells}", types, "%d"),
+        (f"CELL_DATA {n_cells}\nSCALARS value double 1\nLOOKUP_TABLE default", data, "%.17g"),
+    ]
     with open(path, "w") as handle:
         handle.write("# vtk DataFile Version 2.0\n")
         handle.write("fracfv cell field\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        handle.write(f"POINTS {len(points)} double\n")
-        for p in points:
-            handle.write(" ".join(f"{v:.17g}" for v in p) + "\n")
-        total = sum(len(c) + 1 for c in cells)
-        handle.write(f"CELLS {len(cells)} {total}\n")
-        for c in cells:
-            handle.write(" ".join(str(v) for v in [len(c)] + c) + "\n")
-        handle.write(f"CELL_TYPES {len(cells)}\n")
-        for t in cell_types:
-            handle.write(f"{t}\n")
-        handle.write(f"CELL_DATA {len(cells)}\nSCALARS value double 1\nLOOKUP_TABLE default\n")
-        for v in cell_values:
-            handle.write(f"{v:.17g}\n")
+        for title, blocks, fmt in sections:
+            handle.write(title + "\n")
+            for block in blocks:
+                np.savetxt(handle, block, fmt=fmt)
     return path
 
 
 def build_identifier() -> str:
-    """git describe of the working tree, or the package version."""
+    """git describe of the tree holding this source, or the package version."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,

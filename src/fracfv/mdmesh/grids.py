@@ -108,10 +108,6 @@ class SubdomainGrid:
         """Boundary faces that lie on the physical domain boundary."""
         return self.boundary_faces & ~self.internal_boundary
 
-    def cell_node_lists(self) -> list[np.ndarray]:
-        cn = self.cell_nodes.tocsc()
-        return [cn.indices[cn.indptr[c] : cn.indptr[c + 1]] for c in range(self.n_cells)]
-
     def diameter(self) -> float:
         """Extent of the subdomain's bounding box diagonal."""
         if self.n_nodes == 0:

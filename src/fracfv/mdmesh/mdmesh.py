@@ -64,17 +64,11 @@ class MixedDimensionalMesh:
 
     def dof_subdomains(self) -> np.ndarray:
         """Subdomain index per global dof."""
-        out = np.empty(self.n_dofs, dtype=int)
-        for i, g in enumerate(self.subdomains):
-            out[self.subdomain_slice(i)] = i
-        return out
+        return np.repeat(np.arange(len(self.subdomains)), np.diff(self._offsets))
 
     def dof_dims(self) -> np.ndarray:
         """Subdomain dimension per global dof."""
-        out = np.empty(self.n_dofs, dtype=int)
-        for i, g in enumerate(self.subdomains):
-            out[self.subdomain_slice(i)] = g.dim
-        return out
+        return np.array([g.dim for g in self.subdomains])[self.dof_subdomains()]
 
     def all_cell_volumes(self) -> np.ndarray:
         return np.concatenate([g.cell_volumes for g in self.subdomains])

@@ -59,6 +59,17 @@ def _by_length(lists: list[list[int]]):
         yield positions, stacked.reshape(positions.size, length)
 
 
+def _incidence(node_lists: list[list[int]], n_nodes: int) -> sps.csc_matrix:
+    """Boolean incidence, sparse (n_nodes, len(node_lists)), of entities
+    given by their node lists."""
+    counts = np.fromiter(map(len, node_lists), dtype=int, count=len(node_lists))
+    rows = np.fromiter(itertools.chain.from_iterable(node_lists), dtype=int, count=counts.sum())
+    cols = np.repeat(np.arange(len(node_lists)), counts)
+    return sps.csc_matrix(
+        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n_nodes, len(node_lists))
+    )
+
+
 def _polygon_geometry(nodes: np.ndarray, face_node_lists: list[list[int]]):
     """Areas, unit normals and centroids of planar polygons in 3D.
 
@@ -152,17 +163,6 @@ def _build_grid_from_entities(
         bad = int(np.argmin(cell_measures))
         raise MeshFormatError(f"cell {bad} has non-positive volume {cell_measures[bad]:.3e}")
 
-    fn_rows = [n for l in face_node_lists for n in l]
-    fn_cols = [f for f, l in enumerate(face_node_lists) for _ in l]
-    face_nodes = sps.csc_matrix(
-        (np.ones(len(fn_rows), dtype=bool), (fn_rows, fn_cols)), shape=(n_nodes, n_faces)
-    )
-    cn_rows = [n for l in cell_node_lists for n in l]
-    cn_cols = [c for c, l in enumerate(cell_node_lists) for _ in l]
-    cell_nodes = sps.csc_matrix(
-        (np.ones(len(cn_rows), dtype=bool), (cn_rows, cn_cols)), shape=(n_nodes, n_cells)
-    )
-
     return SubdomainGrid(
         dim=dim,
         ambient_dim=ambient,
@@ -173,8 +173,8 @@ def _build_grid_from_entities(
         face_normals=face_normals,
         geometric_face_measures=face_measures,
         face_cells=table,
-        face_nodes=face_nodes,
-        cell_nodes=cell_nodes,
+        face_nodes=_incidence(face_node_lists, n_nodes),
+        cell_nodes=_incidence(cell_node_lists, n_nodes),
         aperture=aperture,
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind=kind,
@@ -182,23 +182,24 @@ def _build_grid_from_entities(
 
 
 def _derive_simplex_faces(dim: int, cell_node_lists: list[list[int]]):
-    """Facets of a simplex mesh: all d-subsets of each cell's d+1 nodes."""
-    face_index: dict[tuple, int] = {}
-    face_node_lists: list[list[int]] = []
-    face_cells: list[list[int]] = []
-    for c, cell_nodes in enumerate(cell_node_lists):
-        for facet in itertools.combinations(sorted(cell_nodes), dim):
-            key = tuple(facet)
-            f = face_index.get(key)
-            if f is None:
-                face_index[key] = f = len(face_node_lists)
-                face_node_lists.append(list(facet))
-                face_cells.append([c, -1])
-            else:
-                if face_cells[f][1] != -1:
-                    raise MeshFormatError(f"facet {key} shared by more than two cells")
-                face_cells[f][1] = c
-    return face_node_lists, [tuple(fc) for fc in face_cells]
+    """Facets of a simplex mesh: all d-subsets of each cell's d+1 nodes,
+    numbered in order of first appearance, with the first cell that lists a
+    facet on its plus side."""
+    cells = np.sort(np.reshape(cell_node_lists, (-1, dim + 1)), axis=1)
+    facets = cells[:, list(itertools.combinations(range(dim + 1), dim))].reshape(-1, dim)
+    # Equal facets sort next to each other, in cell order: lexsort is stable.
+    order = np.lexsort(facets.T[::-1])
+    again = np.flatnonzero(np.all(np.diff(facets[order], axis=0) == 0, axis=1)) + 1
+    third = again[np.isin(again - 1, again)]
+    if third.size:
+        key = tuple(facets[order[third].min()].tolist())
+        raise MeshFormatError(f"facet {key} shared by more than two cells")
+    first = np.ones(order.size, dtype=bool)
+    first[order[again]] = False
+    face_cells = np.full((np.count_nonzero(first), 2), -1)
+    face_cells[:, 0] = np.flatnonzero(first) // (dim + 1)
+    face_cells[np.cumsum(first)[order[again - 1]] - 1, 1] = order[again] // (dim + 1)
+    return facets[first].tolist(), face_cells
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +263,14 @@ def load_mesh(path) -> MixedDimensionalMesh:
     """Read a conforming mixed-dimensional mesh and validate all invariants.
 
     Raises:
-        MeshFormatError: Structural problems in the document.
+        MeshFormatError: An unreadable file, or structural problems in the
+            document.
         ConformityError: Interface pairs that do not match geometrically.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read mesh document {path}: {exc}") from exc
     lines = _Lines(text)
     header = lines.next().split()
     if header != [FORMAT_NAME, str(FORMAT_VERSION)]:
@@ -352,57 +357,62 @@ def load_mesh(path) -> MixedDimensionalMesh:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_face_nodes(grid: SubdomainGrid) -> list[np.ndarray]:
-    """Each face's nodes, ordered along the polygon boundary for 3D polygons.
+def _ordered_face_nodes(grid: SubdomainGrid) -> np.ndarray:
+    """The nodes of every face, face by face as in the CSC ``face_nodes``,
+    with the nodes of each 3D polygon ordered along its boundary.
 
     Polygons are sorted by angle about their node mean in an orthonormal
     basis of their plane; all polygons with the same node count share one
     stacked SVD.
     """
     fn = grid.face_nodes.tocsc()
-    node_lists = [fn.indices[a:b] for a, b in zip(fn.indptr[:-1], fn.indptr[1:])]
+    nodes, widths = fn.indices.copy(), np.diff(fn.indptr)
     if grid.dim < 3:
-        return node_lists
-    for faces, node_rows in _by_length(node_lists):
-        if node_rows.shape[1] <= 3:
-            continue
+        return nodes
+    for width in np.unique(widths[widths > 3]):
+        slots = fn.indptr[:-1][widths == width, None] + np.arange(width)
+        node_rows = nodes[slots]
         shifted = grid.nodes[node_rows] - grid.nodes[node_rows].mean(axis=1, keepdims=True)
         _, _, vt = np.linalg.svd(shifted, full_matrices=False)
         angles = np.arctan2(
             np.einsum("fkd,fd->fk", shifted, vt[:, 1]), np.einsum("fkd,fd->fk", shifted, vt[:, 0])
         )
-        ordered = np.take_along_axis(node_rows, np.argsort(angles, axis=1), axis=1)
-        for f, row in zip(faces, ordered):
-            node_lists[f] = row
-    return node_lists
+        nodes[slots] = np.take_along_axis(node_rows, np.argsort(angles, axis=1), axis=1)
+    return nodes
+
+
+def _index_lines(widths: np.ndarray, values: np.ndarray, prefix: str = "") -> str:
+    """One line per entry of ``widths``: ``prefix``, then that many integers
+    from ``values`` separated by spaces. The ``%d`` fields of ``prefix`` take
+    their integers from ``values`` first."""
+    unique, which = np.unique(widths, return_inverse=True)
+    formats = np.array([prefix + " ".join(["%d"] * w) + "\n" for w in unique.tolist()])
+    return "".join(formats[which]) % tuple(values.tolist())
 
 
 def save_mesh(mesh: MixedDimensionalMesh, path) -> None:
     """Write a mesh with explicit faces so split topologies round-trip."""
-    out = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
-    out.append(f"ambient {mesh.ambient_dim}")
-    out.append(f"subdomains {len(mesh.subdomains)}")
-    for idx, grid in enumerate(mesh.subdomains):
-        out.append(f"subdomain {idx}")
-        out.append(f"dim {grid.dim}")
-        out.append(f"aperture {grid.aperture:.17g}")
-        out.append(f"nodes {grid.n_nodes}")
-        for row in grid.nodes:
-            out.append(" ".join(f"{v:.17g}" for v in row))
-        cell_type = "simplex" if grid.kind == "simplex" else "explicit"
-        out.append(f"cells {grid.n_cells} {cell_type}")
-        for node_list in grid.cell_node_lists():
-            out.append(" ".join(str(n) for n in node_list))
-        if grid.n_faces or grid.dim > 0:
-            out.append(f"faces {grid.n_faces}")
-            for (c_plus, c_minus), node_list in zip(grid.face_cells, _ordered_face_nodes(grid)):
-                node_str = " ".join(str(n) for n in node_list)
-                out.append(f"{c_plus} {c_minus} : {node_str}")
-        out.append("end")
-    out.append(f"interfaces {len(mesh.interfaces)}")
-    for intf in mesh.interfaces:
-        out.append(f"interface {intf.higher} {intf.lower} {intf.n_pairs}")
-        for face, cell in intf.face_cell_pairs:
-            out.append(f"{face} {cell}")
-    out.append("end")
-    Path(path).write_text("\n".join(out) + "\n")
+    with open(path, "w") as handle:
+        handle.write(f"{FORMAT_NAME} {FORMAT_VERSION}\n")
+        handle.write(f"ambient {mesh.ambient_dim}\nsubdomains {len(mesh.subdomains)}\n")
+        for idx, grid in enumerate(mesh.subdomains):
+            handle.write(f"subdomain {idx}\ndim {grid.dim}\naperture {grid.aperture:.17g}\n")
+            handle.write(f"nodes {grid.n_nodes}\n")
+            np.savetxt(handle, grid.nodes, fmt="%.17g")
+            cell_type = "simplex" if grid.kind == "simplex" else "explicit"
+            handle.write(f"cells {grid.n_cells} {cell_type}\n")
+            cn = grid.cell_nodes.tocsc()
+            handle.write(_index_lines(np.diff(cn.indptr), cn.indices))
+            if grid.n_faces or grid.dim > 0:
+                handle.write(f"faces {grid.n_faces}\n")
+                indptr = grid.face_nodes.tocsc().indptr
+                values = np.insert(
+                    _ordered_face_nodes(grid), np.repeat(indptr[:-1], 2), grid.face_cells.ravel()
+                )
+                handle.write(_index_lines(np.diff(indptr), values, "%d %d : "))
+            handle.write("end\n")
+        handle.write(f"interfaces {len(mesh.interfaces)}\n")
+        for intf in mesh.interfaces:
+            handle.write(f"interface {intf.higher} {intf.lower} {intf.n_pairs}\n")
+            np.savetxt(handle, intf.face_cell_pairs, fmt="%d")
+        handle.write("end\n")

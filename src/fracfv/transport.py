@@ -243,7 +243,9 @@ class TracerSimulation:
     ``state.series`` as (time, concentration) at t = 0 and after every step.
 
     Raises:
-        TransportError: ``dt`` is not finite and positive.
+        TransportError: ``dt`` is not finite and positive, ``initial`` or
+            ``source_rates`` is not one value per cell, or ``probe`` is not
+            a cell.
     """
 
     def __init__(
@@ -258,6 +260,13 @@ class TracerSimulation:
         self.dt = float(dt)
         if not (np.isfinite(self.dt) and self.dt > 0.0):
             raise TransportError(f"step size must be finite and positive, got {dt}")
+        for name, array in (("initial", initial), ("source_rates", source_rates)):
+            if array is not None and np.shape(array) != (graph.n_cells,):
+                raise TransportError(
+                    f"{name} has shape {np.shape(array)}, expected ({graph.n_cells},)"
+                )
+        if probe is not None and not 0 <= probe < graph.n_cells:
+            raise TransportError(f"probe cell {probe} is out of range [0, {graph.n_cells})")
         self.graph = graph
         self.operator, self.inflow = upwind_operator(graph, transport_bcs)
         self.source_rates = source_rates
@@ -315,10 +324,3 @@ class TracerSimulation:
             self.step()
         return self.state
 
-
-def write_series_csv(path, series) -> None:
-    """Monitored samples as CSV with header ``time,concentration``."""
-    with open(path, "w") as handle:
-        handle.write("time,concentration\n")
-        for t, value in series:
-            handle.write(f"{t:.17g},{value:.17g}\n")

@@ -286,6 +286,22 @@ class TestCommandLine:
         assert main(["validate-mesh", str(path)]) == 2
         assert "malformed line 'nodes four'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_validate_mesh_unreadable_file_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "mesh.txt"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(UNIT_SQUARE_CELL.encode() + b"# \xff\xfe\n")
+        assert main(["validate-mesh", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"mesh error: cannot read mesh document {path}")
+
+    def test_unwritable_output_directory_exit_code(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["run", "1.1", "--resolution", "4", "--out", str(blocker / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_override_exit_code(self, tmp_path, capsys):
         code = main(["run", "1.1", "--override", "bogus=1", "--out", str(tmp_path)])
         assert code == 1

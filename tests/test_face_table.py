@@ -1081,8 +1081,8 @@ def test_distance_corrected_interfaces_match_loop_oracle():
 @pytest.mark.parametrize("build", [lambda: cases.case13_problem(4)[1], lambda: cases.case4_problem(8)[1]])
 def test_ordered_face_nodes_match_loop(build):
     for grid in build().subdomains:
-        ordered = _ordered_face_nodes(grid)
-        assert [list(row) for row in ordered] == [
+        ordered, indptr = _ordered_face_nodes(grid), grid.face_nodes.tocsc().indptr
+        assert [list(ordered[a:b]) for a, b in zip(indptr[:-1], indptr[1:])] == [
             loop_ordered_face_nodes(grid, f) for f in range(grid.n_faces)
         ]
 

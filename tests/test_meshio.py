@@ -1,11 +1,21 @@
-"""Mesh document format: import, export, round-trips and error paths."""
+"""Mesh document format: import, export, round-trips and error paths.
+
+The per-row writer that ``save_mesh`` replaced and the dictionary loop that
+derived simplex facets are kept here as reference oracles.
+"""
+
+import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNIT_SQUARE_CELL, write_kuhn_mesh, write_triangle_square_mesh
 from fracfv.errors import ConformityError, MeshFormatError
-from fracfv.harness.cases import case13_problem
+from fracfv.harness.cases import case4_problem, case13_problem
 from fracfv.mdmesh import (
     FractureNetworkSpec,
     FracturePatch,
@@ -33,6 +43,78 @@ end
 interfaces 0
 end
 """
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-row writer and the facet loop
+# ---------------------------------------------------------------------------
+
+
+def _face_node_lists(grid):
+    """Each face's nodes, 3D polygons' in boundary order."""
+    ordered, indptr = _ordered_face_nodes(grid), grid.face_nodes.tocsc().indptr
+    return [ordered[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+
+
+def loop_save_mesh(mesh, path):
+    out = ["fracfv-mesh 1", f"ambient {mesh.ambient_dim}", f"subdomains {len(mesh.subdomains)}"]
+    for idx, grid in enumerate(mesh.subdomains):
+        out.append(f"subdomain {idx}")
+        out.append(f"dim {grid.dim}")
+        out.append(f"aperture {grid.aperture:.17g}")
+        out.append(f"nodes {grid.n_nodes}")
+        for row in grid.nodes:
+            out.append(" ".join(f"{v:.17g}" for v in row))
+        cell_type = "simplex" if grid.kind == "simplex" else "explicit"
+        out.append(f"cells {grid.n_cells} {cell_type}")
+        cn = grid.cell_nodes.tocsc()
+        for c in range(grid.n_cells):
+            out.append(" ".join(str(n) for n in cn.indices[cn.indptr[c] : cn.indptr[c + 1]]))
+        if grid.n_faces or grid.dim > 0:
+            out.append(f"faces {grid.n_faces}")
+            for (c_plus, c_minus), node_list in zip(grid.face_cells, _face_node_lists(grid)):
+                node_str = " ".join(str(n) for n in node_list)
+                out.append(f"{c_plus} {c_minus} : {node_str}")
+        out.append("end")
+    out.append(f"interfaces {len(mesh.interfaces)}")
+    for intf in mesh.interfaces:
+        out.append(f"interface {intf.higher} {intf.lower} {intf.n_pairs}")
+        for face, cell in intf.face_cell_pairs:
+            out.append(f"{face} {cell}")
+    out.append("end")
+    Path(path).write_text("\n".join(out) + "\n")
+
+
+def loop_derive_simplex_faces(dim, cell_node_lists):
+    face_index = {}
+    face_node_lists = []
+    face_cells = []
+    for c, cell_nodes in enumerate(cell_node_lists):
+        for facet in itertools.combinations(sorted(cell_nodes), dim):
+            key = tuple(facet)
+            f = face_index.get(key)
+            if f is None:
+                face_index[key] = f = len(face_node_lists)
+                face_node_lists.append(list(facet))
+                face_cells.append([c, -1])
+            else:
+                if face_cells[f][1] != -1:
+                    raise MeshFormatError(f"facet {key} shared by more than two cells")
+                face_cells[f][1] = c
+    return face_node_lists, [tuple(fc) for fc in face_cells]
+
+
+def _assert_faces_match_loop(dim, cells):
+    try:
+        expected = loop_derive_simplex_faces(dim, cells)
+    except MeshFormatError as exc:
+        with pytest.raises(MeshFormatError) as raised:
+            _derive_simplex_faces(dim, cells)
+        assert str(raised.value) == str(exc)
+        return
+    faces, face_cells = _derive_simplex_faces(dim, cells)
+    assert faces == expected[0]
+    assert face_cells.tolist() == [list(fc) for fc in expected[1]]
 
 
 def test_triangle_pair_import(tmp_path):
@@ -121,7 +203,7 @@ def test_polygon_geometry_matches_loop_on_case13_round_trip(tmp_path):
     loaded = load_mesh(path)
     for original, grid in zip(mesh.subdomains, loaded.subdomains):
         if grid.dim == 3:
-            _assert_polygon_faces_match_loop(grid, _ordered_face_nodes(original))
+            _assert_polygon_faces_match_loop(grid, _face_node_lists(original))
 
 
 def test_polygon_geometry_matches_loop_on_perturbed_tetrahedra(tmp_path):
@@ -283,3 +365,73 @@ def test_perturbed_triangle_mesh_validates(tmp_path):
     mesh.validate()
     g = mesh.subdomains[0]
     assert np.isclose(g.geometric_cell_measures.sum(), 1.0, rtol=1e-12)
+
+
+def _fractured(dim):
+    fracture = FracturePatch(dim - 1, 0.5, ((0.0, 1.0),) * (dim - 1), 1e-3, 1.0, "f")
+    spec = FractureNetworkSpec(domain=((0.0, 1.0),) * dim, fractures=[fracture])
+    return build_cartesian_with_fractures(spec, 2)
+
+
+def _kuhn(tmp_path):
+    write_kuhn_mesh(tmp_path / "kuhn.txt", 3, seed=9)
+    return load_mesh(tmp_path / "kuhn.txt")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tmp_path: _fractured(2),
+        lambda tmp_path: _fractured(3),
+        lambda tmp_path: case13_problem(resolution=4)[1],
+        lambda tmp_path: case4_problem()[1],
+        _kuhn,
+    ],
+    ids=["fracture-2d", "fracture-3d", "case13", "case4", "kuhn"],
+)
+def test_save_mesh_matches_loop(tmp_path, build):
+    mesh = build(tmp_path)
+    save_mesh(mesh, tmp_path / "mesh.txt")
+    loop_save_mesh(mesh, tmp_path / "loop.txt")
+    assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
+def test_derived_faces_match_loop_on_preset_simplex_meshes(tmp_path):
+    _assert_faces_match_loop(3, write_kuhn_mesh(tmp_path / "kuhn.txt", 3, seed=4))
+    _assert_faces_match_loop(2, write_triangle_square_mesh(tmp_path / "tri.txt")[1])
+    _assert_faces_match_loop(1, [[0, 1], [2, 1], [2, 3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(
+            st.just(dim),
+            st.lists(
+                st.lists(st.integers(0, 6), min_size=dim + 1, max_size=dim + 1, unique=True),
+                min_size=1,
+                max_size=8,
+            ),
+        )
+    )
+)
+def test_derived_faces_match_loop_on_random_cells(case):
+    _assert_faces_match_loop(*case)
+
+
+def test_facet_shared_by_three_cells_rejected():
+    cells = [[0, 1, 2], [1, 0, 3], [4, 1, 0], [3, 0, 5]]
+    with pytest.raises(MeshFormatError, match=r"facet \(0, 1\) shared by more than two cells"):
+        _derive_simplex_faces(2, cells)
+    _assert_faces_match_loop(2, cells)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_file_rejected(tmp_path, kind):
+    path = tmp_path / "mesh.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(TRIANGLE_PAIR.encode() + b"# \xff\xfe\n")
+    with pytest.raises(MeshFormatError, match=re.escape(f"cannot read mesh document {path}")):
+        load_mesh(path)

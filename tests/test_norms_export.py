@@ -1,4 +1,9 @@
-"""Error norms, projections, field exports and report files."""
+"""Error norms, projections, field and series exports, and report files.
+
+The per-row writers and the per-value reader that numpy's ``savetxt`` and
+``loadtxt`` replaced are kept here as reference oracles: the array versions
+must write the same bytes and parse the same bits.
+"""
 
 import ast
 import itertools
@@ -14,19 +19,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracfv
+from conftest import write_kuhn_mesh
+from fracfv.errors import FracfvError
 from fracfv.harness.cases import case2_fine_reference, case2_problem, case12_problem
 from fracfv.harness.export import (
+    build_identifier,
     export_field_csv,
     export_field_vtk,
     read_field_csv,
     write_report,
+    write_series_csv,
 )
 from fracfv.harness.norms import (
     l2_error,
     least_squares_slope,
     nearest_cell_map,
 )
-from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
+from fracfv.mdmesh import (
+    FractureNetworkSpec,
+    FracturePatch,
+    build_cartesian_with_fractures,
+    load_mesh,
+)
 
 
 class TestL2Error:
@@ -234,6 +248,118 @@ def test_no_module_loads_scipy_spatial():
             assert not any(name.startswith("scipy.spatial") for name in names), module
 
 
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-row writers and reader the numpy versions replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_field_csv(mesh, values, path, subset=None):
+    mask = np.ones(mesh.n_dofs, dtype=bool)
+    if subset is not None:
+        subset = np.asarray(subset)
+        if subset.dtype == bool:
+            mask = subset
+        else:
+            mask = np.zeros(mesh.n_dofs, dtype=bool)
+            mask[subset] = True
+    centres = mesh.all_cell_centres()
+    dims = mesh.dof_dims()
+    sds = mesh.dof_subdomains()
+    volumes = mesh.all_cell_volumes()
+    values = np.asarray(values, dtype=float)
+    coord_names = ["x", "y", "z"][: mesh.ambient_dim]
+    with open(path, "w") as handle:
+        handle.write(",".join(coord_names + ["dim", "subdomain", "volume", "value"]) + "\n")
+        for dof in np.flatnonzero(mask):
+            coords = ",".join(f"{c:.17g}" for c in centres[dof])
+            handle.write(
+                f"{coords},{dims[dof]},{sds[dof]},{volumes[dof]:.17g},{values[dof]:.17g}\n"
+            )
+
+
+def loop_read_field_csv(path):
+    with open(path) as handle:
+        header = handle.readline().strip().split(",")
+        rows = [line.strip().split(",") for line in handle if line.strip()]
+    out = {}
+    for i, name in enumerate(header):
+        col = [row[i] for row in rows]
+        if name in ("dim", "subdomain"):
+            out[name] = np.array([int(v) for v in col], dtype=int)
+        else:
+            out[name] = np.array([float(v) for v in col])
+    return out
+
+
+def loop_series_csv(path, series):
+    with open(path, "w") as handle:
+        handle.write("time,concentration\n")
+        for t, value in series:
+            handle.write(f"{t:.17g},{value:.17g}\n")
+
+
+def loop_field_vtk(mesh, values, path):
+    values = np.asarray(values, dtype=float)
+    points, cells, cell_types, cell_values = [], [], [], []
+    for sd, grid in enumerate(mesh.subdomains):
+        if grid.dim not in (2, 3):
+            continue
+        offset = len(points)
+        pts = np.zeros((grid.n_nodes, 3))
+        pts[:, : mesh.ambient_dim] = grid.nodes
+        points.extend(pts.tolist())
+        cn = grid.cell_nodes.tocsc()
+        for c in range(grid.n_cells):
+            node_list = list(cn.indices[cn.indptr[c] : cn.indptr[c + 1]])
+            if grid.kind == "simplex":
+                vtk_type = {2: 5, 3: 10}[grid.dim]
+            else:
+                vtk_type = {2: 8, 3: 11}[grid.dim]
+                order = np.lexsort(grid.nodes[node_list].T)
+                node_list = [node_list[i] for i in order]
+            cells.append([offset + int(v) for v in node_list])
+            cell_types.append(vtk_type)
+            cell_values.append(values[mesh.global_index(sd, c)])
+    with open(path, "w") as handle:
+        handle.write("# vtk DataFile Version 2.0\n")
+        handle.write("fracfv cell field\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        handle.write(f"POINTS {len(points)} double\n")
+        for p in points:
+            handle.write(" ".join(f"{v:.17g}" for v in p) + "\n")
+        total = sum(len(c) + 1 for c in cells)
+        handle.write(f"CELLS {len(cells)} {total}\n")
+        for c in cells:
+            handle.write(" ".join(str(v) for v in [len(c)] + c) + "\n")
+        handle.write(f"CELL_TYPES {len(cells)}\n")
+        for t in cell_types:
+            handle.write(f"{t}\n")
+        handle.write(f"CELL_DATA {len(cells)}\nSCALARS value double 1\nLOOKUP_TABLE default\n")
+        for v in cell_values:
+            handle.write(f"{v:.17g}\n")
+
+
+def _field_values(n, seed):
+    """Random values spanning many magnitudes, with a signed zero and an
+    infinity among them."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[: min(n, 2)] = [-0.0, np.inf][: min(n, 2)]
+    return values
+
+
+def _fractured_mesh(dim):
+    """A unit square or cube split by one fracture through its middle."""
+    fracture = FracturePatch(dim - 1, 0.5, ((0.0, 1.0),) * (dim - 1), 1e-2, 1.0, "f")
+    spec = FractureNetworkSpec(domain=((0.0, 1.0),) * dim, fractures=[fracture])
+    return build_cartesian_with_fractures(spec, 4)
+
+
+def _kuhn_mesh(tmp_path):
+    path = tmp_path / "kuhn.txt"
+    write_kuhn_mesh(path, 3, seed=5)
+    return load_mesh(path)
+
+
 @pytest.fixture()
 def small_fractured_mesh():
     spec = FractureNetworkSpec(
@@ -281,6 +407,73 @@ class TestFieldExport:
         assert n_cells == expected
         assert any(l.startswith("CELL_DATA") for l in text)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("subset", ["none", "mask", "index", "empty"])
+    def test_csv_matches_loop(self, tmp_path, dim, subset):
+        mesh = _fractured_mesh(dim)
+        rows = {
+            "none": None,
+            "mask": mesh.dof_dims() < dim,
+            "index": np.array([5, 0, 5, mesh.n_dofs - 1, 2]),  # unsorted, repeated
+            "empty": np.zeros(mesh.n_dofs, dtype=bool),
+        }[subset]
+        values = _field_values(mesh.n_dofs, seed=dim)
+        path = export_field_csv(mesh, values, tmp_path / "field.csv", rows)
+        loop_field_csv(mesh, values, tmp_path / "loop.csv", rows)
+        assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_read_matches_loop_bit_for_bit(self, tmp_path, dim):
+        mesh = _fractured_mesh(dim)
+        path = export_field_csv(mesh, _field_values(mesh.n_dofs, seed=7), tmp_path / "f.csv")
+        data, oracle = read_field_csv(path), loop_read_field_csv(path)
+        assert list(data) == list(oracle)
+        for name, column in oracle.items():
+            assert data[name].dtype == column.dtype, name
+            assert data[name].tobytes() == column.tobytes(), name
+        assert data["dim"].dtype.kind == data["subdomain"].dtype.kind == "i"
+
+    def test_read_header_only_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,y,z,dim,subdomain,volume,value\n")
+        data = read_field_csv(path)
+        assert list(data) == ["x", "y", "z", "dim", "subdomain", "volume", "value"]
+        for name, column in loop_read_field_csv(path).items():
+            assert data[name].shape == (0,) and data[name].dtype == column.dtype, name
+
+    @pytest.mark.parametrize("mesh_kind", ["2d", "3d", "kuhn"])
+    def test_vtk_matches_loop(self, tmp_path, mesh_kind):
+        if mesh_kind == "kuhn":
+            mesh = _kuhn_mesh(tmp_path)
+        else:
+            mesh = _fractured_mesh(int(mesh_kind[0]))
+        values = _field_values(mesh.n_dofs, seed=11)
+        path = export_field_vtk(mesh, values, tmp_path / "field.vtk")
+        loop_field_vtk(mesh, values, tmp_path / "loop.vtk")
+        assert path.read_bytes() == (tmp_path / "loop.vtk").read_bytes()
+
+    def test_vtk_rejects_cells_of_different_node_counts(self, tmp_path):
+        # A quadrilateral and a triangle side by side in one subdomain: no
+        # single VTK cell type fits both.
+        path = tmp_path / "mixed.txt"
+        path.write_text(
+            "fracfv-mesh 1\nambient 2\nsubdomains 1\nsubdomain 0\ndim 2\naperture 1\n"
+            "nodes 5\n0 0\n1 0\n2 0\n0 1\n1 1\ncells 2 explicit\n0 1 4 3\n1 2 4\n"
+            "faces 6\n0 -1 : 0 1\n0 1 : 1 4\n0 -1 : 4 3\n0 -1 : 3 0\n1 -1 : 1 2\n1 -1 : 2 4\n"
+            "end\ninterfaces 0\nend\n"
+        )
+        mesh = load_mesh(path)
+        with pytest.raises(FracfvError, match="one node count"):
+            export_field_vtk(mesh, np.zeros(mesh.n_dofs), tmp_path / "mixed.vtk")
+        assert not (tmp_path / "mixed.vtk").exists()
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 7])
+    def test_series_csv_matches_loop(self, tmp_path, n_samples):
+        series = [(0.1 * k, v) for k, v in enumerate(_field_values(n_samples, seed=n_samples))]
+        write_series_csv(tmp_path / "series.csv", series)
+        loop_series_csv(tmp_path / "loop.csv", series)
+        assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
 
 class TestReports:
     def test_report_written_deterministically(self, tmp_path):
@@ -290,3 +483,17 @@ class TestReports:
         assert p1.read_bytes() == p2.read_bytes()
         timing = json.loads((tmp_path / "a" / "timings.json").read_text())
         assert timing == {"solve": 0.1}
+
+    def test_build_id_ignores_the_working_directory(self, tmp_path, monkeypatch):
+        """A run started inside another git repository records fracfv's
+        own build, not that repository's commit."""
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        git += ["-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "other"], check=True)
+        other = subprocess.run(
+            git + ["describe", "--always", "--dirty"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+        expected = build_identifier()
+        monkeypatch.chdir(tmp_path)
+        assert build_identifier() == expected != other

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fracfv.errors import InflowBoundaryError, ProbeError, TransportError
 from fracfv.fvdiscretize import transport_bc
 from fracfv.harness.cases import case13_problem, zero_tracer_bcs
+from fracfv.harness.export import write_series_csv
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, build_cartesian_with_fractures
 from fracfv.transport import (
@@ -18,7 +19,6 @@ from fracfv.transport import (
     flux_graph_from_system,
     resolve_probe,
     upwind_operator,
-    write_series_csv,
 )
 
 
@@ -113,6 +113,26 @@ class TestImplicitEuler:
         for dt in (0.0, -0.4, np.inf, np.nan):
             with pytest.raises(TransportError, match="step size"):
                 TracerSimulation(graph, [], np.zeros(1), dt)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"initial": np.zeros(3)}, r"initial has shape \(3,\), expected \(100,\)"),
+            ({"initial": np.zeros((100, 1))}, r"initial has shape \(100, 1\)"),
+            ({"source_rates": np.ones(5)}, r"source_rates has shape \(5,\), expected \(100,\)"),
+            ({"probe": 1000}, r"probe cell 1000 is out of range \[0, 100\)"),
+            ({"probe": -1}, r"probe cell -1 is out of range"),
+        ],
+    )
+    def test_inputs_of_the_wrong_size_rejected(self, monkeypatch, kwargs, message):
+        def factor(*args):
+            raise AssertionError("the step matrix was factored before the inputs were checked")
+
+        monkeypatch.setattr("fracfv.transport.factorize_step", factor)
+        graph = _graph([], [], np.ones(100))
+        kwargs = {"initial": np.zeros(100), **kwargs}
+        with pytest.raises(TransportError, match=message):
+            TracerSimulation(graph, [], dt=0.1, **kwargs)
 
     def test_operator_linear_in_fluxes(self):
         scale = 1.0 + 1e-6
