@@ -3,13 +3,13 @@
 Format (version 1), line oriented, ``#`` starts a comment::
 
     fracfv-mesh 1
-    ambient <N>
-    subdomains <count>
-    subdomain <index>
-    dim <d>
+    ambient <N>                       # 1, 2 or 3
+    subdomains <count>                # at least 1
+    subdomain <index>                 # 0, 1, 2, ... in turn
+    dim <d>                           # 0 <= d <= N
     aperture <a>
     nodes <n_nodes>
-    <x> [<y> [<z>]]                   # one line per node, 17 significant digits
+    <x> [<y> [<z>]]                   # one line of N coordinates per node, 17 significant digits
     cells <n_cells> simplex|explicit
     <node> <node> ...                 # one line per cell
     faces <n_faces>                   # mandatory for explicit, optional for simplex
@@ -18,18 +18,19 @@ Format (version 1), line oriented, ``#`` starts a comment::
     interfaces <count>
     interface <higher> <lower> <n_pairs>
     <face> <cell>                     # one line per pair
-    end
+    end                               # the last line of the document
 
-Cells declared ``simplex`` must list exactly d+1 nodes; their facets are
-derived automatically when no ``faces`` block is present. ``explicit`` cells
+Counts, dimensions and indices are non-negative integers. Cells declared
+``simplex`` must list exactly d+1 nodes; their facets are derived
+automatically when no ``faces`` block is present. ``explicit`` cells
 (boxes, general polytopes) require the ``faces`` block, where ``cell_minus``
 is ``-1`` on one-sided faces and polygon nodes are listed in boundary order.
 Geometry (centroids, measures, normals) is recomputed on load; face normals
 point outward from ``cell_plus``.
 """
-
 from __future__ import annotations
 
+import contextlib
 import itertools
 from pathlib import Path
 
@@ -49,37 +50,33 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _by_length(lists: list[list[int]]):
-    """For each length among ``lists``: the positions of the lists of that
-    length, and those lists stacked as one integer array."""
-    lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
-    for length in np.unique(lengths):
-        positions = np.flatnonzero(lengths == length)
-        stacked = np.array([lists[i] for i in positions], dtype=int)
-        yield positions, stacked.reshape(positions.size, length)
+def _by_width(ptr: np.ndarray):
+    """For each width among the runs ``ptr[i]:ptr[i + 1]``: the positions
+    ``i`` of the runs of that width, and the slots of their entries as one
+    (runs, width) array."""
+    widths = np.diff(ptr)
+    for width in np.unique(widths):
+        positions = np.flatnonzero(widths == width)
+        yield positions, ptr[positions, None] + np.arange(width)
 
 
-def _incidence(node_lists: list[list[int]], n_nodes: int) -> sps.csc_matrix:
-    """Boolean incidence, sparse (n_nodes, len(node_lists)), of entities
-    given by their node lists."""
-    counts = np.fromiter(map(len, node_lists), dtype=int, count=len(node_lists))
-    rows = np.fromiter(itertools.chain.from_iterable(node_lists), dtype=int, count=counts.sum())
-    cols = np.repeat(np.arange(len(node_lists)), counts)
-    return sps.csc_matrix(
-        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n_nodes, len(node_lists))
-    )
+def _incidence(ptr: np.ndarray, idx: np.ndarray, n_nodes: int) -> sps.csc_matrix:
+    """Boolean incidence, sparse (n_nodes, n_entities), of entities whose
+    nodes are ``idx[ptr[i]:ptr[i + 1]]``."""
+    incidence = sps.csc_matrix((np.ones(idx.size, dtype=bool), idx, ptr), (n_nodes, ptr.size - 1))
+    incidence.sum_duplicates()  # and sorts each entity's nodes
+    return incidence
 
 
-def _polygon_geometry(nodes: np.ndarray, face_node_lists: list[list[int]]):
-    """Areas, unit normals and centroids of planar polygons in 3D.
-
-    Each polygon (nodes in boundary order) is split into a fan of triangles
-    about its node mean; all polygons with the same node count are done at once.
-    """
-    n_faces = len(face_node_lists)
+def _polygon_geometry(nodes: np.ndarray, ptr: np.ndarray, idx: np.ndarray):
+    """Areas, unit normals and centroids of planar polygons in 3D, polygon
+    ``i`` with the nodes ``idx[ptr[i]:ptr[i + 1]]`` in boundary order. Each is
+    split into a fan of triangles about its node mean; all polygons with the
+    same node count are done at once."""
+    n_faces = ptr.size - 1
     areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
-    for faces, node_rows in _by_length(face_node_lists):
-        pts = nodes[node_rows]
+    for faces, slots in _by_width(ptr):
+        pts = nodes[idx[slots]]
         ahead = np.roll(pts, -1, axis=1)
         ref = pts.mean(axis=1, keepdims=True)
         cross = np.cross(pts - ref, ahead - ref)
@@ -97,33 +94,32 @@ def _polygon_geometry(nodes: np.ndarray, face_node_lists: list[list[int]]):
 
 def _build_grid_from_entities(
     dim: int,
-    ambient: int,
     nodes: np.ndarray,
-    cell_node_lists: list[list[int]],
-    face_node_lists: list[list[int]],
-    face_cells: list[tuple[int, int]],
+    cell_nodes: tuple[np.ndarray, np.ndarray],
+    face_nodes: tuple[np.ndarray, np.ndarray],
+    face_cells: np.ndarray,
     aperture: float,
     kind: str,
 ) -> SubdomainGrid:
-    n_cells = len(cell_node_lists)
-    n_faces = len(face_node_lists)
-    n_nodes = nodes.shape[0]
+    """The grid of cells and faces with the node lists ``(ptr, idx)`` of
+    ``cell_nodes`` and ``face_nodes``."""
+    (cell_ptr, cell_idx), (face_ptr, face_idx) = cell_nodes, face_nodes
+    n_cells, n_faces, ambient = cell_ptr.size - 1, face_ptr.size - 1, nodes.shape[1]
 
     cell_centres = np.zeros((n_cells, ambient))
-    for cells, node_rows in _by_length(cell_node_lists):
-        cell_centres[cells] = nodes[node_rows].mean(axis=1)
+    for cells, slots in _by_width(cell_ptr):
+        cell_centres[cells] = nodes[cell_idx[slots]].mean(axis=1)
 
     # Face centroids, measures and unit normals, then normals oriented
     # outward from the plus cell.
-    table = np.asarray(face_cells, dtype=int).reshape(n_faces, 2)
-    c_plus, c_minus = table.T
+    c_plus, c_minus = face_cells.T
     face_normals = None  # unless the face alone fixes it, the adjacent cell does
     if dim == 3:
-        face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_node_lists)
+        face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_ptr, face_idx)
     elif dim == 2:
-        if any(len(node_list) != 2 for node_list in face_node_lists):
+        if np.any(np.diff(face_ptr) != 2):
             raise MeshFormatError("faces of 2D cells must have two nodes")
-        ends = nodes[np.array(face_node_lists, dtype=int).reshape(n_faces, 2)]
+        ends = nodes[face_idx.reshape(n_faces, 2)]
         edges = ends[:, 1] - ends[:, 0]
         face_measures = np.linalg.norm(edges, axis=1)
         if n_faces and face_measures.min() <= 0:
@@ -133,8 +129,9 @@ def _build_grid_from_entities(
         if ambient == 2:
             face_normals = np.column_stack([along[:, 1], -along[:, 0]])
     else:  # point faces of 1D cells; 0D cells have no faces
-        face_centres = nodes[[node_list[0] for node_list in face_node_lists]]
-        face_centres = face_centres.reshape(n_faces, ambient)
+        if np.any(np.diff(face_ptr) != 1):
+            raise MeshFormatError("point faces must have one node")
+        face_centres = nodes[face_idx]
         face_measures = np.ones(n_faces)
     outward = face_centres - cell_centres[np.where(c_plus >= 0, c_plus, c_minus)]
     if face_normals is None:
@@ -155,7 +152,7 @@ def _build_grid_from_entities(
     if dim == 0:
         cell_measures = np.ones(n_cells)
     else:
-        cf = cell_faces_of(table, n_cells).tocoo()
+        cf = cell_faces_of(face_cells, n_cells).tocoo()
         offsets = face_centres[cf.row] - cell_centres[cf.col]
         contrib = face_measures[cf.row] * np.sum(face_normals[cf.row] * offsets, axis=1)
         cell_measures = np.bincount(cf.col, weights=cf.data * contrib / dim, minlength=n_cells)
@@ -172,20 +169,21 @@ def _build_grid_from_entities(
         face_centres=face_centres,
         face_normals=face_normals,
         geometric_face_measures=face_measures,
-        face_cells=table,
-        face_nodes=_incidence(face_node_lists, n_nodes),
-        cell_nodes=_incidence(cell_node_lists, n_nodes),
+        face_cells=face_cells,
+        face_nodes=_incidence(face_ptr, face_idx, nodes.shape[0]),
+        cell_nodes=_incidence(cell_ptr, cell_idx, nodes.shape[0]),
         aperture=aperture,
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind=kind,
     )
 
 
-def _derive_simplex_faces(dim: int, cell_node_lists: list[list[int]]):
+def _derive_simplex_faces(dim: int, cell_nodes):
     """Facets of a simplex mesh: all d-subsets of each cell's d+1 nodes,
     numbered in order of first appearance, with the first cell that lists a
-    facet on its plus side."""
-    cells = np.sort(np.reshape(cell_node_lists, (-1, dim + 1)), axis=1)
+    facet on its plus side. Returns the (n_faces, d) facet nodes and the
+    (n_faces, 2) face-cell table."""
+    cells = np.sort(np.reshape(cell_nodes, (-1, dim + 1)), axis=1)
     facets = cells[:, list(itertools.combinations(range(dim + 1), dim))].reshape(-1, dim)
     # Equal facets sort next to each other, in cell order: lexsort is stable.
     order = np.lexsort(facets.T[::-1])
@@ -199,7 +197,7 @@ def _derive_simplex_faces(dim: int, cell_node_lists: list[list[int]]):
     face_cells = np.full((np.count_nonzero(first), 2), -1)
     face_cells[:, 0] = np.flatnonzero(first) // (dim + 1)
     face_cells[np.cumsum(first)[order[again - 1]] - 1, 1] = order[again] // (dim + 1)
-    return facets[first].tolist(), face_cells
+    return facets[first], face_cells
 
 
 # ---------------------------------------------------------------------------
@@ -207,53 +205,54 @@ def _derive_simplex_faces(dim: int, cell_node_lists: list[list[int]]):
 # ---------------------------------------------------------------------------
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.lines = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                self.lines.append(line)
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise MeshFormatError("unexpected end of mesh document")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, keyword: str, count: int = 0, kind=int) -> list:
-        """The tokens after ``keyword``, which must open the next line, the
-        first ``count`` of them read as numbers of type ``kind``."""
-        line = self.next()
-        parts = line.split()
-        if parts[0] != keyword:
-            raise MeshFormatError(f"expected {keyword!r}, found {parts[0]!r}")
-        return _numbers(line, " ".join(parts[1 : count + 1]), count, kind) + parts[count + 1 :]
-
-    def peek_keyword(self) -> str:
-        if self.pos >= len(self.lines):
-            return ""
-        return self.lines[self.pos].split()[0]
+def _take(lines, count: int) -> list[str]:
+    """The next ``count`` entries of the iterator ``lines``."""
+    block = list(itertools.islice(lines, count))
+    if len(block) < count:
+        raise MeshFormatError("unexpected end of mesh document")
+    return block
 
 
-def _numbers(line: str, part: str | None = None, count: int | None = None, kind=int) -> list:
-    """The numbers of type ``kind`` in ``part`` of ``line`` (all of it by
-    default), of which there must be ``count`` if given; MeshFormatError
-    names the line."""
+def _parse_block(texts, kind=int, width: int | None = None, lines=None):
+    """The pointer array whose entries ``i`` and ``i + 1`` bound the numbers
+    of ``texts[i]``, and all those numbers as one array of type ``kind``.
+
+    All texts are converted at once. Only when that fails, or a text does not
+    hold ``width`` numbers, is each tried in turn, so that MeshFormatError
+    quotes the first failing entry of ``lines`` (``texts`` by default).
+    """
+    widths = np.fromiter(map(len, map(str.split, texts)), dtype=int, count=len(texts))
     try:
-        values = [kind(v) for v in (line if part is None else part).split()]
+        values = np.array(" ".join(texts).split(), dtype=kind)
+        if width is None or np.all(widths == width):
+            return np.concatenate(([0], np.cumsum(widths))), values
     except ValueError:
-        values = None
-    if values is None or count not in (None, len(values)):
+        pass
+    for text, line in zip(texts, lines or texts):
+        with contextlib.suppress(ValueError):
+            if width in (None, np.array(text.split(), dtype=kind).size):
+                continue
         raise MeshFormatError(f"malformed line {line!r}")
-    return values
+
+
+def _expect(line: str | None, keyword: str, count: int = 0, kind=int, start=0, stop=np.inf):
+    """The tokens after ``keyword``, which must open ``line``, the first
+    ``count`` of them read as numbers of type ``kind``; integers among them
+    must lie in [start, stop)."""
+    if line is None:
+        raise MeshFormatError("unexpected end of mesh document")
+    parts = line.split()
+    if parts[0] != keyword:
+        raise MeshFormatError(f"expected {keyword!r}, found {parts[0]!r}")
+    values = _parse_block([" ".join(parts[1 : count + 1])], kind, count, [line])[1]
+    if kind is int:
+        _check_range(values, stop, f"line {line!r}: value", start)
+    return values.tolist() + parts[count + 1 :]
 
 
 def _check_range(indices, stop: int, what: str, start: int = 0) -> None:
     """Raise MeshFormatError unless every index lies in [start, stop)."""
-    indices = np.fromiter(indices, dtype=int)
+    indices = np.asarray(indices)
     outside = indices[(indices < start) | (indices >= stop)]
     if outside.size:
         raise MeshFormatError(f"{what} {outside[0]} is out of range [{start}, {stop})")
@@ -271,81 +270,78 @@ def load_mesh(path) -> MixedDimensionalMesh:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read mesh document {path}: {exc}") from exc
-    lines = _Lines(text)
-    header = lines.next().split()
+    lines = filter(None, (raw.split("#", 1)[0].strip() for raw in text.splitlines()))
+    header = next(lines, "").split()
     if header != [FORMAT_NAME, str(FORMAT_VERSION)]:
         raise MeshFormatError(f"unsupported mesh header {' '.join(header)!r}")
-    ambient = lines.expect("ambient", 1)[0]
-    n_sub = lines.expect("subdomains", 1)[0]
+    ambient = _expect(next(lines, None), "ambient", 1, start=1, stop=4)[0]
+    n_sub = _expect(next(lines, None), "subdomains", 1, start=1)[0]
 
     subdomains: list[SubdomainGrid] = []
     for expected in range(n_sub):
-        idx = lines.expect("subdomain", 1)[0]
+        idx = _expect(next(lines, None), "subdomain", 1)[0]
         if idx != expected:
             raise MeshFormatError(f"subdomain {expected} out of order (found {idx})")
-        dim = lines.expect("dim", 1)[0]
-        aperture = lines.expect("aperture", 1, float)[0]
-        n_nodes = lines.expect("nodes", 1)[0]
-        nodes = np.empty((n_nodes, ambient))
-        for i in range(n_nodes):
-            vals = _numbers(lines.next(), kind=float)
-            if len(vals) != ambient:
-                raise MeshFormatError(f"node {i}: expected {ambient} coordinates")
-            nodes[i] = vals
-        cell_head = lines.expect("cells", 1)
+        low = 0 if expected else ambient  # the first subdomain has the ambient dimension
+        dim = _expect(next(lines, None), "dim", 1, start=low, stop=ambient + 1)[0]
+        aperture = _expect(next(lines, None), "aperture", 1, float)[0]
+        n_nodes = _expect(next(lines, None), "nodes", 1)[0]
+        nodes = _parse_block(_take(lines, n_nodes), float, ambient)[1].reshape(n_nodes, ambient)
+        cell_head = _expect(next(lines, None), "cells", 1)
         n_cells, cell_type = cell_head[0], " ".join(cell_head[1:])
         if cell_type not in ("simplex", "explicit"):
             raise MeshFormatError(f"unknown cell type {cell_type!r}")
-        cell_node_lists = []
-        for c in range(n_cells):
-            node_list = _numbers(lines.next())
-            if cell_type == "simplex" and dim > 0 and len(node_list) != dim + 1:
-                raise MeshFormatError(
-                    f"subdomain {idx} cell {c} is not a {dim}-simplex "
-                    f"({len(node_list)} nodes, expected {dim + 1})"
-                )
-            cell_node_lists.append(node_list)
-        _check_range(itertools.chain(*cell_node_lists), n_nodes, f"subdomain {idx} cell node")
+        cell_lines = _take(lines, n_cells)
+        cell_ptr, cell_idx = cell_nodes = _parse_block(cell_lines)
+        if cell_type == "simplex":
+            wrong = np.flatnonzero(np.diff(cell_ptr) != dim + 1)
+            if wrong.size:
+                c, line = wrong[0], cell_lines[wrong[0]]
+                raise MeshFormatError(f"subdomain {idx} cell {c} is not a {dim}-simplex: {line!r}")
+        _check_range(cell_idx, n_nodes, f"subdomain {idx} cell node")
 
-        if lines.peek_keyword() == "faces":
-            n_faces = lines.expect("faces", 1)[0]
-            face_node_lists, face_cells = [], []
-            for f in range(n_faces):
-                line = lines.next()
-                left, colon, right = line.partition(":")
-                if not colon:
-                    raise MeshFormatError(f"face line {line!r} has no ':'")
-                face_cells.append(tuple(_numbers(line, left, 2)))
-                face_node_lists.append(_numbers(line, right))
-            _check_range(itertools.chain(*face_node_lists), n_nodes, f"subdomain {idx} face node")
-            _check_range(itertools.chain(*face_cells), n_cells, f"subdomain {idx} face cell", -1)
+        line = next(lines, None)
+        if line is not None and line.split()[0] == "faces":
+            n_faces = _expect(line, "faces", 1)[0]
+            face_lines = _take(lines, n_faces)
+            missing = [face_line for face_line in face_lines if ":" not in face_line]
+            if missing:
+                raise MeshFormatError(f"face line {missing[0]!r} has no ':'")
+            halves = [face_line.split(":", 1) for face_line in face_lines]
+            face_cells = _parse_block([h[0] for h in halves], int, 2, face_lines)[1].reshape(-1, 2)
+            face_nodes = _parse_block([h[1] for h in halves], lines=face_lines)
+            _check_range(face_nodes[1], n_nodes, f"subdomain {idx} face node")
+            _check_range(face_cells, n_cells, f"subdomain {idx} face cell", -1)
+            line = next(lines, None)
         elif cell_type == "simplex" and dim > 0:
-            face_node_lists, face_cells = _derive_simplex_faces(dim, cell_node_lists)
+            facets, face_cells = _derive_simplex_faces(dim, cell_idx)
+            face_nodes = (np.arange(0, facets.size + 1, dim), facets.ravel())
         elif dim == 0:
-            face_node_lists, face_cells = [], []
+            face_nodes, face_cells = (np.zeros(1, int), np.zeros(0, int)), np.zeros((0, 2), int)
         else:
             raise MeshFormatError(f"subdomain {idx}: explicit cells require a faces block")
-        lines.expect("end")
+        _expect(line, "end")
         kind = "simplex" if cell_type == "simplex" else "cartesian"
         subdomains.append(
             _build_grid_from_entities(
-                dim, ambient, nodes, cell_node_lists, face_node_lists, face_cells, aperture, kind
+                dim, nodes, cell_nodes, face_nodes, face_cells, aperture, kind
             )
         )
 
-    n_intf = lines.expect("interfaces", 1)[0]
+    n_intf = _expect(next(lines, None), "interfaces", 1)[0]
     interfaces = []
     for _ in range(n_intf):
-        higher, lower, n_pairs = lines.expect("interface", 3)[:3]
+        higher, lower, n_pairs = _expect(next(lines, None), "interface", 3)[:3]
         _check_range((higher, lower), n_sub, "interface subdomain")
-        pairs = np.empty((n_pairs, 2), dtype=int)
-        for i in range(n_pairs):
-            pairs[i] = _numbers(lines.next(), count=2)
+        pairs = _parse_block(_take(lines, n_pairs), int, 2)[1].reshape(n_pairs, 2)
         _check_range(pairs[:, 0], subdomains[higher].n_faces, f"interface {higher} {lower} face")
         _check_range(pairs[:, 1], subdomains[lower].n_cells, f"interface {higher} {lower} cell")
         interfaces.append(InterfaceMap(higher, lower, pairs))
         subdomains[higher].internal_boundary[pairs[:, 0]] = True
-    lines.expect("end")
+    _expect(next(lines, None), "end")
+    extra = next(lines, None)
+    if extra is not None:
+        raise MeshFormatError(f"unexpected line {extra!r} after the final 'end'")
 
     mesh = MixedDimensionalMesh(subdomains, interfaces)
     mesh.validate()
@@ -366,11 +362,12 @@ def _ordered_face_nodes(grid: SubdomainGrid) -> np.ndarray:
     stacked SVD.
     """
     fn = grid.face_nodes.tocsc()
-    nodes, widths = fn.indices.copy(), np.diff(fn.indptr)
+    nodes = fn.indices.copy()
     if grid.dim < 3:
         return nodes
-    for width in np.unique(widths[widths > 3]):
-        slots = fn.indptr[:-1][widths == width, None] + np.arange(width)
+    for _, slots in _by_width(fn.indptr):
+        if slots.shape[1] <= 3:
+            continue
         node_rows = nodes[slots]
         shifted = grid.nodes[node_rows] - grid.nodes[node_rows].mean(axis=1, keepdims=True)
         _, _, vt = np.linalg.svd(shifted, full_matrices=False)

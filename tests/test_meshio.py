@@ -1,15 +1,18 @@
 """Mesh document format: import, export, round-trips and error paths.
 
-The per-row writer that ``save_mesh`` replaced and the dictionary loop that
-derived simplex facets are kept here as reference oracles.
+The per-row writer that ``save_mesh`` replaced, the line reader that
+``load_mesh`` replaced and the dictionary loop that derived simplex facets are
+kept here as reference oracles.
 """
 
+import dataclasses
 import itertools
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,8 @@ from fracfv.mdmesh import (
     load_mesh,
     save_mesh,
 )
+from fracfv.mdmesh.grids import SubdomainGrid, cell_faces_of
+from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
 from fracfv.mdmesh.meshio import _derive_simplex_faces, _ordered_face_nodes
 
 TRIANGLE_PAIR = """fracfv-mesh 1
@@ -113,8 +118,190 @@ def _assert_faces_match_loop(dim, cells):
         assert str(raised.value) == str(exc)
         return
     faces, face_cells = _derive_simplex_faces(dim, cells)
-    assert faces == expected[0]
+    assert faces.tolist() == expected[0]
     assert face_cells.tolist() == [list(fc) for fc in expected[1]]
+
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the line reader and the grid build from Python lists
+# ---------------------------------------------------------------------------
+
+
+def _loop_by_length(lists):
+    lengths = np.fromiter(map(len, lists), dtype=int, count=len(lists))
+    for length in np.unique(lengths):
+        positions = np.flatnonzero(lengths == length)
+        stacked = np.array([lists[i] for i in positions], dtype=int)
+        yield positions, stacked.reshape(positions.size, length)
+
+
+def _loop_incidence(node_lists, n_nodes):
+    counts = np.fromiter(map(len, node_lists), dtype=int, count=len(node_lists))
+    rows = np.fromiter(itertools.chain.from_iterable(node_lists), dtype=int, count=counts.sum())
+    cols = np.repeat(np.arange(len(node_lists)), counts)
+    return sps.csc_matrix(
+        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n_nodes, len(node_lists))
+    )
+
+
+def _loop_polygons(nodes, face_node_lists):
+    n_faces = len(face_node_lists)
+    areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
+    for faces, node_rows in _loop_by_length(face_node_lists):
+        pts = nodes[node_rows]
+        ahead = np.roll(pts, -1, axis=1)
+        ref = pts.mean(axis=1, keepdims=True)
+        cross = np.cross(pts - ref, ahead - ref)
+        tri_areas = 0.5 * np.linalg.norm(cross, axis=2)
+        area = tri_areas.sum(axis=1)
+        total = 0.5 * cross.sum(axis=1)
+        areas[faces] = area
+        normals[faces] = total / np.linalg.norm(total, axis=1, keepdims=True)
+        weighted = np.einsum("fk,fkd->fd", tri_areas, ref + pts + ahead) / 3.0
+        centroids[faces] = weighted / area[:, None]
+    return areas, normals, centroids
+
+
+def _loop_build_grid(
+    dim, ambient, nodes, cell_node_lists, face_node_lists, face_cells, aperture, kind
+):
+    n_cells, n_faces = len(cell_node_lists), len(face_node_lists)
+    cell_centres = np.zeros((n_cells, ambient))
+    for cells, node_rows in _loop_by_length(cell_node_lists):
+        cell_centres[cells] = nodes[node_rows].mean(axis=1)
+    table = np.asarray(face_cells, dtype=int).reshape(n_faces, 2)
+    c_plus, c_minus = table.T
+    face_normals = None
+    if dim == 3:
+        face_measures, face_normals, face_centres = _loop_polygons(nodes, face_node_lists)
+    elif dim == 2:
+        ends = nodes[np.array(face_node_lists, dtype=int).reshape(n_faces, 2)]
+        edges = ends[:, 1] - ends[:, 0]
+        face_measures = np.linalg.norm(edges, axis=1)
+        face_centres = ends.mean(axis=1)
+        along = edges / face_measures[:, None]
+        if ambient == 2:
+            face_normals = np.column_stack([along[:, 1], -along[:, 0]])
+    else:
+        face_centres = nodes[[node_list[0] for node_list in face_node_lists]]
+        face_centres = face_centres.reshape(n_faces, ambient)
+        face_measures = np.ones(n_faces)
+    outward = face_centres - cell_centres[np.where(c_plus >= 0, c_plus, c_minus)]
+    if face_normals is None:
+        if dim == 2:
+            face_normals = outward - np.sum(outward * along, axis=1, keepdims=True) * along
+        else:
+            face_normals = outward
+        face_normals = face_normals / np.linalg.norm(face_normals, axis=1)[:, None]
+    flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
+    face_normals[flip] *= -1.0
+    if dim == 0:
+        cell_measures = np.ones(n_cells)
+    else:
+        cf = cell_faces_of(table, n_cells).tocoo()
+        offsets = face_centres[cf.row] - cell_centres[cf.col]
+        contrib = face_measures[cf.row] * np.sum(face_normals[cf.row] * offsets, axis=1)
+        cell_measures = np.bincount(cf.col, weights=cf.data * contrib / dim, minlength=n_cells)
+    return SubdomainGrid(
+        dim=dim,
+        ambient_dim=ambient,
+        nodes=nodes,
+        cell_centres=cell_centres,
+        geometric_cell_measures=cell_measures,
+        face_centres=face_centres,
+        face_normals=face_normals,
+        geometric_face_measures=face_measures,
+        face_cells=table,
+        face_nodes=_loop_incidence(face_node_lists, nodes.shape[0]),
+        cell_nodes=_loop_incidence(cell_node_lists, nodes.shape[0]),
+        aperture=aperture,
+        internal_boundary=np.zeros(n_faces, dtype=bool),
+        kind=kind,
+    )
+
+
+def loop_load_mesh(path):
+    """The line-by-line reader that ``load_mesh`` replaced, without its
+    checks: every node, cell, face and pair line is parsed on its own into
+    Python lists, and each grid is built from those lists."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in Path(path).read_text().splitlines())
+    lines = iter([line for line in stripped if line])
+
+    def expect(keyword, count=0, kind=int):
+        parts = next(lines).split()
+        assert parts[0] == keyword
+        return [kind(v) for v in parts[1 : count + 1]] + parts[count + 1 :]
+
+    assert next(lines).split() == ["fracfv-mesh", "1"]
+    ambient = expect("ambient", 1)[0]
+    subdomains = []
+    for _ in range(expect("subdomains", 1)[0]):
+        expect("subdomain", 1)
+        dim = expect("dim", 1)[0]
+        aperture = expect("aperture", 1, float)[0]
+        nodes = np.empty((expect("nodes", 1)[0], ambient))
+        for i in range(nodes.shape[0]):
+            nodes[i] = [float(v) for v in next(lines).split()]
+        n_cells, cell_type = expect("cells", 1)
+        cells = [[int(v) for v in next(lines).split()] for _ in range(n_cells)]
+        line = next(lines)
+        if line.split()[0] == "faces":
+            faces, face_cells = [], []
+            for _ in range(int(line.split()[1])):
+                left, _, right = next(lines).partition(":")
+                face_cells.append(tuple(int(v) for v in left.split()))
+                faces.append([int(v) for v in right.split()])
+            line = next(lines)
+        elif dim > 0:
+            faces, face_cells = loop_derive_simplex_faces(dim, cells)
+        else:
+            faces, face_cells = [], []
+        assert line.split() == ["end"]
+        kind = "simplex" if cell_type == "simplex" else "cartesian"
+        subdomains.append(
+            _loop_build_grid(dim, ambient, nodes, cells, faces, face_cells, aperture, kind)
+        )
+    interfaces = []
+    for _ in range(expect("interfaces", 1)[0]):
+        higher, lower, n_pairs = expect("interface", 3)
+        pairs = np.empty((n_pairs, 2), dtype=int)
+        for i in range(n_pairs):
+            pairs[i] = [int(v) for v in next(lines).split()]
+        interfaces.append(InterfaceMap(higher, lower, pairs))
+        subdomains[higher].internal_boundary[pairs[:, 0]] = True
+    assert expect("end") == [] and next(lines, None) is None
+    return MixedDimensionalMesh(subdomains, interfaces)
+
+
+def _assert_identical(a, b, name):
+    assert type(a) is type(b), name
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    else:
+        assert a == b, name
+
+
+def _assert_loads_like_loop(path):
+    """``load_mesh`` gives the oracle's mesh bit for bit: every grid field
+    with its dtype, the CSC arrays of the node incidences, and the
+    interface pairs."""
+    mesh, oracle = load_mesh(path), loop_load_mesh(path)
+    assert len(mesh.subdomains) == len(oracle.subdomains)
+    for grid, expected in zip(mesh.subdomains, oracle.subdomains):
+        for field in dataclasses.fields(grid):
+            a, b = getattr(grid, field.name), getattr(expected, field.name)
+            if sps.issparse(b):
+                assert a.format == b.format == "csc", field.name
+                for part in ("indptr", "indices", "data"):
+                    _assert_identical(getattr(a, part), getattr(b, part), field.name)
+            else:
+                _assert_identical(a, b, field.name)
+    assert len(mesh.interfaces) == len(oracle.interfaces)
+    for intf, expected in zip(mesh.interfaces, oracle.interfaces):
+        assert (intf.higher, intf.lower) == (expected.higher, expected.lower)
+        _assert_identical(intf.face_cell_pairs, expected.face_cell_pairs, "face_cell_pairs")
 
 
 def test_triangle_pair_import(tmp_path):
@@ -344,6 +531,44 @@ def test_non_numeric_token_rejected(tmp_path, old, new, message):
         load_mesh(path)
 
 
+# A square cell, then a point subdomain whose one 0-simplex lists three nodes.
+POINT_OF_THREE_NODES = UNIT_SQUARE_CELL.replace("subdomains 1", "subdomains 2").replace(
+    "end\ninterfaces 0",
+    "end\nsubdomain 1\ndim 0\naperture 0.1\nnodes 3\n0.5 0.5\n0.4 0.5\n0.5 0.4\n"
+    "cells 1 simplex\n0 1 2\nend\ninterfaces 0",
+)
+# One point subdomain on its own; ambient is filled in.
+LONE_POINT = "\n".join(
+    ["fracfv-mesh 1", "ambient {}", "subdomains 1", "subdomain 0", "dim 0", "aperture 1",
+     "nodes 1", "{}", "cells 1 simplex", "0", "end", "interfaces 0", "end", ""]
+)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (UNIT_SQUARE_CELL.replace("nodes 4", "nodes -1"), "line 'nodes -1'"),
+        (TRIANGLE_PAIR.replace("interfaces 0", "interfaces 1\ninterface 0 0 -1"),
+         "line 'interface 0 0 -1'"),
+        (UNIT_SQUARE_CELL.replace("dim 2", "dim 5"), "line 'dim 5'"),
+        (LONE_POINT.format(2, "0.5 0.5"), "line 'dim 0'"),
+        (LONE_POINT.format(4, "0 0 0 0"), "line 'ambient 4'"),
+        ("fracfv-mesh 1\nambient 2\nsubdomains 0\ninterfaces 0\nend\n", "line 'subdomains 0'"),
+        (POINT_OF_THREE_NODES, "subdomain 1 cell 0 is not a 0-simplex: '0 1 2'"),
+        (UNIT_SQUARE_CELL + "subdomain 1\n", "'subdomain 1' after the final 'end'"),
+    ],
+    ids=[
+        "negative-count", "negative-pair-count", "dim-above-ambient", "first-dim-below-ambient",
+        "ambient-above-3", "no-subdomains", "point-simplex-of-three-nodes", "text-after-end",
+    ],
+)
+def test_malformed_document_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=re.escape(message)):
+        load_mesh(path)
+
+
 def test_missing_cell_type_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(UNIT_SQUARE_CELL.replace("cells 1 explicit", "cells 1"))
@@ -378,7 +603,7 @@ def _kuhn(tmp_path):
     return load_mesh(tmp_path / "kuhn.txt")
 
 
-@pytest.mark.parametrize(
+SAVED_MESHES = pytest.mark.parametrize(
     "build",
     [
         lambda tmp_path: _fractured(2),
@@ -389,11 +614,74 @@ def _kuhn(tmp_path):
     ],
     ids=["fracture-2d", "fracture-3d", "case13", "case4", "kuhn"],
 )
+
+
+@SAVED_MESHES
 def test_save_mesh_matches_loop(tmp_path, build):
     mesh = build(tmp_path)
     save_mesh(mesh, tmp_path / "mesh.txt")
     loop_save_mesh(mesh, tmp_path / "loop.txt")
     assert (tmp_path / "mesh.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
+@SAVED_MESHES
+def test_saved_mesh_loads_like_loop(tmp_path, build):
+    save_mesh(build(tmp_path), tmp_path / "mesh.txt")
+    _assert_loads_like_loop(tmp_path / "mesh.txt")
+
+
+@pytest.mark.parametrize("name", ["triangle-pair", "unit-square-cell", "kuhn"])
+def test_document_loads_like_loop(tmp_path, name):
+    path = tmp_path / "mesh.txt"
+    if name == "kuhn":
+        write_kuhn_mesh(path, 3, seed=9)
+    else:
+        path.write_text(TRIANGLE_PAIR if name == "triangle-pair" else UNIT_SQUARE_CELL)
+    _assert_loads_like_loop(path)
+
+
+@pytest.fixture(scope="module")
+def layout_documents(tmp_path_factory):
+    """A folder to write into, and documents whose layout the property test
+    varies: two hand-written and two saved, one 2D and one 3D with a fracture."""
+    folder = tmp_path_factory.mktemp("layout")
+    texts = {"triangle-pair": TRIANGLE_PAIR, "unit-square-cell": UNIT_SQUARE_CELL}
+    for dim in (2, 3):
+        save_mesh(_fractured(dim), folder / "saved.txt")
+        texts[f"fracture-{dim}d"] = (folder / "saved.txt").read_text()
+    return folder, texts
+
+
+# How one line is laid out: comment or blank lines before it, its indent, the
+# whitespace between its tokens, its ':' and what trails it.
+LINE_LAYOUT = st.tuples(
+    st.lists(st.sampled_from(["", "  \t ", "# comment", "\t# 1 2 : 3"]), max_size=2),
+    st.sampled_from(["", " ", "\t "]),
+    st.sampled_from([" ", "   ", "\t", " \t "]),
+    st.sampled_from([" : ", ":", ":\t", "\t: "]),
+    st.sampled_from(["", "  ", "\t", "# trailing", " #: 4 5"]),
+)
+
+
+def _relaid(text, layouts):
+    out = []
+    for line, (before, indent, gap, colon, tail) in zip(text.splitlines(), layouts):
+        left, has_colon, right = line.partition(":")
+        body = gap.join(left.split()) + (colon + gap.join(right.split()) if has_colon else "")
+        out += before + [indent + body + tail]
+    return "\n".join(out) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_layout_leaves_the_mesh_unchanged(layout_documents, data):
+    folder, texts = layout_documents
+    text = texts[data.draw(st.sampled_from(sorted(texts)))]
+    n_lines = len(text.splitlines())
+    layouts = data.draw(st.lists(LINE_LAYOUT, min_size=n_lines, max_size=n_lines))
+    path = folder / "relaid.txt"
+    path.write_text(_relaid(text, layouts))
+    _assert_loads_like_loop(path)
 
 
 def test_derived_faces_match_loop_on_preset_simplex_meshes(tmp_path):
