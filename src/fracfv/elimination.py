@@ -1,13 +1,14 @@
 """Removal of intersection-cell unknowns from the global system.
 
-Two reductions are provided. The Schur complement
-``A_r = A_kk - A_ke A_ee^{-1} A_ek`` eliminates exactly, preserves the
-intersection permeabilities, and supports back-substitution of the removed
-pressures. The Star-Delta transformation replaces each eliminated cell (or
-connected group of eliminated cells) by direct pairwise transmissibilities
-``T_ij = alpha_i alpha_j / sum_k alpha_k`` over the branch half
-transmissibilities into it, which amounts to giving the intersection
-infinite normal permeability and zero tangential permeability.
+Both reductions condense unknowns out by one sparse product,
+``A_r = A_kk - A_ke E A_ek``. The Schur complement (``E = A_ee^{-1}``)
+eliminates exactly, preserves the intersection permeabilities, and supports
+back-substitution of the removed pressures. Star-Delta is exactly the Schur
+complement of a lossless star: each connected group of eliminated cells
+becomes a cell joining the branch half transmissibilities ``alpha_i`` into
+it, so ``E = 1 / sum_k alpha_k`` and ``T_ij = alpha_i alpha_j / sum_k alpha_k``.
+It is the limit of infinite intersection permeability only where eliminated
+cells have no tangential connections (see ``limit_equivalence_check``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class ReducedSystem:
 
     ``kept`` and ``eliminated`` partition the original dofs; ``matrix`` and
     ``rhs`` act on kept unknowns in the order of ``kept``. Schur-type
-    reductions retain per-block factors of the eliminated diagonal for
+    reductions retain the inverse of the eliminated diagonal block for
     back-substitution; Star-Delta reductions do not.
     """
 
@@ -41,16 +42,45 @@ class ReducedSystem:
     rhs: np.ndarray
     rhs_kept_raw: np.ndarray
     tag: str
-    blocks: list | None = None  # [(elim-local idx, LU factors)]
+    e_inverse: sps.csr_matrix | None = None
     a_ek: sps.csr_matrix | None = None
     b_e: np.ndarray | None = None
     system: GlobalSystem | None = None
 
 
-def _mirror_upper(matrix: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy: the upper triangle mirrored onto the lower."""
-    upper = np.triu(matrix)
-    return upper + np.triu(matrix, 1).T
+def _condense(a_kk, a_ke, e, a_ek, symmetric: bool) -> sps.csr_matrix:
+    """``A_kk - (A_ke E) A_ek`` from sparse products. Where the fill is
+    symmetric in exact arithmetic, its upper triangle is mirrored onto the
+    lower, so that a symmetric ``A_kk`` gives an exactly symmetric result."""
+    fill = (a_ke @ e) @ a_ek
+    if symmetric:
+        fill = sps.triu(fill) + sps.triu(fill, 1).T
+    return as_csr(a_kk - fill)
+
+
+def _block_inverse(a_ee: sps.csr_matrix, eliminated: np.ndarray) -> sps.csr_matrix:
+    """``A_ee^{-1}`` as one block-diagonal sparse matrix, inverted per
+    connected component of the block's graph.
+
+    Raises:
+        EliminationError: A singular component (names its rows).
+    """
+    n_comp, labels = connected_components((abs(a_ee) + abs(a_ee.T)).tocsr(), directed=False)
+    rows, cols, values = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0)]
+    for comp in range(n_comp):
+        loc = np.flatnonzero(labels == comp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(a_ee[loc][:, loc].toarray())
+        if np.abs(np.diag(lu)).min() == 0.0:
+            raise EliminationError(f"singular eliminated block for rows {eliminated[loc].tolist()}")
+        rows.append(np.repeat(loc, loc.size))
+        cols.append(np.tile(loc, loc.size))
+        values.append(sla.lu_solve((lu, piv), np.eye(loc.size)).ravel())
+    return sps.csr_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=a_ee.shape,
+    )
 
 
 def schur_reduce_matrix(
@@ -58,7 +88,7 @@ def schur_reduce_matrix(
 ) -> ReducedSystem:
     """Schur-complement reduction of an arbitrary square sparse system.
 
-    The eliminated diagonal block is factorized per connected component, so
+    The eliminated diagonal block is inverted per connected component, so
     fill-in stays confined to cells adjacent to the same eliminated group
     and a symmetric input yields an exactly symmetric reduced matrix.
 
@@ -71,74 +101,23 @@ def schur_reduce_matrix(
     eliminated = np.unique(np.asarray(eliminated, dtype=int))
     if eliminated.size and (eliminated.min() < 0 or eliminated.max() >= n):
         raise EliminationError("eliminated indices out of range")
-    keep_mask = np.ones(n, dtype=bool)
-    keep_mask[eliminated] = False
-    kept = np.flatnonzero(keep_mask)
-
-    a_kk = a[kept][:, kept].tocsr()
-    a_ke = a[kept][:, eliminated].tocsc()
-    a_ek = a[eliminated][:, kept].tocsr()
-    a_ee = a[eliminated][:, eliminated].tocsr()
+    kept = np.delete(np.arange(n), eliminated)
+    rows_e = a[eliminated]
+    a_ke, a_ek, a_ee = a[kept][:, eliminated], rows_e[:, kept], rows_e[:, eliminated]
+    # The fill is symmetric in exact arithmetic where A_ek = A_ke^T and A_ee
+    # is symmetric.
+    symmetric = (a_ke - a_ek.T).nnz == 0 and (a_ee - a_ee.T).nnz == 0
+    e = _block_inverse(a_ee, eliminated)
     b = np.asarray(rhs, dtype=float)
     b_k, b_e = b[kept], b[eliminated]
-
-    symmetric = (a - a.T).nnz == 0
-
-    n_e = eliminated.size
-    fill = sps.csr_matrix((kept.size, kept.size))
-    b_fill = np.zeros(kept.size)
-    blocks = []
-    if n_e:
-        n_comp, labels = connected_components(
-            (abs(a_ee) + abs(a_ee.T)).tocsr(), directed=False
-        )
-        rows_f, cols_f, vals_f = [], [], []
-        for comp in range(n_comp):
-            loc = np.flatnonzero(labels == comp)
-            dense = a_ee[loc][:, loc].toarray()
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", sla.LinAlgWarning)
-                    lu, piv = sla.lu_factor(dense)
-            except sla.LinAlgError as exc:
-                raise EliminationError(
-                    f"singular eliminated block for rows {eliminated[loc].tolist()}"
-                ) from exc
-            if np.abs(np.diag(lu)).min() == 0.0:
-                raise EliminationError(
-                    f"singular eliminated block for rows {eliminated[loc].tolist()}"
-                )
-            ek_block = a_ek[loc].toarray()
-            ke_block = a_ke[:, loc].toarray()
-            j_cols = np.flatnonzero(np.any(ek_block != 0.0, axis=0))
-            j_rows = np.flatnonzero(np.any(ke_block != 0.0, axis=1))
-            blocks.append((loc, (lu, piv)))
-            if j_cols.size and j_rows.size:
-                x = sla.lu_solve((lu, piv), ek_block[:, j_cols])
-                m = ke_block[j_rows] @ x
-                if symmetric and j_rows.size == j_cols.size and np.array_equal(j_rows, j_cols):
-                    m = _mirror_upper(m)
-                rr, cc = np.meshgrid(j_rows, j_cols, indexing="ij")
-                rows_f.append(rr.ravel())
-                cols_f.append(cc.ravel())
-                vals_f.append(m.ravel())
-            y = sla.lu_solve((lu, piv), b_e[loc])
-            b_fill += ke_block @ y
-        if rows_f:
-            fill = sps.csr_matrix(
-                (np.concatenate(vals_f), (np.concatenate(rows_f), np.concatenate(cols_f))),
-                shape=(kept.size, kept.size),
-            )
-
-    reduced_matrix = as_csr(a_kk - fill)
     return ReducedSystem(
         kept=kept,
         eliminated=eliminated,
-        matrix=reduced_matrix,
-        rhs=b_k - b_fill,
+        matrix=_condense(a[kept][:, kept], a_ke, e, a_ek, symmetric),
+        rhs=b_k - a_ke @ (e @ b_e),
         rhs_kept_raw=b_k.copy(),
         tag="schur",
-        blocks=blocks,
+        e_inverse=e,
         a_ek=a_ek,
         b_e=b_e,
         system=system,
@@ -173,14 +152,11 @@ def back_substitute(reduced: ReducedSystem, p_kept: np.ndarray) -> np.ndarray:
 
     Only available for Schur-type reductions.
     """
-    if reduced.tag != "schur" or reduced.blocks is None:
+    if reduced.tag != "schur" or reduced.e_inverse is None:
         raise EliminationError(f"back-substitution is not defined for tag {reduced.tag!r}")
-    n = reduced.kept.size + reduced.eliminated.size
-    full = np.empty(n)
+    full = np.empty(reduced.kept.size + reduced.eliminated.size)
     full[reduced.kept] = p_kept
-    rhs_e = reduced.b_e - reduced.a_ek @ p_kept
-    for loc, lu_piv in reduced.blocks:
-        full[reduced.eliminated[loc]] = sla.lu_solve(lu_piv, rhs_e[loc])
+    full[reduced.eliminated] = reduced.e_inverse @ (reduced.b_e - reduced.a_ek @ p_kept)
     return full
 
 
@@ -188,11 +164,10 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     """Star-Delta elimination of intersection cells.
 
     Each connected group of eliminated cells (connected through coupling
-    pairs among themselves) becomes one star whose branches are the coupling
-    half transmissibilities from the kept side. Tangential connections inside
-    eliminated subdomains are dropped, matching the interpretation of the
-    eliminated cells as infinitely permeable normal to the branches and
-    impermeable along themselves.
+    pairs among themselves) becomes one lossless star whose branches are the
+    coupling half transmissibilities from the kept side, and the star is
+    condensed out. Tangential connections inside eliminated subdomains are
+    dropped.
 
     Raises:
         UnsupportedSourceError: A source or boundary contribution sits in an
@@ -251,34 +226,17 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     if np.any(total == 0.0):
         raise EliminationError("star with zero total branch conductance")
 
-    # Branch i meets every other branch j of its star: j runs over the star's
-    # slice of the grouped branches.
-    width = size[star]
-    first = np.cumsum(size) - size
-    i = np.repeat(np.arange(star.size), width)
-    j = first[star[i]] + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
-    i, j = i[i != j], j[i != j]
-
-    # The two-point couplings t_i into the star are removed; the star adds
-    # alpha_i - alpha_i^2 / sum alpha to each branch cell's diagonal and
-    # couples each pair directly by alpha_i alpha_j / sum alpha. Removing
-    # first and adding second rounds each entry as (a - t) + d, as an
-    # entry-by-entry update does.
-    shape = (kept.size, kept.size)
-    removed = sps.csr_matrix((t, (loc, loc)), shape=shape)
-    diagonal = alpha - alpha * alpha / total[star]
-    pairs = -(alpha[i] * alpha[j] / total[star[i]])
-    rows, cols = np.concatenate([loc, loc[i]]), np.concatenate([loc, loc[j]])
-    correction = sps.csr_matrix(
-        (np.concatenate([diagonal, pairs]), (rows, cols)), shape=shape
-    )
+    # The star is a cell that joins its branches without loss. Each branch
+    # cell's two-point coupling t_i into the star gives way to its half
+    # transmissibility alpha_i, and the star, whose diagonal is the total
+    # branch conductance, is condensed out through its spokes.
     a = as_csr(system.matrix)
-    a_kk = a[kept][:, kept] - removed + correction
-
+    a_kk = a[kept][:, kept] + sps.csr_matrix((alpha - t, (loc, loc)), shape=(kept.size,) * 2)
+    spokes = sps.csr_matrix((alpha, (loc, star)), shape=(kept.size, n_comp))
     return ReducedSystem(
         kept=kept,
         eliminated=eliminated,
-        matrix=as_csr(a_kk),
+        matrix=_condense(a_kk, spokes, sps.diags(1.0 / total), spokes.T, True),
         rhs=system.rhs[kept].copy(),
         rhs_kept_raw=system.rhs[kept].copy(),
         tag="star_delta",

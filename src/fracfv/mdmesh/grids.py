@@ -134,6 +134,8 @@ def validate_grid(grid: SubdomainGrid) -> None:
     n_cells, n_faces = grid.n_cells, grid.n_faces
     if n_cells == 0:
         raise MeshError("subdomain has no cells")
+    if not (np.isfinite(grid.aperture) and grid.aperture > 0.0):
+        raise MeshError(f"aperture {grid.aperture} is not finite and positive")
 
     outside = (grid.face_cells < -1) | (grid.face_cells >= n_cells)
     if outside.any():

@@ -7,7 +7,7 @@ Format (version 1), line oriented, ``#`` starts a comment::
     subdomains <count>                # at least 1
     subdomain <index>                 # 0, 1, 2, ... in turn
     dim <d>                           # 0 <= d <= N
-    aperture <a>
+    aperture <a>                      # positive; 1 for the first subdomain
     nodes <n_nodes>
     <x> [<y> [<z>]]                   # one line of N coordinates per node, 17 significant digits
     cells <n_cells> simplex|explicit
@@ -20,7 +20,8 @@ Format (version 1), line oriented, ``#`` starts a comment::
     <face> <cell>                     # one line per pair
     end                               # the last line of the document
 
-Counts, dimensions and indices are non-negative integers. Cells declared
+Counts, dimensions and indices are non-negative integers, and every number
+is finite. Cells declared
 ``simplex`` must list exactly d+1 nodes; their facets are derived
 automatically when no ``faces`` block is present. ``explicit`` cells
 (boxes, general polytopes) require the ``faces`` block, where ``cell_minus``
@@ -217,21 +218,25 @@ def _parse_block(texts, kind=int, width: int | None = None, lines=None):
     """The pointer array whose entries ``i`` and ``i + 1`` bound the numbers
     of ``texts[i]``, and all those numbers as one array of type ``kind``.
 
-    All texts are converted at once. Only when that fails, or a text does not
-    hold ``width`` numbers, is each tried in turn, so that MeshFormatError
-    quotes the first failing entry of ``lines`` (``texts`` by default).
+    All texts are converted at once. Only when that fails, a number is not
+    finite, or a text does not hold ``width`` numbers, is each tried in turn,
+    so that MeshFormatError quotes the first failing entry of ``lines``
+    (``texts`` by default).
     """
     widths = np.fromiter(map(len, map(str.split, texts)), dtype=int, count=len(texts))
     try:
         values = np.array(" ".join(texts).split(), dtype=kind)
-        if width is None or np.all(widths == width):
+        if (width is None or np.all(widths == width)) and np.isfinite(values).all():
             return np.concatenate(([0], np.cumsum(widths))), values
     except ValueError:
         pass
     for text, line in zip(texts, lines or texts):
         with contextlib.suppress(ValueError):
-            if width in (None, np.array(text.split(), dtype=kind).size):
-                continue
+            numbers = np.array(text.split(), dtype=kind)
+            if width in (None, numbers.size):
+                if np.isfinite(numbers).all():
+                    continue
+                raise MeshFormatError(f"non-finite number in line {line!r}")
         raise MeshFormatError(f"malformed line {line!r}")
 
 

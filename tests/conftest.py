@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from fracfv.elimination import schur_reduce, star_delta_reduce
 from fracfv.fvdiscretize import flow_bc
+from fracfv.linsolve import CG_MIN_ROWS, _certified_stieltjes_3d
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 
 
@@ -35,6 +37,20 @@ def x_dirichlet(sd, grid):
         if faces.size:
             bc.set_dirichlet(faces, pressure)
     return bc
+
+
+def assert_reductions_symmetric(system) -> list[int]:
+    """Schur and Star-Delta reductions of a symmetric 3D TPFA system are
+    exactly symmetric and, from ``CG_MIN_ROWS`` rows on, certified for
+    conjugate gradients, the route the reduced flow solves then take.
+    Returns the reduced row counts."""
+    rows = []
+    for reduce in (schur_reduce, star_delta_reduce):
+        m = reduce(system).matrix
+        assert (m - m.T).nnz == 0, reduce.__name__
+        assert m.shape[0] < CG_MIN_ROWS or _certified_stieltjes_3d(m), reduce.__name__
+        rows.append(m.shape[0])
+    return rows
 
 
 # One unit-square cell with explicit faces, each with the cell on its plus side.

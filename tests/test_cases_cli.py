@@ -286,6 +286,19 @@ class TestCommandLine:
         assert main(["validate-mesh", str(path)]) == 2
         assert "malformed line 'nodes four'" in capsys.readouterr().err
 
+    def test_validate_mesh_non_finite_aperture_exit_code(self, tmp_path, capsys):
+        # A point subdomain of aperture nan, which a^(N - d) does not expose.
+        path = tmp_path / "bad.txt"
+        path.write_text(
+            UNIT_SQUARE_CELL.replace("subdomains 1", "subdomains 2").replace(
+                "end\ninterfaces 0",
+                "end\nsubdomain 1\ndim 0\naperture nan\nnodes 1\n0.5 0.5\n"
+                "cells 1 simplex\n0\nend\ninterfaces 0",
+            )
+        )
+        assert main(["validate-mesh", str(path)]) == 2
+        assert "non-finite number in line 'aperture nan'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_validate_mesh_unreadable_file_exit_code(self, tmp_path, capsys, kind):
         path = tmp_path / "mesh.txt"

@@ -64,6 +64,33 @@ class TestSchurMatrixLevel:
         reference = np.linalg.solve(a, b)
         assert np.abs(full - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    def test_nonsymmetric_sparse_matches_dense_block_elimination(self):
+        # Two eliminated groups, each coupled nonsymmetrically to itself and
+        # to the kept rows: the inverse must not be transposed or mirrored.
+        rng = np.random.default_rng(7)
+        m = sps.random(40, 40, density=0.15, random_state=rng) - sps.random(
+            40, 40, density=0.15, random_state=rng
+        )
+        a = (m + 10.0 * sps.eye(40)).toarray()
+        a[np.ix_([3, 4, 5], [20, 21])] = a[np.ix_([20, 21], [3, 4, 5])] = 0.0
+        eliminated = np.array([3, 4, 5, 20, 21])
+        b = rng.standard_normal(40)
+        kept = np.setdiff1d(np.arange(40), eliminated)
+
+        def solve(rhs):
+            return np.linalg.solve(a[np.ix_(eliminated, eliminated)], rhs)
+
+        a_ke = a[np.ix_(kept, eliminated)]
+        oracle_matrix = a[np.ix_(kept, kept)] - a_ke @ solve(a[np.ix_(eliminated, kept)])
+        oracle_rhs = b[kept] - a_ke @ solve(b[eliminated])
+
+        red = schur_reduce_matrix(sps.csr_matrix(a), b, eliminated)
+        assert np.abs(red.matrix.toarray() - oracle_matrix).max() <= 1e-13 * np.abs(a).max()
+        assert np.abs(red.rhs - oracle_rhs).max() <= 1e-13 * np.abs(oracle_rhs).max()
+        full = back_substitute(red, np.linalg.solve(oracle_matrix, oracle_rhs))
+        reference = np.linalg.solve(a, b)
+        assert np.abs(full - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_symmetric_input_gives_exactly_symmetric_output(self):
         rng = np.random.default_rng(99)
         m = rng.standard_normal((30, 30))

@@ -6,29 +6,38 @@ reference oracles. They read the signed incidence ``cell_faces`` (derived
 from the table by ``cell_faces_of``) row by row, never the table itself. So
 are the per-node loop version of MPFA assembly, the tuple-key loop that
 matched face and cell centres, the per-pair Star-Delta loop that updated the
-kept block entry by entry, and the network builder that wrote each level of
+kept block entry by entry, the per-component Schur complement that filled
+dense kept-width blocks, and the network builder that wrote each level of
 the fracture hierarchy out by hand. The array versions and the one crossing
 rule must reproduce them on all six preset cases, on a perturbed simplex mesh
-and on random fracture networks. The transport step factored in cell order by
+and on random fracture networks; the Schur complement is also held to a
+dense block elimination. The transport step factored in cell order by
 minimum degree is the oracle of the flux-ordered factor on the preset cases.
 """
 
 import copy
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from conftest import write_triangle_square_mesh, x_dirichlet
+from conftest import assert_reductions_symmetric, write_triangle_square_mesh, x_dirichlet
 from fracfv import coupling, transport
 from fracfv.coupling import conservation_residual, uniform_problem
-from fracfv.elimination import limit_equivalence_check, schur_reduce, star_delta_reduce
+from fracfv.elimination import (
+    back_substitute,
+    limit_equivalence_check,
+    schur_reduce,
+    star_delta_reduce,
+)
 from fracfv.errors import (
     DegenerateGeometryError,
     DiscretizationError,
@@ -44,7 +53,7 @@ from fracfv.fvdiscretize import DIRICHLET, NEUMANN, assemble_mpfa, flow_bc, tran
 from fracfv.fvdiscretize.mpfa import _plane_basis, default_eta
 from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, run_case
-from fracfv.linsolve import as_csr, direct_solve
+from fracfv.linsolve import CG_MIN_ROWS, _certified_stieltjes_3d, as_csr, direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
 from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
@@ -514,6 +523,90 @@ def loop_star_delta_reduce(system, eliminated=None):
     return sps.csr_matrix(a_kk), kept, eliminated
 
 
+def loop_schur_reduce_matrix(matrix, rhs, eliminated):
+    """Schur complement by a dense LU of each connected component of the
+    eliminated block, whose fill is assembled from dense kept-width blocks:
+    (matrix, rhs, back-substitution of kept pressures)."""
+    a = as_csr(matrix)
+    n = a.shape[0]
+    eliminated = np.unique(np.asarray(eliminated, dtype=int))
+    keep_mask = np.ones(n, dtype=bool)
+    keep_mask[eliminated] = False
+    kept = np.flatnonzero(keep_mask)
+    a_kk = a[kept][:, kept].tocsr()
+    a_ke = a[kept][:, eliminated].tocsc()
+    a_ek = a[eliminated][:, kept].tocsr()
+    a_ee = a[eliminated][:, eliminated].tocsr()
+    b = np.asarray(rhs, dtype=float)
+    b_k, b_e = b[kept], b[eliminated]
+    symmetric = (a - a.T).nnz == 0
+
+    fill = sps.csr_matrix((kept.size, kept.size))
+    b_fill = np.zeros(kept.size)
+    blocks = []
+    if eliminated.size:
+        n_comp, labels = connected_components((abs(a_ee) + abs(a_ee.T)).tocsr(), directed=False)
+        rows_f, cols_f, vals_f = [], [], []
+        for comp in range(n_comp):
+            loc = np.flatnonzero(labels == comp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(a_ee[loc][:, loc].toarray())
+            if np.abs(np.diag(lu)).min() == 0.0:
+                raise EliminationError(
+                    f"singular eliminated block for rows {eliminated[loc].tolist()}"
+                )
+            ek_block = a_ek[loc].toarray()
+            ke_block = a_ke[:, loc].toarray()
+            j_cols = np.flatnonzero(np.any(ek_block != 0.0, axis=0))
+            j_rows = np.flatnonzero(np.any(ke_block != 0.0, axis=1))
+            blocks.append((loc, (lu, piv)))
+            if j_cols.size and j_rows.size:
+                m = ke_block[j_rows] @ sla.lu_solve((lu, piv), ek_block[:, j_cols])
+                if symmetric and np.array_equal(j_rows, j_cols):
+                    m = np.triu(m) + np.triu(m, 1).T
+                rr, cc = np.meshgrid(j_rows, j_cols, indexing="ij")
+                rows_f.append(rr.ravel())
+                cols_f.append(cc.ravel())
+                vals_f.append(m.ravel())
+            b_fill += ke_block @ sla.lu_solve((lu, piv), b_e[loc])
+        if rows_f:
+            fill = sps.csr_matrix(
+                (np.concatenate(vals_f), (np.concatenate(rows_f), np.concatenate(cols_f))),
+                shape=(kept.size, kept.size),
+            )
+
+    def back(p_kept):
+        full = np.empty(n)
+        full[kept] = p_kept
+        rhs_e = b_e - a_ek @ p_kept
+        for loc, lu_piv in blocks:
+            full[eliminated[loc]] = sla.lu_solve(lu_piv, rhs_e[loc])
+        return full
+
+    return as_csr(a_kk - fill), b_k - b_fill, back
+
+
+def dense_schur_reduce(matrix, rhs, eliminated):
+    """``A_kk - A_ke solve(A_ee, A_ek)`` by dense block elimination:
+    (matrix, rhs, back-substitution of kept pressures)."""
+    a, b = as_csr(matrix).toarray(), np.asarray(rhs, dtype=float)
+    e = np.unique(np.asarray(eliminated, dtype=int))
+    k = np.setdiff1d(np.arange(b.size), e)
+
+    def solve(right):
+        return np.linalg.solve(a[np.ix_(e, e)], right)
+
+    def back(p_kept):
+        full = np.empty(b.size)
+        full[k] = p_kept
+        full[e] = solve(b[e] - a[np.ix_(e, k)] @ p_kept)
+        return full
+
+    a_ke = a[np.ix_(k, e)]
+    return a[np.ix_(k, k)] - a_ke @ solve(a[np.ix_(e, k)]), b[k] - a_ke @ solve(b[e]), back
+
+
 def _snapped(value, nodes, tol, what):
     idx = cartesian._snap(value, nodes, tol, what)
     return nodes[idx], idx
@@ -851,6 +944,22 @@ def _check_star_delta(reduced, system, eliminated=None):
     assert (gap.max() if gap.nnz else 0.0) <= STAR_DELTA_TOL * scale
 
 
+SCHUR_TOL = 1e-13
+
+
+def _check_schur(reduced, system, eliminated=None):
+    """Reduced matrix, right-hand side and back-substituted pressure within
+    ``SCHUR_TOL`` of both oracles, relative to the oracle's largest entry."""
+    p_kept = direct_solve(reduced.matrix, reduced.rhs)
+    p = back_substitute(reduced, p_kept)
+    for oracle in (loop_schur_reduce_matrix, dense_schur_reduce):
+        matrix, rhs, back = oracle(system.matrix, system.rhs, reduced.eliminated)
+        for new, old in ((reduced.matrix, matrix), (reduced.rhs, rhs), (p, back(p_kept))):
+            new, old = (x.toarray() if sps.issparse(x) else x for x in (new, old))
+            scale = np.abs(old).max(initial=0.0)
+            assert np.abs(new - old).max(initial=0.0) <= SCHUR_TOL * scale, oracle.__name__
+
+
 class Spies:
     """Wrap the array kernels where the case runners look them up and check
     every call against its oracle."""
@@ -858,7 +967,7 @@ class Spies:
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(
             ["build", "match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind",
-             "star_delta"],
+             "star_delta", "schur"],
             0,
         )
         self._wrap(monkeypatch, cases, "build_cartesian_with_fractures", "build", _check_build)
@@ -870,6 +979,7 @@ class Spies:
         self._wrap(monkeypatch, cases, "flux_graph_from_reduced", "reduced", _check_reduced_graph)
         self._wrap(monkeypatch, transport, "upwind_operator", "upwind", _check_upwind)
         self._wrap(monkeypatch, cases, "star_delta_reduce", "star_delta", _check_star_delta)
+        self._wrap(monkeypatch, cases, "schur_reduce", "schur", _check_schur)
 
     def _wrap(self, monkeypatch, module, name, key, check):
         original = getattr(module, name)
@@ -912,6 +1022,8 @@ def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
         assert spies.calls["reduced"] > 0
     if case in ("1.1", "1.2-lite", "1.3"):
         assert spies.calls["star_delta"] > 0
+    if case in ("1.1", "1.2-lite", "1.3", "4"):
+        assert spies.calls["schur"] > 0
 
 
 def _tracer_runs(monkeypatch, spec, factorize_step=None):
@@ -1205,6 +1317,7 @@ def test_random_networks(network):
     reduced = schur_reduce(system)
     p_kept = direct_solve(reduced.matrix, reduced.rhs)
     assert np.abs(p_kept - p[reduced.kept]).max() <= 1e-10 * np.abs(p).max()
+    _check_schur(reduced, system)
 
     # Boundary data on an intersection cell makes both Star-Delta versions
     # refuse the system, with the same message.
@@ -1222,6 +1335,14 @@ def _matrix_dirichlet(sd, grid):
     """Dirichlet pressure on the matrix's x faces only: no eliminated cell
     carries boundary data."""
     return x_dirichlet(sd, grid) if sd == 0 else None
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(networks().filter(lambda network: network[0].ambient_dim == 3))
+def test_random_3d_reductions_stay_symmetric(network):
+    mesh, matrix_k = network
+    perms = [matrix_k] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
+    assert_reductions_symmetric(uniform_problem(mesh, perms, _matrix_dirichlet).assemble())
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

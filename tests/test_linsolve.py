@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_kuhn_mesh, x_dirichlet
+from conftest import assert_reductions_symmetric, write_kuhn_mesh, x_dirichlet
 from fracfv import linsolve
 from fracfv.coupling import uniform_problem
 from fracfv.errors import SingularMatrixError
@@ -269,6 +269,17 @@ class TestConjugateGradientRoute:
         reference = direct_solve(a, b, factor=factorize(a))  # the LU route is the oracle
         assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
         assert backward_error(a, x, b) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(networks_3d())
+    def test_reduced_random_3d_networks_stay_on_cg(self, mesh):
+        def matrix_dirichlet(sd, grid):
+            # Boundary data on the matrix only, where Star-Delta accepts it.
+            return x_dirichlet(sd, grid) if sd == 0 else None
+
+        perms = [1.0] + [g.metadata["permeability"] for g in mesh.subdomains[1:]]
+        system = uniform_problem(mesh, perms, matrix_dirichlet).assemble()
+        assert min(assert_reductions_symmetric(system)) >= linsolve.CG_MIN_ROWS
 
     @pytest.mark.parametrize(
         "build",

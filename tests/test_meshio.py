@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_SQUARE_CELL, write_kuhn_mesh, write_triangle_square_mesh
-from fracfv.errors import ConformityError, MeshFormatError
-from fracfv.harness.cases import case4_problem, case13_problem
+from fracfv.errors import ConformityError, MeshError, MeshFormatError
+from fracfv.harness.cases import case4_problem, case11_problem, case13_problem
 from fracfv.mdmesh import (
     FractureNetworkSpec,
     FracturePatch,
@@ -26,7 +26,7 @@ from fracfv.mdmesh import (
     load_mesh,
     save_mesh,
 )
-from fracfv.mdmesh.grids import SubdomainGrid, cell_faces_of
+from fracfv.mdmesh.grids import SubdomainGrid, cell_faces_of, validate_grid
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
 from fracfv.mdmesh.meshio import _derive_simplex_faces, _ordered_face_nodes
 
@@ -529,6 +529,62 @@ def test_non_numeric_token_rejected(tmp_path, old, new, message):
     path.write_text(UNIT_SQUARE_CELL.replace(old, new))
     with pytest.raises(MeshFormatError, match=message):
         load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("aperture 1", "aperture nan"),
+        ("\n1 0\n", "\ninf 0\n"),
+        ("\n0 1\n", "\n0 -Infinity\n"),
+        ("\n1 1\n", "\n1 NaN\n"),
+    ],
+    ids=["aperture-nan", "coordinate-inf", "coordinate-minus-infinity", "coordinate-nan"],
+)
+def test_non_finite_number_rejected(tmp_path, old, new):
+    path = tmp_path / "bad.txt"
+    path.write_text(UNIT_SQUARE_CELL.replace(old, new))
+    line = new.strip()
+    with pytest.raises(MeshFormatError, match=re.escape(f"non-finite number in line {line!r}")):
+        load_mesh(path)
+
+
+def _saved_with_aperture(tmp_path, mesh, dim, aperture):
+    """The saved document of ``mesh`` with the aperture of its first
+    subdomain of dimension ``dim`` replaced."""
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    text, count = re.subn(
+        rf"(dim {dim}\naperture )\S+", rf"\g<1>{aperture}", path.read_text(), count=1
+    )
+    assert count == 1
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "build,dim,aperture,error,message",
+    [
+        # The fracture of a 2D one-fracture mesh.
+        (lambda: _fractured(2), 1, "nan", MeshFormatError, "non-finite number in line 'aperture nan'"),
+        # Case 1.1's point, where a^(N - d) is positive for a negative a.
+        (lambda: case11_problem(4)[1], 0, "-0.01", MeshError, "aperture -0.01 is not finite"),
+    ],
+    ids=["fracture-nan", "point-negative"],
+)
+def test_saved_mesh_with_bad_aperture_rejected(tmp_path, build, dim, aperture, error, message):
+    path = _saved_with_aperture(tmp_path, build(), dim, aperture)
+    with pytest.raises(error, match=re.escape(message)):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("aperture", [np.nan, np.inf, -0.01])
+def test_validate_grid_requires_finite_positive_aperture(aperture):
+    point = case11_problem(4)[1].subdomains[-1]
+    assert point.dim == 0
+    validate_grid(point)
+    with pytest.raises(MeshError, match="is not finite and positive"):
+        validate_grid(dataclasses.replace(point, aperture=aperture))
 
 
 # A square cell, then a point subdomain whose one 0-simplex lists three nodes.
