@@ -54,7 +54,10 @@ def _condense(a_kk, a_ke, e, a_ek, symmetric: bool) -> sps.csr_matrix:
     lower, so that a symmetric ``A_kk`` gives an exactly symmetric result."""
     fill = (a_ke @ e) @ a_ek
     if symmetric:
-        fill = sps.triu(fill) + sps.triu(fill, 1).T
+        c = fill.tocoo()
+        keep, mirror = c.row <= c.col, c.row < c.col
+        ij = (np.r_[c.row[keep], c.col[mirror]], np.r_[c.col[keep], c.row[mirror]])
+        fill = sps.csr_matrix((np.r_[c.data[keep], c.data[mirror]], ij), shape=fill.shape)
     return as_csr(a_kk - fill)
 
 

@@ -13,9 +13,10 @@ report envelope and writes every artifact.
 from __future__ import annotations
 
 import inspect
+import itertools
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -33,7 +34,8 @@ from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
 from ..linsolve import condition_number, direct_solve, factorize
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
-from ..tensors import PermeabilityTensor
+from ..mdmesh.cartesian import _as_tensor, _intersection_tensor
+from ..tensors import PermeabilityTensor, tensor_field
 from ..transport import (
     TracerSimulation,
     flux_graph_from_reduced,
@@ -333,14 +335,15 @@ def _flow_and_tracer(
     return p_full, cond_full, sim_full, reductions
 
 
-def _projected(values, fine_centres, coarse_centres, groups) -> np.ndarray:
-    """A coarse field on fine cells: each fine cell of a ``(fine_mask,
+def _projection(fine_centres, coarse_centres, groups) -> Callable:
+    """Coarse fields to fine cells: each fine cell of a ``(fine_mask,
     coarse_mask)`` group takes the value of the nearest coarse cell of the
     group; fine cells outside every group get zero."""
-    out = np.zeros(len(fine_centres))
+    source = np.full(len(fine_centres), -1)
     for fine, coarse in groups:
-        out[fine] = values[coarse][nearest_cell_map(fine_centres[fine], coarse_centres[coarse])]
-    return out
+        nearest = nearest_cell_map(fine_centres[fine], coarse_centres[coarse])
+        source[fine] = np.flatnonzero(coarse)[nearest]
+    return lambda values: np.where(source >= 0, values[source], 0.0)
 
 
 def _write_artifacts(study: _Study, out_dir: Path, write_vtk: bool) -> dict:
@@ -361,6 +364,17 @@ def _write_artifacts(study: _Study, out_dir: Path, write_vtk: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _case11_network(k_h, k_v, k_i, aperture) -> FractureNetworkSpec:
+    return FractureNetworkSpec(
+        domain=((0.0, 1.0), (0.0, 1.0)),
+        fractures=[
+            FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, k_h, "horizontal"),
+            FracturePatch(0, 0.5, ((0.0, 1.0),), aperture, k_v, "vertical"),
+        ],
+        intersection_permeability=float(k_v if k_i is None else k_i),
+    )
+
+
 def case11_problem(
     resolution: int = 8,
     k_h: float = 1.0,
@@ -375,15 +389,7 @@ def case11_problem(
     on the vertical boundaries; the distance-corrected coupling keeps the
     uniform-permeability solution exactly linear.
     """
-    spec = FractureNetworkSpec(
-        domain=((0.0, 1.0), (0.0, 1.0)),
-        fractures=[
-            FracturePatch(1, 0.5, ((0.0, 1.0),), aperture, k_h, "horizontal"),
-            FracturePatch(0, 0.5, ((0.0, 1.0),), aperture, k_v, "vertical"),
-        ],
-        intersection_permeability=float(k_v if k_i is None else k_i),
-    )
-    mesh = build_cartesian_with_fractures(spec, resolution)
+    mesh = build_cartesian_with_fractures(_case11_network(k_h, k_v, k_i, aperture), resolution)
 
     def linear(x):
         return 1.0 - x[0]
@@ -415,17 +421,22 @@ def _case11_point(problem, mesh) -> dict:
     return point
 
 
-def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8, **physics) -> dict:
+def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8, k_i=None, aperture=1e-2) -> dict:
     """Error and condition-ratio matrices over the fracture permeability grid.
 
-    ``physics`` (``k_i``, ``aperture``) goes to ``case11_problem``.
+    ``k_i`` and ``aperture`` are those of ``case11_problem``. All points share
+    one mesh and take the permeabilities of their own networks.
     """
     values = [float(v) for v in values]
-    points = {
-        (k_h, k_v): _case11_point(*case11_problem(resolution, k_h, k_v, **physics))
-        for k_h in values
-        for k_v in values
-    }
+    problem, mesh = case11_problem(resolution, k_i=k_i, aperture=aperture)
+    points = {}
+    for k_h, k_v in itertools.product(values, values):
+        spec = _case11_network(k_h, k_v, k_i, aperture)
+        fractures = [_as_tensor(f.permeability, 2) for f in spec.fractures]
+        crossing = _intersection_tensor(spec.intersection_permeability, fractures, 2)
+        tensors = [1.0, *fractures, crossing]
+        k = [tensor_field(t, g.n_cells, 2) for t, g in zip(tensors, mesh.subdomains)]
+        points[(k_h, k_v)] = _case11_point(replace(problem, permeability=k), mesh)
     matrices = {"k_values": values}
     for key in ("pressure_error", "r_c"):
         matrices[key] = {
@@ -581,7 +592,9 @@ def case2_fine_reference(
     k_fracture: float = 1e4,
     aperture: float = 1e-3,
 ):
-    """Equi-dimensional reference: the fracture meshed as a thin cell row."""
+    """Equi-dimensional reference: the fracture meshed as a thin cell row.
+
+    Returns the flow problem and the mask of the fracture's cells."""
     nf = fine_resolution
     half = np.linspace(0.0, 0.5 - aperture / 2.0, nf // 2 + 1)
     upper = np.linspace(0.5 + aperture / 2.0, 1.0, nf // 2 + 1)
@@ -598,9 +611,7 @@ def case2_fine_reference(
         bcs=[_corner_patches(0, 1)(0, grid)],
         methods=["mpfa"],
     )
-    system = problem.assemble()
-    p = direct_solve(system.matrix, system.rhs)
-    return mesh, system, p, strip
+    return problem, strip
 
 
 def _study_2(build, spec, p, timings) -> _Study:
@@ -613,22 +624,31 @@ def _study_2(build, spec, p, timings) -> _Study:
         "errors": {},
         "slopes": {},
     }
-    for ratio in ratios:
-        with _timed(timings, f"fine_ratio_{ratio:g}"):
-            fine_mesh, _, p_fine, strip = case2_fine_reference(
-                p["fine_resolution"], ratio, p["angle"], p["k_fracture"], p["aperture"]
-            )
-        fine = fine_mesh.subdomains[0]
-        errors = []
+    # The meshes, and the maps from fine to coarse cells, serve every ratio;
+    # a ratio changes only the matrix tensor, subdomain 0 of every mesh.
+    with _timed(timings, "meshes"):
+        physics = (p["angle"], p["k_fracture"], p["aperture"])
+        fine_problem, strip = case2_fine_reference(p["fine_resolution"], ratios[0], *physics)
+        fine = fine_problem.mesh.subdomains[0]
+        coarse = []
         for n in resolutions:
-            with _timed(timings, f"coarse_{n}_ratio_{ratio:g}"):
-                problem, mesh = build(n, ratio)
-                system = problem.assemble()
-                pressure = direct_solve(system.matrix, system.rhs)
+            problem, mesh = build(n, ratios[0])
             dims = mesh.dof_dims()
             groups = [(~strip, dims == 2), (strip, dims == 1)]
-            projected = _projected(pressure, fine.cell_centres, mesh.all_cell_centres(), groups)
-            errors.append(l2_error(projected, p_fine, fine.cell_volumes))
+            project = _projection(fine.cell_centres, mesh.all_cell_centres(), groups)
+            coarse.append((problem, project))
+    for ratio in ratios:
+        tensor = case2_matrix_tensor(ratio, p["angle"])
+        with _timed(timings, f"fine_ratio_{ratio:g}"):
+            k = np.where(strip[:, None, None], fine_problem.permeability[0], tensor.matrix)
+            fine_system = replace(fine_problem, permeability=[k]).assemble()
+            p_fine = direct_solve(fine_system.matrix, fine_system.rhs)
+        errors = []
+        for n, (problem, project) in zip(resolutions, coarse):
+            with _timed(timings, f"coarse_{n}_ratio_{ratio:g}"):
+                system = problem.with_subdomain_permeability([0], tensor).assemble()
+                pressure = direct_solve(system.matrix, system.rhs)
+            errors.append(l2_error(project(pressure), p_fine, fine.cell_volumes))
         results["errors"][f"{ratio:g}"] = errors
         results["slopes"][f"{ratio:g}"] = least_squares_slope(
             1.0 / np.array(resolutions), np.array(errors)
@@ -678,16 +698,19 @@ def case3_problem(
         ],
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
-    if discretization == "hybrid":
-        methods = ["tpfa" if g.dim == 3 else "mpfa" for g in mesh.subdomains]
-    elif discretization in ("tpfa", "mpfa"):
-        methods = [discretization] * len(mesh.subdomains)
-    else:
-        raise FracfvError(f"unknown discretization {discretization!r}")
+    methods = _case3_methods(mesh, discretization)
     problem = uniform_problem(
         mesh, _network_permeabilities(mesh, 1.0), _corner_patches(2), methods=methods
     )
     return problem, mesh
+
+
+def _case3_methods(mesh, discretization: str) -> list:
+    if discretization == "hybrid":
+        return ["tpfa" if g.dim == 3 else "mpfa" for g in mesh.subdomains]
+    if discretization in ("tpfa", "mpfa"):
+        return [discretization] * len(mesh.subdomains)
+    raise FracfvError(f"unknown discretization {discretization!r}")
 
 
 def _study_3(build, spec, p, timings) -> _Study:
@@ -696,14 +719,13 @@ def _study_3(build, spec, p, timings) -> _Study:
     variants = ["tpfa", "hybrid"] if spec.discretization is None else [spec.discretization]
     runs = {}
     study = _Study({"t_final": p["t_final"], "dt": dt, "reference": "mpfa"}, {"runs": runs})
+    problem, mesh = build(n, "mpfa")  # one mesh for every scheme
+    probe = resolve_probe(mesh, np.array([0.9, 0.9, 1.0]), dims=3)
     for disc in dict.fromkeys(["mpfa"] + variants):
-        with _timed(timings, f"solve_transport_{disc}"):
-            problem, mesh = build(n, disc)
         with _timed(timings, f"discretize_{disc}"):
-            system = problem.assemble()
+            system = replace(problem, methods=_case3_methods(mesh, disc)).assemble()
         with _timed(timings, f"solve_transport_{disc}"):
             pressure = direct_solve(system.matrix, system.rhs)
-            probe = resolve_probe(mesh, np.array([0.9, 0.9, 1.0]), dims=3)
             graph = flux_graph_from_system(system, pressure)
             sim = _transport(graph, zero_tracer_bcs(mesh), np.ones(mesh.n_dofs), dt, n_steps, probe)
         runs[disc] = {
@@ -895,12 +917,12 @@ def _study_12(build, spec, p, timings) -> _Study:
 
     fine_dims = fine_mesh.dof_dims()
     fine_volumes = fine_mesh.all_cell_volumes()
-    centres = fine_mesh.all_cell_centres(), mesh.all_cell_centres()
     # Intersection points (dim 0) are excluded from the comparison groups.
     groups = [(fine_dims == d, mesh.dof_dims() == d) for d in (1, 2)]
+    project = _projection(fine_mesh.all_cell_centres(), mesh.all_cell_centres(), groups)
 
     def group_errors(values_full: np.ndarray) -> dict:
-        projected = _projected(values_full, *centres, groups)
+        projected = project(values_full)
         return {
             "combined": l2_error(projected, p_fine, fine_volumes, subset=fine_dims >= 1),
             "matrix": l2_error(projected, p_fine, fine_volumes, subset=fine_dims == 2),

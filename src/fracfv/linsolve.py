@@ -84,16 +84,20 @@ def factorize(matrix) -> spla.SuperLU:
             "matrix is numerically singular: the rows of a connected component sum to "
             "round-off, so the constant on that component is a null vector"
         )
+    lower = _is_lower_triangular(csr)
     try:
         lu = spla.splu(
             csr.tocsc(),
-            permc_spec="NATURAL" if _is_lower_triangular(csr) else "MMD_AT_PLUS_A",
+            permc_spec="NATURAL" if lower else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.01,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
+    # Reading lu.U makes SuperLU keep copies of L and U for the factor's life;
+    # a lower-triangular A factored with no row swap has its diagonal as pivots.
+    unswapped = lower and np.array_equal(lu.perm_r, np.arange(n))
+    pivots = np.abs(csr.diagonal() if unswapped else lu.U.diagonal())
     smallest, largest = pivots.min(), pivots.max()
     if largest == 0.0 or smallest / largest < 1e-14:
         raise SingularMatrixError(

@@ -329,10 +329,9 @@ def _mean_eigenvalue(tensor: PermeabilityTensor) -> float:
     return float(np.trace(tensor.matrix)) / tensor.dim
 
 
-def _intersection_tensor(rule, parents: list[dict], ambient_dim: int) -> PermeabilityTensor:
-    """Apply the intersection permeability rule to the metadata of a crossing's
+def _intersection_tensor(rule, tensors: list, ambient_dim: int) -> PermeabilityTensor:
+    """Apply the intersection permeability rule to the tensors of a crossing's
     direct parents."""
-    tensors = [p["permeability"] for p in parents]
     if isinstance(rule, PermeabilityTensor):
         return rule
     if np.isscalar(rule) and not isinstance(rule, str):
@@ -457,6 +456,7 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
         level = []
         for box in order:
             parents = [subdomains[i].metadata for i in found[box]]
+            tensors = [p["permeability"] for p in parents]
             if _free_axes(box):
                 name = "x".join(p["name"] for p in parents)
             else:
@@ -464,7 +464,7 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
             metadata = {
                 "role": "intersection",
                 "name": name,
-                "permeability": _intersection_tensor(rule, parents, ambient),
+                "permeability": _intersection_tensor(rule, tensors, ambient),
             }
             aperture = min(subdomains[i].aperture for i in found[box])
             level.append(add(box, aperture, metadata, found[box]))

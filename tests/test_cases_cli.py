@@ -8,7 +8,8 @@ import pytest
 from conftest import UNIT_SQUARE_CELL
 from fracfv.errors import FracfvError
 from fracfv.harness import l2_error, read_field_csv
-from fracfv.harness.cases import CaseSpec, run_case
+from fracfv.harness import cases
+from fracfv.harness.cases import CaseSpec, case11_problem, run_case, sweep_case11
 from fracfv.harness.cli import main
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, save_mesh
 
@@ -238,6 +239,55 @@ class TestRunCaseArtifacts:
         assert b"relative_discretization_time" not in a
         timings = json.loads((tmp_path / "a" / "timings.json").read_text())
         assert set(timings["relative_discretization_time"]) == {"tpfa", "hybrid"}
+
+
+def _assert_same_csr(a, b):
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr))
+
+
+class TestSharedGeometry:
+    """A study builds each of its distinct geometries once and varies only
+    the physics on it."""
+
+    @pytest.mark.parametrize(
+        "case, resolution, overrides, builds",
+        [
+            ("1.1", 4, {}, 1),  # nine sweep points
+            ("2", None, {"fine_resolution": 32}, 5),  # three ratios: reference + four coarse
+            ("3", 4, {"n_steps": 2}, 1),  # mpfa, tpfa and hybrid
+        ],
+        ids=["1.1-sweep", "2", "3"],
+    )
+    def test_one_build_per_geometry(self, monkeypatch, case, resolution, overrides, builds):
+        calls = []
+        build = cases.build_cartesian_with_fractures
+
+        def spy(spec, resolution):
+            calls.append(resolution)
+            return build(spec, resolution)
+
+        monkeypatch.setattr(cases, "build_cartesian_with_fractures", spy)
+        run_case(CaseSpec(case, resolution=resolution, overrides=overrides))
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("physics", [{}, {"k_i": 1e2}], ids=["default", "k_i"])
+    def test_sweep_points_match_their_own_builds(self, physics):
+        """Every sweep point equals a run on a mesh built for that point alone,
+        bit for bit, though the shared mesh's metadata holds another point's
+        permeabilities."""
+        for (k_h, k_v), point in sweep_case11(resolution=8, **physics)["points"].items():
+            oracle = cases._case11_point(*case11_problem(8, k_h, k_v, **physics))
+            for k, k_oracle in zip(point["problem"].permeability, oracle["problem"].permeability):
+                assert np.array_equal(k, k_oracle)
+            _assert_same_csr(point["system"].matrix, oracle["system"].matrix)
+            assert np.array_equal(point["system"].rhs, oracle["system"].rhs)
+            assert np.array_equal(point["p_full"], oracle["p_full"])
+            assert point["cond_full"] == oracle["cond_full"]
+            for tag in ("schur", "star_delta"):
+                _assert_same_csr(point[tag]["reduced"].matrix, oracle[tag]["reduced"].matrix)
+                for key in ("pressure_error", "cond", "r_c"):
+                    assert point[tag][key] == oracle[tag][key]
 
 
 class TestCommandLine:

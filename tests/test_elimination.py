@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sps
 
 from fracfv.elimination import (
+    _condense,
     back_substitute,
     limit_equivalence_check,
     reduced_fluxes,
@@ -16,7 +17,7 @@ from fracfv.elimination import (
 )
 from fracfv.errors import EliminationError, UnsupportedSourceError
 from fracfv.harness.cases import case4_problem, case11_problem, case13_problem
-from fracfv.linsolve import condition_number, direct_solve
+from fracfv.linsolve import as_csr, condition_number, direct_solve
 
 
 class TestSchurMatrixLevel:
@@ -97,6 +98,25 @@ class TestSchurMatrixLevel:
         a = sps.csr_matrix(m + m.T + 60.0 * np.eye(30))
         red = schur_reduce_matrix(a, rng.standard_normal(30), np.arange(5, 17))
         assert (red.matrix - red.matrix.T).nnz == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_pass_mirror_matches_triangle_sum(self, seed):
+        """The mirrored fill equals the upper triangle plus its transposed
+        strict part, bit for bit, explicit zeros and empty rows included."""
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 40), rng.integers(1, 6)
+        blocks = [
+            sps.random(*shape, density=rng.uniform(0.05, 0.6), random_state=rng, format="csr")
+            for shape in ((n, n), (n, m), (m, m), (m, n))
+        ]
+        a_kk, a_ke, e, a_ek = blocks
+        a_kk.data[::3] = 0.0
+        fill = (a_ke @ e) @ a_ek
+        oracle = as_csr(a_kk - (sps.triu(fill) + sps.triu(fill, 1).T))
+        for symmetric, expected in ((True, oracle), (False, as_csr(a_kk - fill))):
+            result = _condense(a_kk, a_ke, e, a_ek, symmetric)
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(result, attr), getattr(expected, attr))
 
     def test_singular_block_names_rows(self):
         a = sps.csr_matrix(

@@ -1,5 +1,6 @@
 """Direct solver and condition numbers."""
 
+import re
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -140,6 +141,50 @@ class TestOrderingPolicy:
         assert np.array_equal(lu.perm_r, reference.perm_r)
         b = np.arange(a.shape[0], dtype=float)
         assert np.array_equal(lu.solve(b), reference.solve(b))
+
+
+class TestPivotGuard:
+    """A lower-triangular matrix that SuperLU factors with no row swap gives
+    its pivots from its own diagonal, without reading ``lu.U``; any other
+    takes them from ``lu.U``. Both refuse the same matrices."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 60),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-17.0, 0.0),
+        swap=st.booleans(),
+    )
+    @example(n=3, seed=0, exponent=-15.0, swap=False)
+    def test_matches_the_u_factor(self, n, seed, exponent, swap):
+        a = _lower_triangular(n, seed).tolil()
+        j = int(np.random.default_rng(seed).integers(n - 1))
+        a[j, j] *= 10.0**exponent  # one small pivot
+        if swap:
+            a[n - 1, j] = 1.0  # a larger entry below it, for threshold pivoting
+        a = as_csr(a)
+        reference = spla.splu(
+            a.tocsc(),
+            permc_spec="NATURAL",
+            diag_pivot_thresh=0.01,
+            options={"SymmetricMode": True},
+        )
+        pivots = np.abs(reference.U.diagonal())
+        if np.array_equal(reference.perm_r, np.arange(n)):
+            assert np.array_equal(pivots, np.abs(a.diagonal()))
+        smallest, largest = pivots.min(), pivots.max()
+        if smallest / largest < 1e-14:
+            message = re.escape(f"pivot ratio {smallest:.3e} / {largest:.3e}")
+            with pytest.raises(SingularMatrixError, match=message):
+                factorize(a)
+        else:
+            assert np.array_equal(factorize(a).perm_r, reference.perm_r)
+
+    def test_diagonal_ratio_below_the_guard_raises(self):
+        # Nothing lies below the small pivot, so no row is swapped.
+        a = sps.csr_matrix(np.array([[1.0, 0.0, 0.0], [-0.5, 1e-15, 0.0], [-0.5, 0.0, 1.0]]))
+        with pytest.raises(SingularMatrixError, match="pivot ratio 1.000e-15 / 1.000e[+]00"):
+            factorize(a)
 
 
 class TestConditionNumber:
@@ -291,7 +336,7 @@ class TestConjugateGradientRoute:
             # Anisotropic 2D MPFA: 1,056 unknowns, 8.4 entries per row.
             lambda: case2_problem(32, 3.0)[0].assemble(),
             # Case 2's fine reference: 16,512 unknowns, 8.9 entries per row.
-            lambda: case2_fine_reference(128, 3.0)[1],
+            lambda: case2_fine_reference(128, 3.0)[0].assemble(),
             # Nonsymmetric 3D MPFA: 576 unknowns.
             lambda: case3_problem(8, "mpfa")[0].assemble(),
             # A certified 3D TPFA matrix with one row doubled: a nonsymmetric Z-matrix.

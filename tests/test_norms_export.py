@@ -184,8 +184,8 @@ class TestNearestCellMap:
         case 1.2-lite's fine and coarse groups, the map is cKDTree's."""
         from scipy.spatial import cKDTree
 
-        fine_mesh, _, _, strip = case2_fine_reference(64, 1.0)
-        fine_centres = fine_mesh.subdomains[0].cell_centres
+        fine_problem, strip = case2_fine_reference(64, 1.0)
+        fine_centres = fine_problem.mesh.subdomains[0].cell_centres
         pairs = []
         for n in (4, 8, 16, 32):
             _, mesh = case2_problem(n, 1.0)
