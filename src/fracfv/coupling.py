@@ -74,12 +74,11 @@ class CouplingDiscretization:
     """Per-interface transmissibilities and their block placement.
 
     Positive interface flux is directed from the higher-dimensional cell into
-    the lower-dimensional cell.
+    the lower-dimensional cell. ``mesh.interfaces[interface]`` names the two
+    subdomains.
     """
 
     interface: int
-    higher: int
-    lower: int
     higher_cells: np.ndarray
     transmissibility: np.ndarray
     alpha_higher: np.ndarray
@@ -116,8 +115,6 @@ def discretize_interface(
     )
     return CouplingDiscretization(
         interface=interface_index,
-        higher=intf.higher,
-        lower=intf.lower,
         higher_cells=higher_cells,
         transmissibility=t,
         alpha_higher=a_hi,

@@ -40,8 +40,6 @@ class ReducedSystem:
     eliminated: np.ndarray
     matrix: sps.csr_matrix
     rhs: np.ndarray
-    rhs_kept_raw: np.ndarray
-    tag: str
     e_inverse: sps.csr_matrix | None = None
     a_ek: sps.csr_matrix | None = None
     b_e: np.ndarray | None = None
@@ -118,8 +116,6 @@ def schur_reduce_matrix(
         eliminated=eliminated,
         matrix=_condense(a[kept][:, kept], a_ke, e, a_ek, symmetric),
         rhs=b_k - a_ke @ (e @ b_e),
-        rhs_kept_raw=b_k.copy(),
-        tag="schur",
         e_inverse=e,
         a_ek=a_ek,
         b_e=b_e,
@@ -153,10 +149,10 @@ def schur_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None) -> 
 def back_substitute(reduced: ReducedSystem, p_kept: np.ndarray) -> np.ndarray:
     """Recover the full pressure field from kept pressures.
 
-    Only available for Schur-type reductions.
+    Only available for Schur-type reductions, which keep ``e_inverse``.
     """
-    if reduced.tag != "schur" or reduced.e_inverse is None:
-        raise EliminationError(f"back-substitution is not defined for tag {reduced.tag!r}")
+    if reduced.e_inverse is None:
+        raise EliminationError("back-substitution needs a Schur reduction")
     full = np.empty(reduced.kept.size + reduced.eliminated.size)
     full[reduced.kept] = p_kept
     full[reduced.eliminated] = reduced.e_inverse @ (reduced.b_e - reduced.a_ek @ p_kept)
@@ -241,8 +237,6 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
         eliminated=eliminated,
         matrix=_condense(a_kk, spokes, sps.diags(1.0 / total), spokes.T, True),
         rhs=system.rhs[kept].copy(),
-        rhs_kept_raw=system.rhs[kept].copy(),
-        tag="star_delta",
         system=system,
     )
 
@@ -268,11 +262,10 @@ def reduced_fluxes(reduced: ReducedSystem, p_kept: np.ndarray):
 def inherited_source_rates(reduced: ReducedSystem) -> np.ndarray:
     """Per-kept-cell source rates redistributed from eliminated cells.
 
-    For a Schur reduction this is the difference between the reduced
-    right-hand side and the raw kept one; Star-Delta reductions redistribute
-    nothing.
+    The reduced right-hand side less the system's own on the kept cells;
+    Star-Delta reductions redistribute nothing.
     """
-    return reduced.rhs - reduced.rhs_kept_raw
+    return reduced.rhs - reduced.system.rhs[reduced.kept]
 
 
 def limit_equivalence_check(problem, eliminated: np.ndarray | None, k_boost_values) -> dict:

@@ -9,6 +9,11 @@ class FracfvError(Exception):
     """Base class for all errors raised by fracfv."""
 
 
+class PermeabilityError(FracfvError, ValueError):
+    """A permeability that is not a finite symmetric positive-definite tensor
+    of the expected dimension."""
+
+
 class MeshError(FracfvError):
     """Invalid mesh geometry, topology or construction input."""
 

@@ -29,7 +29,8 @@ class BoundaryConditionSet:
         self.kind = np.full(grid.n_faces, UNSET, dtype=int)
         self.value = np.zeros(grid.n_faces)
         self.kind[grid.external_boundary] = default
-        self._functions: list[tuple[np.ndarray, object]] = []
+        self._functions: list = []
+        self._owner = np.full(grid.n_faces, -1)  # per face, its function; -1: constant
 
     def _check_assignable(self, faces: np.ndarray) -> np.ndarray:
         faces = np.atleast_1d(np.asarray(faces, dtype=int))
@@ -44,18 +45,15 @@ class BoundaryConditionSet:
     def _assign(self, faces, value, kind: int):
         faces = self._check_assignable(faces)
         self.kind[faces] = kind
-        # The latest assignment owns these faces: earlier functional data on
-        # them must not shadow it in value_at.
-        for mask, _ in self._functions:
-            mask[faces] = False
+        # The latest assignment owns these faces.
         if callable(value):
-            mask = np.zeros(self.grid.n_faces, dtype=bool)
-            mask[faces] = True
-            self._functions.append((mask, value))
+            self._owner[faces] = len(self._functions)
+            self._functions.append(value)
             self.value[faces] = np.atleast_1d(
                 np.asarray([value(x) for x in self.grid.face_centres[faces]], dtype=float)
             )
         else:
+            self._owner[faces] = -1
             self.value[faces] = value
 
     def set_dirichlet(self, faces, value) -> "BoundaryConditionSet":
@@ -75,11 +73,11 @@ class BoundaryConditionSet:
         from face centroids (sub-face continuity points) exact for fields
         the function describes.
         """
-        for mask, fn in reversed(self._functions):
-            if mask[face]:
-                where = self.grid.face_centres[face] if point is None else point
-                return float(fn(where))
-        return float(self.value[face])
+        owner = self._owner[face]
+        if owner < 0:
+            return float(self.value[face])
+        where = self.grid.face_centres[face] if point is None else point
+        return float(self._functions[owner](where))
 
     def validate_complete(self) -> None:
         """Every external boundary face must carry exactly one condition."""

@@ -2,7 +2,8 @@
 
 Each face is split into one sub-face per node. Around every node, a local
 system enforces pressure continuity at one point per sub-face (placed at
-``(1 - eta) * x_face + eta * x_node``) and flux continuity across interior
+``(1 - eta) * x_face + eta * x_node``, where the grid kind fixes eta: 0 on
+Cartesian grids, 1/3 on simplex grids) and flux continuity across interior
 sub-faces, assuming a linear pressure inside each cell of the region.
 Eliminating the continuity-point pressures yields sub-face transmissibilities
 that are summed into face rows.
@@ -352,29 +353,21 @@ def _interaction_regions(grid, permeability, bc, eta):
 
 
 def assemble_mpfa(
-    grid: SubdomainGrid,
-    permeability: np.ndarray,
-    bc: BoundaryConditionSet,
-    eta: float | None = None,
+    grid: SubdomainGrid, permeability: np.ndarray, bc: BoundaryConditionSet
 ) -> SubdomainDiscretization:
-    """Multipoint discretization of one subdomain.
+    """Multipoint discretization of one subdomain, with the continuity points
+    of ``default_eta`` (0 on Cartesian grids, 1/3 on simplex grids).
 
     Parameters:
         grid: The subdomain grid (Cartesian or simplex; planar if embedded).
         permeability: Per-cell tensors, shape (n_cells, N, N).
         bc: Complete boundary conditions.
-        eta: Continuity-point parameter in [0, 1); defaults by grid kind
-            (0 on Cartesian grids, 1/3 on simplex grids).
 
     Raises:
         SingularLocalSystemError: A degenerate interaction region, naming
             the lowest-numbered such node.
     """
     bc.validate_complete()
-    if eta is None:
-        eta = default_eta(grid)
-    if not 0.0 <= eta < 1.0:
-        raise DiscretizationError(f"eta must lie in [0, 1), got {eta}")
     n_faces, n_cells = grid.n_faces, grid.n_cells
     div = grid.cell_faces.T.tocsr()
     if n_faces == 0:
@@ -382,12 +375,11 @@ def assemble_mpfa(
             flux_cell=sps.csr_matrix((0, n_cells)),
             flux_boundary=np.zeros(0),
             div=div,
-            method="mpfa",
             diagnostics={"mpfa_regions": 0, "mpfa_max_local_condition": 0.0},
         )
 
     sub_face, sub_flux, boundary_term, diagnostics = _interaction_regions(
-        grid, permeability, bc, eta
+        grid, permeability, bc, default_eta(grid)
     )
     # Face sums as products with the face x sub-face incidence P. Scipy's
     # product (Gustavson, ACM TOMS 4, 1978) adds up row f of P @ S over
@@ -402,11 +394,6 @@ def assemble_mpfa(
     flux_cell.eliminate_zeros()
     flux_cell.sort_indices()
     flux_boundary = incidence @ boundary_term
-    diagnostics["eta"] = eta
     return SubdomainDiscretization(
-        flux_cell=flux_cell,
-        flux_boundary=flux_boundary,
-        div=div,
-        method="mpfa",
-        diagnostics=diagnostics,
+        flux_cell=flux_cell, flux_boundary=flux_boundary, div=div, diagnostics=diagnostics
     )

@@ -25,7 +25,6 @@ class SubdomainDiscretization:
     flux_cell: sps.csr_matrix
     flux_boundary: np.ndarray
     div: sps.csr_matrix
-    method: str
     diagnostics: dict = field(default_factory=dict)
 
     @property

@@ -110,9 +110,5 @@ def assemble_tpfa(
         "blocking_faces": int(np.count_nonzero(blocking)),
     }
     return SubdomainDiscretization(
-        flux_cell=flux_cell,
-        flux_boundary=flux_boundary,
-        div=div,
-        method="tpfa",
-        diagnostics=diagnostics,
+        flux_cell=flux_cell, flux_boundary=flux_boundary, div=div, diagnostics=diagnostics
     )

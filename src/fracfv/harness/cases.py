@@ -34,8 +34,8 @@ from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
 from ..linsolve import condition_number, direct_solve, factorize
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
-from ..mdmesh.cartesian import _as_tensor, _intersection_tensor
-from ..tensors import PermeabilityTensor, tensor_field
+from ..mdmesh.cartesian import _intersection_tensor
+from ..tensors import PermeabilityTensor, as_tensor, tensor_field
 from ..transport import (
     TracerSimulation,
     flux_graph_from_reduced,
@@ -153,6 +153,8 @@ def _override(key: str, value, default):
         raise FracfvError(f"override {key} must be 0/1 or true/false, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FracfvError(f"override {key} must be numeric, got {value!r}")
+    if not np.isfinite(value):
+        raise FracfvError(f"override {key} must be finite, got {value!r}")
     if kind is int:  # every integer parameter is a count
         if not float(value).is_integer():
             raise FracfvError(f"override {key} must be an integer, got {value!r}")
@@ -432,7 +434,7 @@ def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8, k_i=None, apertur
     points = {}
     for k_h, k_v in itertools.product(values, values):
         spec = _case11_network(k_h, k_v, k_i, aperture)
-        fractures = [_as_tensor(f.permeability, 2) for f in spec.fractures]
+        fractures = [as_tensor(f.permeability, 2) for f in spec.fractures]
         crossing = _intersection_tensor(spec.intersection_permeability, fractures, 2)
         tensors = [1.0, *fractures, crossing]
         k = [tensor_field(t, g.n_cells, 2) for t, g in zip(tensors, mesh.subdomains)]
@@ -801,7 +803,8 @@ def case4_problem(
     )
     mesh = build_cartesian_with_fractures(spec, resolution)
     upper = mesh.highest_dim_subdomain().cell_centres[:, 2] > 0.5
-    k_matrix = np.where(upper, k_upper, k_lower)[:, None, None] * np.eye(3)
+    halves = [PermeabilityTensor.isotropic(k, 3).matrix for k in (k_upper, k_lower)]
+    k_matrix = np.where(upper[:, None, None], *halves)
 
     # Injection cell: on the conductive vertical line, one half cell below
     # the centre. The line cells of the blocker lie half a cell away.

@@ -1,9 +1,11 @@
 """Command-line interface: run cases, validate mesh documents.
 
 Exit codes: 0 success, 2 mesh errors (an unreadable mesh file included),
-3 discretization/assembly errors, 4 solver errors (a singular or numerically
-singular system), 1 anything else (artifacts that cannot be written included).
-Condition numbers have no size limit.
+3 discretization/assembly/elimination errors and transport errors, 4 solver
+errors (a singular or numerically singular system, a non-finite right-hand
+side included), 1 anything else: invalid input (a malformed, unknown or
+non-finite override, or a permeability that is not positive definite) and
+artifacts that cannot be written. Condition numbers have no size limit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from ..errors import (
     SolverError,
     TransportError,
 )
-from .cases import CASE_IDS, CaseSpec, run_case
+from .cases import CASE_IDS, CASES, CaseSpec, run_case
 
 
 def _parse_overrides(pairs):
@@ -37,6 +39,11 @@ def _parse_overrides(pairs):
     return out
 
 
+def _declared(choice: str) -> list:
+    """Every value of a choice that some case reads, in declared order."""
+    return list(dict.fromkeys(v for case in CASES.values() for v in getattr(case, choice)))
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracfv",
@@ -47,8 +54,8 @@ def make_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a preset case")
     run.add_argument("case", choices=CASE_IDS)
     run.add_argument("--resolution", type=int, default=None, help="cells per axis")
-    run.add_argument("--disc", choices=["tpfa", "mpfa", "hybrid"], default=None)
-    run.add_argument("--elim", choices=["none", "schur", "star_delta"], default=None)
+    run.add_argument("--disc", choices=_declared("discretizations"), default=None)
+    run.add_argument("--elim", choices=_declared("eliminations"), default=None)
     run.add_argument("--out", type=Path, default=Path("fracfv-out"))
     run.add_argument("--override", action="append", metavar="KEY=VALUE")
     run.add_argument("--vtk", action="store_true", help="also write legacy VTK fields")

@@ -243,9 +243,9 @@ def direct_solve(matrix, rhs: np.ndarray, factor: spla.SuperLU | None = None) ->
     """
     csr = as_csr(matrix)
     b = np.asarray(rhs, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise SingularMatrixError("right-hand side contains non-finite entries")
     if factor is None and b.ndim == 1 and csr.shape[0] >= CG_MIN_ROWS:
-        if not np.all(np.isfinite(b)):
-            raise SingularMatrixError("right-hand side contains non-finite entries")
         if _certified_stieltjes_3d(csr):
             return _jacobi_cg(csr, b)
         if _anchored_wide_stencil(csr):

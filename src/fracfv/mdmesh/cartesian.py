@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from ..errors import FractureAlignmentError, FractureOverlapError, MeshError
-from ..tensors import PermeabilityTensor
+from ..tensors import PermeabilityTensor, as_tensor
 from .grids import SubdomainGrid
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
@@ -317,14 +317,6 @@ def _snap(value: float, nodes: np.ndarray, tol: float, what: str) -> int:
     return idx
 
 
-def _as_tensor(permeability, dim) -> PermeabilityTensor:
-    if isinstance(permeability, PermeabilityTensor):
-        return permeability
-    if np.isscalar(permeability):
-        return PermeabilityTensor.isotropic(float(permeability), dim)
-    return PermeabilityTensor(np.asarray(permeability, dtype=float))
-
-
 def _mean_eigenvalue(tensor: PermeabilityTensor) -> float:
     return float(np.trace(tensor.matrix)) / tensor.dim
 
@@ -332,10 +324,8 @@ def _mean_eigenvalue(tensor: PermeabilityTensor) -> float:
 def _intersection_tensor(rule, tensors: list, ambient_dim: int) -> PermeabilityTensor:
     """Apply the intersection permeability rule to the tensors of a crossing's
     direct parents."""
-    if isinstance(rule, PermeabilityTensor):
-        return rule
-    if np.isscalar(rule) and not isinstance(rule, str):
-        return PermeabilityTensor.isotropic(float(rule), ambient_dim)
+    if not isinstance(rule, str):
+        return as_tensor(rule, ambient_dim)
     if rule == "min":
         return min(tensors, key=_mean_eigenvalue)
     if rule == "harmonic":
@@ -438,7 +428,7 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
 
     level = []
     for patch, name, box in patches:
-        tensor = _as_tensor(patch.permeability, ambient)
+        tensor = as_tensor(patch.permeability, ambient)
         metadata = {"role": "fracture", "name": name, "permeability": tensor}
         level.append(add(box, float(patch.aperture), metadata, [0]))
 

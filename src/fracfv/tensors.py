@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PermeabilityError
+
 
 @dataclass(frozen=True)
 class PermeabilityTensor:
@@ -19,13 +21,15 @@ class PermeabilityTensor:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
+        if not np.all(np.isfinite(m)):
+            raise PermeabilityError(f"tensor entries must be finite, got {m.tolist()}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"tensor must be square, got shape {m.shape}")
+            raise PermeabilityError(f"tensor must be square, got shape {m.shape}")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-13 * max(1.0, np.abs(m).max())):
-            raise ValueError("tensor must be symmetric")
+            raise PermeabilityError("tensor must be symmetric")
         eigenvalues = np.linalg.eigvalsh(m)
         if eigenvalues.min() <= 0.0:
-            raise ValueError(f"tensor must be positive definite, eigenvalues {eigenvalues}")
+            raise PermeabilityError(f"tensor must be positive definite, eigenvalues {eigenvalues}")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -70,20 +74,26 @@ class PermeabilityTensor:
         return np.broadcast_to(self.matrix, (n_cells,) + self.matrix.shape).copy()
 
 
-def tensor_field(permeability, n_cells: int, dim: int) -> np.ndarray:
-    """Normalize scalars, tensors or arrays to an (n_cells, dim, dim) field."""
-    if isinstance(permeability, PermeabilityTensor):
-        if permeability.dim != dim:
-            raise ValueError(f"tensor dimension {permeability.dim} does not match grid dimension {dim}")
-        return permeability.field(n_cells)
+def as_tensor(permeability, dim: int) -> PermeabilityTensor:
+    """A scalar (isotropic), a (dim, dim) array or a tensor as a tensor of
+    dimension ``dim``."""
     if np.isscalar(permeability):
-        return PermeabilityTensor.isotropic(float(permeability), dim).field(n_cells)
-    arr = np.asarray(permeability, dtype=float)
-    if arr.shape == (dim, dim):
-        return np.broadcast_to(arr, (n_cells, dim, dim)).copy()
-    if arr.shape == (n_cells, dim, dim):
-        return arr
-    raise ValueError(f"cannot interpret permeability of shape {arr.shape} as a field over {n_cells} cells")
+        permeability = PermeabilityTensor.isotropic(float(permeability), dim)
+    elif not isinstance(permeability, PermeabilityTensor):
+        permeability = PermeabilityTensor(permeability)
+    if permeability.dim != dim:
+        raise PermeabilityError(
+            f"tensor dimension {permeability.dim} does not match grid dimension {dim}"
+        )
+    return permeability
+
+
+def tensor_field(permeability, n_cells: int, dim: int) -> np.ndarray:
+    """An (n_cells, dim, dim) field: such a field as it is, anything else
+    ``as_tensor`` takes on every cell."""
+    if np.shape(permeability) == (n_cells, dim, dim):
+        return np.asarray(permeability, dtype=float)
+    return as_tensor(permeability, dim).field(n_cells)
 
 
 def normal_permeability(k_matrix: np.ndarray, normal: np.ndarray | None):

@@ -164,7 +164,7 @@ def test_criterion_06_mpfa_consistency(tmp_path):
         ext = np.flatnonzero(g.external_boundary)
         bc = flow_bc(g).set_dirichlet(ext[: ext.size // 2], 1.0)
         tp = assemble_tpfa(g, k, bc)
-        mp = assemble_mpfa(g, k, bc, eta=0.0)
+        mp = assemble_mpfa(g, k, bc)
         diff = abs(mp.matrix - tp.matrix)
         gaps.append((diff.data.max() if diff.nnz else 0.0) / abs(tp.matrix).max())
     agreement_ok = max(gaps) <= 1e-12

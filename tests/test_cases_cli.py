@@ -1,15 +1,23 @@
 """Case harness behavior, report files, reproducibility and the CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import UNIT_SQUARE_CELL
-from fracfv.errors import FracfvError
+from fracfv.errors import (
+    AssemblyError,
+    EliminationError,
+    FracfvError,
+    SingularMatrixError,
+    TransportError,
+)
 from fracfv.harness import l2_error, read_field_csv
 from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, case11_problem, run_case, sweep_case11
+from fracfv.harness import cli
 from fracfv.harness.cli import main
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, save_mesh
 
@@ -105,6 +113,34 @@ def test_counts_below_one_and_zero_step_size_rejected(tmp_path, capsys, args, st
     step size is a transport error, caught before the step matrix is built."""
     assert main(["run", *args, "--out", str(tmp_path)]) == status
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["1.3", "--resolution", "4", "--override", "k_blocking=0"], "positive definite"),
+        (["2", "--override", "ratio=0"], "positive definite"),
+        (["1.3", "--resolution", "4", "--override", "k_blocking=nan"], "k_blocking must be finite"),
+        (["4", "--override", "k_upper=-1", "--override", "n_steps=2"], "positive definite"),
+        (["4", "--override", "q_injection=nan"], "q_injection must be finite"),
+        (["1.1", "--override", "k_i=inf"], "k_i must be finite"),
+    ],
+    ids=["1.3-k0", "2-ratio0", "1.3-knan", "4-knegative", "4-qnan", "1.1-kinf"],
+)
+def test_invalid_physics_override_rejected(tmp_path, capsys, args, message):
+    """A non-finite override, or a permeability that is not positive, is an
+    input error: exit 1 with one ``error:`` line and no report."""
+    assert main(["run", *args, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_case4_halves_are_isotropic_tensors():
+    problem, mesh, _ = cases.case4_problem(8, k_upper=3e-2, k_lower=7e-4)
+    upper = mesh.subdomains[0].cell_centres[:, 2] > 0.5
+    expected = np.where(upper, 3e-2, 7e-4)[:, None, None] * np.eye(3)
+    assert np.array_equal(problem.permeability[0], expected)
 
 
 def _names(stems, vtk=False):
@@ -368,6 +404,33 @@ class TestCommandLine:
     def test_bad_override_exit_code(self, tmp_path, capsys):
         code = main(["run", "1.1", "--override", "bogus=1", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_malformed_override_exit_code(self, tmp_path, capsys):
+        assert main(["run", "1.1", "--override", "k_h", "--out", str(tmp_path)]) == 1
+        assert "override 'k_h' is not of the form key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error,status,prefix",
+        [
+            (AssemblyError("a"), 3, "discretization error: "),
+            (EliminationError("e"), 3, "discretization error: "),
+            (TransportError("t"), 3, "transport error: "),
+            (SingularMatrixError("s"), 4, "solver error: "),
+        ],
+        ids=["assembly", "elimination", "transport", "solver"],
+    )
+    def test_error_class_exit_codes(self, tmp_path, capsys, monkeypatch, error, status, prefix):
+        def fail(spec):
+            raise error
+
+        monkeypatch.setattr(cli, "run_case", fail)
+        assert main(["run", "1.1", "--out", str(tmp_path)]) == status
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
+
+    def test_choices_come_from_the_case_table(self, monkeypatch):
+        case3 = cases.CASES["3"]
+        monkeypatch.setitem(cases.CASES, "3", replace(case3, discretizations=("fvem",)))
+        assert cli.make_parser().parse_args(["run", "3", "--disc", "fvem"]).disc == "fvem"
 
     def test_choice_the_case_does_not_read_exit_code(self, tmp_path, capsys):
         assert main(["run", "2", "--disc", "tpfa", "--out", str(tmp_path)]) == 1

@@ -175,7 +175,7 @@ class TestInterfaceFluxes:
         dims = {i: g.dim for i, g in enumerate(mesh.subdomains)}
         names = {i: g.metadata.get("name") for i, g in enumerate(mesh.subdomains)}
         for c, flux in zip(system.couplings, interface_fluxes(system, p)):
-            if names[c.lower] == "vertical":
+            if names[mesh.interfaces[c.interface].lower] == "vertical":
                 # Unit pressure gradient through the plane: flux equals the
                 # matrix face area per pair.
                 assert np.allclose(np.abs(flux), h, rtol=1e-10)

@@ -58,7 +58,7 @@ from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_wi
 from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
 from fracfv.mdmesh.meshio import _ordered_face_nodes
-from fracfv.tensors import PermeabilityTensor, tensor_field
+from fracfv.tensors import PermeabilityTensor, as_tensor, tensor_field
 
 # ---------------------------------------------------------------------------
 # Reference oracles: the per-face loops the array code replaced
@@ -660,7 +660,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
                 "extents": extents,
                 "in_plane_axes": patch.in_plane_axes(ambient),
                 "aperture": float(patch.aperture),
-                "permeability": cartesian._as_tensor(patch.permeability, ambient),
+                "permeability": as_tensor(patch.permeability, ambient),
             }
         )
 

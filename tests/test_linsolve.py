@@ -526,6 +526,20 @@ class TestBiCGSTABRoute:
         with pytest.raises(SingularMatrixError, match="right-hand side"):
             direct_solve(a, b)
 
+    @pytest.mark.parametrize("n", [10, 300])
+    def test_non_finite_rhs_refused_on_every_route(self, monkeypatch, n):
+        # Diagonal systems below and above CG_MIN_ROWS, with and without a
+        # factor: the right-hand side is refused before any factor is made.
+        a = sps.diags(np.arange(1.0, n + 1.0), format="csr")
+        b = np.ones(n)
+        b[n // 2] = np.nan
+        lu = factorize(a)
+        calls = count_factorizations(monkeypatch)
+        for factor in (None, lu):
+            with pytest.raises(SingularMatrixError, match="right-hand side"):
+                direct_solve(a, b, factor=factor)
+        assert calls == []
+
     def test_pure_neumann_stays_on_lu(self, monkeypatch):
         # No anchor: the constant is in the null space, and LU reports it.
         _, a, _ = tetrahedral_mpfa(4, seed=1, dirichlet=False)

@@ -37,7 +37,7 @@ class TestAgreementWithTwoPoint:
         ext = np.flatnonzero(g.external_boundary)
         bc = flow_bc(g).set_dirichlet(ext[: ext.size // 2], lambda x: x[0] + 2.0)
         tp = assemble_tpfa(g, k, bc)
-        mp = assemble_mpfa(g, k, bc, eta=0.0)
+        mp = assemble_mpfa(g, k, bc)
         assert _entrywise_gap(mp.matrix, tp.matrix) <= 1e-12
         assert np.abs(mp.flux_boundary - tp.flux_boundary).max() <= 1e-12 * max(
             1.0, np.abs(tp.flux_boundary).max()
@@ -166,12 +166,6 @@ class TestSymmetry:
 
 
 class TestErrorPaths:
-    def test_eta_range_validated(self, unit_square_4):
-        g = unit_square_4.subdomains[0]
-        k = tensor_field(1.0, g.n_cells, 2)
-        with pytest.raises(DiscretizationError):
-            assemble_mpfa(g, k, flow_bc(g), eta=1.0)
-
     def test_degenerate_region_names_node(self, unit_square_4):
         # Append a coincident copy of an interior face attached to one of its
         # cells: that cell sees three region faces at the shared nodes, which

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fracfv.tensors import PermeabilityTensor, normal_permeability, tensor_field
+from fracfv.errors import FracfvError, PermeabilityError
+from fracfv.tensors import PermeabilityTensor, as_tensor, normal_permeability, tensor_field
 
 
 def test_isotropic():
@@ -48,6 +49,27 @@ def test_positive_definiteness_required():
         PermeabilityTensor(np.diag([1.0, -2.0]))
     with pytest.raises(ValueError, match="positive definite"):
         PermeabilityTensor(np.diag([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_finite_entries_required(entry):
+    with pytest.raises(PermeabilityError, match="finite") as err:
+        PermeabilityTensor(np.array([[entry, 0.0], [0.0, 1.0]]))
+    assert isinstance(err.value, FracfvError) and isinstance(err.value, ValueError)
+    with pytest.raises(PermeabilityError, match="finite"), np.errstate(invalid="ignore"):
+        PermeabilityTensor.isotropic(entry, 3)
+
+
+def test_as_tensor_converts_scalars_arrays_and_tensors():
+    tensor = PermeabilityTensor.diagonal(2.0, 3.0)
+    assert as_tensor(tensor, 2) is tensor
+    assert np.array_equal(as_tensor(4.0, 3).matrix, 4.0 * np.eye(3))
+    assert np.array_equal(as_tensor(np.diag([2.0, 3.0]), 2).matrix, tensor.matrix)
+    for permeability in (tensor, np.eye(2)):
+        with pytest.raises(PermeabilityError, match="does not match grid dimension 3"):
+            as_tensor(permeability, 3)
+    per_cell = np.stack([np.eye(2), 2 * np.eye(2)])
+    assert tensor_field(per_cell, 2, 2) is per_cell
 
 
 def test_field_broadcast():
