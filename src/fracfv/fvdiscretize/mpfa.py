@@ -33,13 +33,13 @@ import scipy.sparse as sps
 
 from ..errors import DiscretizationError, SingularLocalSystemError
 from ..mdmesh.grids import SubdomainGrid
-from .bc import DIRICHLET, NEUMANN, BoundaryConditionSet
+from .bc import NEUMANN, BoundaryConditionSet
 from .operators import SubdomainDiscretization
 
 DEFAULT_ETA = {"cartesian": 0.0, "simplex": 1.0 / 3.0}
 
-# Sub-face kinds; UNUSABLE marks a one-sided face without usable data.
-INTERIOR, NEUMANN_SUB, DIRICHLET_SUB, UNUSABLE = 0, 1, 2, -1
+# Sub-face kinds.
+INTERIOR, NEUMANN_SUB, DIRICHLET_SUB = 0, 1, 2
 
 # Regions of one signature are solved in blocks whose largest stacks hold
 # about this many numbers, so that memory stays bounded on any grid.
@@ -144,8 +144,8 @@ def _interaction_regions(grid, permeability, bc, eta):
     nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
     # Failures as (node, rank within the node, cell, message, cause); the
     # lowest is raised, as a node-by-node assembly would: within a node,
-    # corner failures (rank 0) come first in cell order, then a face without
-    # usable data (rank 1), then a singular local system (rank 2).
+    # corner failures (rank 0) come first in cell order, then a singular
+    # local system (rank 1).
     failures = []
 
     sub_node, sub_face = _sub_faces(grid)
@@ -193,20 +193,10 @@ def _interaction_regions(grid, permeability, bc, eta):
     # two-sided ones: their fluxes are evaluated from the plus cell).
     one_side = (face_cells[sub_face, 0] < 0).astype(int)
     on_boundary = grid.internal_boundary[sub_face]
-    kind = np.select(
-        [
-            np.all(face_cells[sub_face] >= 0, axis=1),
-            on_boundary | (bc.kind[sub_face] == NEUMANN),
-            bc.kind[sub_face] == DIRICHLET,
-        ],
-        [INTERIOR, NEUMANN_SUB, DIRICHLET_SUB],
-        UNUSABLE,
-    )
-    unusable = np.flatnonzero(kind == UNUSABLE)
-    if unusable.size:
-        s = unusable[0]
-        message = f"face {sub_face[s]} lacks a usable boundary condition"
-        failures.append((int(sub_node[s]), 1, 0, message, None))
+    # Complete conditions leave every other sub-face Dirichlet.
+    neumann = on_boundary | (bc.kind[sub_face] == NEUMANN)
+    kind = np.where(np.all(face_cells[sub_face] >= 0, axis=1), INTERIOR, DIRICHLET_SUB)
+    kind[(kind == DIRICHLET_SUB) & neumann] = NEUMANN_SUB
     is_unknown = (kind == INTERIOR) | (kind == NEUMANN_SUB)
     before = np.cumsum(is_unknown) - is_unknown
     unknown_of = np.where(is_unknown, before - before[region_start[region_of_sub]], -1)
@@ -291,7 +281,7 @@ def _interaction_regions(grid, permeability, bc, eta):
             singular = ~np.isfinite(cond) | ((scale > 0) & (1.0 / cond < 1e-12))
             if singular.any():
                 node = int(region_node[block[np.argmax(singular)]])
-                failures.append((node, 2, 0, f"singular local system at node {node}", None))
+                failures.append((node, 1, 0, f"singular local system at node {node}", None))
                 return cond_max
             cond_max = float(cond.max())
             if not failures:
@@ -300,7 +290,7 @@ def _interaction_regions(grid, permeability, bc, eta):
                 except np.linalg.LinAlgError:
                     k, exc = _singular(local)[0]
                     node = int(region_node[block[k]])
-                    failures.append((node, 2, 0, f"singular local system at node {node}", exc))
+                    failures.append((node, 1, 0, f"singular local system at node {node}", exc))
         if failures:
             return cond_max
 
@@ -340,9 +330,7 @@ def _interaction_regions(grid, permeability, bc, eta):
             max_condition = max(max_condition, solve(block, n_s, n_loc, n_unk))
 
     if failures:
-        node, rank, _, message, cause = min(failures, key=lambda f: f[:3])
-        if rank == 1:
-            raise DiscretizationError(message)
+        node, _, _, message, cause = min(failures, key=lambda f: f[:3])
         raise SingularLocalSystemError(node, message) from cause
 
     sub_flux = sps.csr_matrix((slot_val, slot_col, slot_ptr), shape=(n_sub, grid.n_cells))

@@ -143,7 +143,8 @@ _TRUTH = {"false": False, "true": True}
 
 
 def _override(key: str, value, default):
-    """An override converted to the type of its default (float for None)."""
+    """An override converted to the type of its default (float for None).
+    Permeabilities (``k_*``) and case 2's anisotropy ``ratio`` must be positive."""
     kind = default if isinstance(default, type) else float if default is None else type(default)
     if kind is bool:
         if isinstance(value, str) and value.lower() in _TRUTH:
@@ -155,6 +156,8 @@ def _override(key: str, value, default):
         raise FracfvError(f"override {key} must be numeric, got {value!r}")
     if not np.isfinite(value):
         raise FracfvError(f"override {key} must be finite, got {value!r}")
+    if (key.startswith("k_") or key == "ratio") and value <= 0:  # permeability eigenvalues
+        raise FracfvError(f"override {key}={value!r} leaves a permeability not positive definite")
     if kind is int:  # every integer parameter is a count
         if not float(value).is_integer():
             raise FracfvError(f"override {key} must be an integer, got {value!r}")

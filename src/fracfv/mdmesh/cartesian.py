@@ -18,7 +18,7 @@ import scipy.sparse as sps
 
 from ..errors import FractureAlignmentError, FractureOverlapError, MeshError
 from ..tensors import PermeabilityTensor, as_tensor
-from .grids import SubdomainGrid
+from .grids import SubdomainGrid, build_grid
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 
@@ -65,27 +65,6 @@ class FractureNetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def _point_grid(point: np.ndarray, ambient_dim: int, aperture: float) -> SubdomainGrid:
-    point = np.asarray(point, dtype=float).reshape(1, ambient_dim)
-    empty_f = np.zeros((0, ambient_dim))
-    return SubdomainGrid(
-        dim=0,
-        ambient_dim=ambient_dim,
-        nodes=point.copy(),
-        cell_centres=point.copy(),
-        geometric_cell_measures=np.array([1.0]),
-        face_centres=empty_f,
-        face_normals=empty_f.copy(),
-        geometric_face_measures=np.zeros(0),
-        face_cells=np.zeros((0, 2), dtype=int),
-        face_nodes=sps.csc_matrix((1, 0), dtype=bool),
-        cell_nodes=sps.csc_matrix(np.ones((1, 1), dtype=bool)),
-        aperture=float(aperture),
-        internal_boundary=np.zeros(0, dtype=bool),
-        kind="cartesian",
-    )
-
-
 def structured_grid(
     ambient_dim: int,
     active_axes: list[int],
@@ -93,126 +72,51 @@ def structured_grid(
     fixed_coords: dict[int, float],
     aperture: float,
 ) -> SubdomainGrid:
-    """Tensor-product box grid of dimension ``len(active_axes)`` embedded in N-space."""
+    """Tensor-product box grid of dimension ``d = len(active_axes)`` in N-space.
+
+    ``axis_nodes[j]`` holds the increasing node coordinates along
+    ``active_axes[j]``; every other axis ``k`` stays at ``fixed_coords[k]``
+    (d = 0 gives a point). This lays out the nodes, the cells' and faces'
+    node lists and the face-cell table, and ``build_grid`` derives the
+    geometry as it does for a loaded mesh. Nodes and cells go in C order over
+    the active axes; faces in one block per active axis, each in C order,
+    with normals along the axis, out of the cell before the face.
+    """
     d = len(active_axes)
-    if d == 0:
-        point = np.array([fixed_coords[k] for k in range(ambient_dim)])
-        return _point_grid(point, ambient_dim, aperture)
-
-    n_cells_axis = [len(a) - 1 for a in axis_nodes]
-    if min(n_cells_axis) < 1:
+    cell_shape = tuple(len(a) - 1 for a in axis_nodes)
+    if min(cell_shape, default=1) < 1:
         raise MeshError("each active axis needs at least one cell")
-    mids = [0.5 * (a[:-1] + a[1:]) for a in axis_nodes]
-    widths = [np.diff(a) for a in axis_nodes]
+    node_shape = [n + 1 for n in cell_shape]
+    node_id = np.arange(int(np.prod(node_shape))).reshape(node_shape)
+    nodes = np.empty((node_id.size, ambient_dim))
+    for k, value in fixed_coords.items():
+        nodes[:, k] = value
+    for k, coords in zip(active_axes, np.meshgrid(*axis_nodes, indexing="ij")):
+        nodes[:, k] = coords.ravel()
 
-    cell_shape = tuple(n_cells_axis)
-    node_shape = tuple(n + 1 for n in n_cells_axis)
-    n_cells = int(np.prod(cell_shape))
-    n_nodes = int(np.prod(node_shape))
+    def corners(shape, span, order=slice(None)) -> np.ndarray:
+        # Per entity of the index box shape, its corner nodes along the axes
+        # in span, in ascending order or the given one.
+        starts = itertools.product(*[(0, 1) if i in span else (0,) for i in range(d)])
+        return np.column_stack(
+            [node_id[tuple(map(slice, s, np.add(s, shape)))].ravel() for s in starts]
+        )[:, order].ravel()
 
-    def fill_fixed(arr_per_active: list[np.ndarray]) -> np.ndarray:
-        """Assemble ambient coordinates from per-active-axis flat arrays."""
-        n = arr_per_active[0].size
-        out = np.empty((n, ambient_dim))
-        for k in range(ambient_dim):
-            if k in fixed_coords:
-                out[:, k] = fixed_coords[k]
-        for j, k in enumerate(active_axes):
-            out[:, k] = arr_per_active[j]
-        return out
-
-    grids_n = np.meshgrid(*axis_nodes, indexing="ij")
-    nodes = fill_fixed([g.ravel() for g in grids_n])
-
-    grids_c = np.meshgrid(*mids, indexing="ij")
-    cell_centres = fill_fixed([g.ravel() for g in grids_c])
-    grids_w = np.meshgrid(*widths, indexing="ij")
-    cell_measures = np.ones(n_cells)
-    for g in grids_w:
-        cell_measures = cell_measures * g.ravel()
-
-    # Cell-node incidence: the 2^d corners of each cell.
-    cell_idx = np.arange(n_cells)
-    cell_multi = np.unravel_index(cell_idx, cell_shape)
-    cn_rows, cn_cols = [], []
-    for corner in itertools.product((0, 1), repeat=d):
-        node_multi = tuple(cell_multi[j] + corner[j] for j in range(d))
-        cn_rows.append(np.ravel_multi_index(node_multi, node_shape))
-        cn_cols.append(cell_idx)
-    cell_nodes = sps.csc_matrix(
-        (np.ones(n_cells * 2**d, dtype=bool), (np.concatenate(cn_rows), np.concatenate(cn_cols))),
-        shape=(n_nodes, n_cells),
-    )
-
-    # Faces: one block per active axis direction.
-    face_centres, face_measures, face_normals, face_cells = [], [], [], []
-    fn_node, fn_face = [], []
-    face_offset = 0
-    for j, axis in enumerate(active_axes):
-        fshape = tuple(n + 1 if i == j else n for i, n in enumerate(n_cells_axis))
-        n_block = int(np.prod(fshape))
-        coords = [axis_nodes[i] if i == j else mids[i] for i in range(d)]
-        grids_f = np.meshgrid(*coords, indexing="ij")
-        face_centres.append(fill_fixed([g.ravel() for g in grids_f]))
-
-        msr = np.ones(n_block)
-        for i in range(d):
-            if i == j:
-                continue
-            gw = np.meshgrid(*[widths[i] if ii == i else np.ones(fshape[ii]) for ii in range(d)], indexing="ij")[i]
-            msr = msr * gw.ravel()
-        face_measures.append(msr)
-
-        normal = np.zeros(ambient_dim)
-        normal[axis] = 1.0
-        face_normals.append(np.broadcast_to(normal, (n_block, ambient_dim)))
-
-        fidx = np.arange(n_block)
-        fmulti = np.unravel_index(fidx, fshape)
-        pos_j = fmulti[j]
-        # Cell below the face along axis j sees the +normal as outward.
-        table = np.full((n_block, 2), -1)
-        below = pos_j >= 1
-        cmulti = tuple(fmulti[i][below] - (1 if i == j else 0) for i in range(d))
-        table[below, 0] = np.ravel_multi_index(cmulti, cell_shape)
-        above = pos_j <= n_cells_axis[j] - 1
-        cmulti = tuple(fmulti[i][above] for i in range(d))
-        table[above, 1] = np.ravel_multi_index(cmulti, cell_shape)
-        face_cells.append(table)
-
-        # Face-node incidence: 2^(d-1) corners per face.
-        other = [i for i in range(d) if i != j]
-        for corner in itertools.product((0, 1), repeat=d - 1):
-            node_multi = tuple(
-                fmulti[i] + (corner[other.index(i)] if i in other else 0) for i in range(d)
-            )
-            fn_node.append(np.ravel_multi_index(node_multi, node_shape))
-            fn_face.append(fidx + face_offset)
-        face_offset += n_block
-
-    n_faces = face_offset
-    fn_node = np.concatenate(fn_node)
-    fn_face = np.concatenate(fn_face)
-    face_nodes = sps.csc_matrix(
-        (np.ones(fn_node.size, dtype=bool), (fn_node, fn_face)), shape=(n_nodes, n_faces)
-    )
-
-    return SubdomainGrid(
-        dim=d,
-        ambient_dim=ambient_dim,
-        nodes=nodes,
-        cell_centres=cell_centres,
-        geometric_cell_measures=cell_measures,
-        face_centres=np.concatenate(face_centres, axis=0),
-        face_normals=np.concatenate(face_normals, axis=0).astype(float),
-        geometric_face_measures=np.concatenate(face_measures),
-        face_cells=np.concatenate(face_cells, axis=0),
-        face_nodes=face_nodes,
-        cell_nodes=cell_nodes,
-        aperture=float(aperture),
-        internal_boundary=np.zeros(n_faces, dtype=bool),
-        kind="cartesian",
-    )
+    cell_id = np.arange(int(np.prod(cell_shape))).reshape(cell_shape)
+    face_idx, face_cells = [np.zeros(0, dtype=int)], [np.zeros((0, 2), dtype=int)]
+    around = [0, 1, 3, 2] if d == 3 else slice(None)  # a 3D face's corners in boundary order
+    for j in range(d):
+        # The cells before and after each face along axis j; -1 off the ends.
+        padded = np.pad(cell_id, [(int(i == j),) * 2 for i in range(d)], constant_values=-1)
+        before = padded[(slice(None),) * j + (slice(None, -1),)]
+        after = padded[(slice(None),) * j + (slice(1, None),)]
+        face_cells.append(np.column_stack([before.ravel(), after.ravel()]))
+        face_idx.append(corners(before.shape, [i for i in range(d) if i != j], around))
+    face_idx, cell_idx = np.concatenate(face_idx), corners(cell_shape, range(d))
+    cells = (np.arange(0, cell_idx.size + 1, 2**d), cell_idx)
+    faces = (np.arange(0, face_idx.size + 1, max(1, 2 ** (d - 1))), face_idx)
+    table = np.concatenate(face_cells)
+    return build_grid(d, nodes, cells, faces, table, float(aperture), "cartesian")
 
 
 # ---------------------------------------------------------------------------

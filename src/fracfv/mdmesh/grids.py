@@ -5,6 +5,10 @@ Lower-dimensional measures carry the aperture weighting ``a**(N - d)``:
 cell volumes are geometric d-measures times that factor, face areas are
 geometric (d-1)-measures times the same factor. Point-shaped entities have
 geometric measure one.
+
+``build_grid`` derives every grid's geometry, generated or loaded, from its
+node coordinates, the node lists of its cells and faces and its face-cell
+table.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from ..errors import MeshError
+from ..errors import MeshError, MeshFormatError
 
 
 @dataclass
@@ -125,6 +129,156 @@ def cell_faces_of(face_cells: np.ndarray, n_cells: int) -> sps.csc_matrix:
     )
 
 
+# ---------------------------------------------------------------------------
+# Geometry of cells described by nodes and faces
+# ---------------------------------------------------------------------------
+
+# Runs of one width, and cells, are stacked at most this many at a time, so
+# that the stacked arrays of a large grid stay small.
+BLOCK_RUNS = 1024
+
+
+def by_width(ptr: np.ndarray):
+    """For each width among the runs ``ptr[i]:ptr[i + 1]``, in blocks of at
+    most ``BLOCK_RUNS`` runs: the positions ``i`` of the runs, and the slots
+    of their entries as one (runs, width) array."""
+    widths = np.diff(ptr)
+    for width in np.unique(widths):
+        same = np.flatnonzero(widths == width)
+        for positions in np.split(same, np.arange(BLOCK_RUNS, same.size, BLOCK_RUNS)):
+            yield positions, ptr[positions, None] + np.arange(width)
+
+
+def _incidence(ptr: np.ndarray, idx: np.ndarray, n_nodes: int) -> sps.csc_matrix:
+    """Boolean incidence, sparse (n_nodes, n_entities), of entities whose
+    nodes are ``idx[ptr[i]:ptr[i + 1]]``."""
+    incidence = sps.csc_matrix((np.ones(idx.size, dtype=bool), idx, ptr), (n_nodes, ptr.size - 1))
+    incidence.sum_duplicates()  # and sorts each entity's nodes
+    return incidence
+
+
+def _polygon_geometry(nodes: np.ndarray, ptr: np.ndarray, idx: np.ndarray):
+    """Areas, unit normals and centroids of planar polygons in 3D, polygon
+    ``i`` with the nodes ``idx[ptr[i]:ptr[i + 1]]`` in boundary order. Each is
+    split into a fan of triangles about its node mean; polygons with the
+    same node count are done a block at a time."""
+    n_faces = ptr.size - 1
+    areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
+    for faces, slots in by_width(ptr):
+        pts = nodes[idx[slots]]
+        ahead = np.roll(pts, -1, axis=1)
+        ref = pts.mean(axis=1, keepdims=True)
+        cross = np.cross(pts - ref, ahead - ref)
+        tri_areas = 0.5 * np.linalg.norm(cross, axis=2)
+        area = tri_areas.sum(axis=1)
+        if area.min() <= 0.0:
+            raise MeshFormatError("degenerate polygon face")
+        total = 0.5 * cross.sum(axis=1)
+        areas[faces] = area
+        normals[faces] = total / np.linalg.norm(total, axis=1, keepdims=True)
+        weighted = np.einsum("fk,fkd->fd", tri_areas, ref + pts + ahead) / 3.0
+        centroids[faces] = weighted / area[:, None]
+    return areas, normals, centroids
+
+
+def build_grid(
+    dim: int,
+    nodes: np.ndarray,
+    cell_nodes: tuple[np.ndarray, np.ndarray],
+    face_nodes: tuple[np.ndarray, np.ndarray],
+    face_cells: np.ndarray,
+    aperture: float,
+    kind: str,
+) -> SubdomainGrid:
+    """The grid of cells and faces with the node lists ``(ptr, idx)`` of
+    ``cell_nodes`` and ``face_nodes``, 3D polygons' nodes in boundary order.
+
+    Cell centres are node means. Faces get centroids, measures and unit
+    normals that point out of the cell in column 0 of ``face_cells``; cell
+    measures follow by the divergence theorem. A point cell has measure one.
+
+    Raises:
+        MeshFormatError: A face or cell whose geometry is degenerate.
+    """
+    (cell_ptr, cell_idx), (face_ptr, face_idx) = cell_nodes, face_nodes
+    n_cells, n_faces, ambient = cell_ptr.size - 1, face_ptr.size - 1, nodes.shape[1]
+
+    cell_centres = np.zeros((n_cells, ambient))
+    for cells, slots in by_width(cell_ptr):
+        cell_centres[cells] = nodes[cell_idx[slots]].mean(axis=1)
+
+    # Face centroids, measures and unit normals, then normals oriented
+    # outward from the plus cell.
+    c_plus, c_minus = face_cells.T
+    face_normals = None  # unless the face alone fixes it, the adjacent cell does
+    if dim == 3:
+        face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_ptr, face_idx)
+    elif dim == 2:
+        if np.any(np.diff(face_ptr) != 2):
+            raise MeshFormatError("faces of 2D cells must have two nodes")
+        ends = nodes[face_idx.reshape(n_faces, 2)]
+        edges = ends[:, 1] - ends[:, 0]
+        face_measures = np.linalg.norm(edges, axis=1)
+        if n_faces and face_measures.min() <= 0:
+            raise MeshFormatError("zero-length face")
+        face_centres = ends.mean(axis=1)
+        along = edges / face_measures[:, None]
+        if ambient == 2:
+            face_normals = np.column_stack([along[:, 1], -along[:, 0]])
+    else:  # point faces of 1D cells; 0D cells have no faces
+        if np.any(np.diff(face_ptr) != 1):
+            raise MeshFormatError("point faces must have one node")
+        face_centres = nodes[face_idx]
+        face_measures = np.ones(n_faces)
+    outward = face_centres - cell_centres[np.where(c_plus >= 0, c_plus, c_minus)]
+    if face_normals is None:
+        if dim == 2:  # in-plane perpendicular of an edge of a 2D cell in 3D
+            face_normals = outward - np.sum(outward * along, axis=1, keepdims=True) * along
+        else:
+            face_normals = outward
+        lengths = np.linalg.norm(face_normals, axis=1)
+        if n_faces and lengths.min() <= 0:
+            raise MeshFormatError(f"cannot orient face {int(np.argmin(lengths))}")
+        face_normals = face_normals / lengths[:, None]
+    # Flip normals that point into their anchor cell; a face stored with only
+    # a minus side keeps its normal pointing into that side.
+    flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
+    face_normals[flip] *= -1.0
+
+    # Cell volumes by the divergence theorem over outward-oriented faces, a
+    # block of cells at a time.
+    volumes = np.ones(n_cells)
+    if dim > 0:
+        cf = cell_faces_of(face_cells, n_cells)
+        for start in range(0, n_cells, BLOCK_RUNS):
+            ptr = cf.indptr[start : start + BLOCK_RUNS + 1]
+            at, n = slice(ptr[0], ptr[-1]), ptr.size - 1
+            faces, cells = cf.indices[at], np.repeat(np.arange(n), np.diff(ptr))
+            offsets = face_centres[faces] - cell_centres[start + cells]
+            contrib = face_measures[faces] * np.sum(face_normals[faces] * offsets, axis=1)
+            volumes[start : start + n] = np.bincount(cells, cf.data[at] * contrib / dim, n)
+        if n_faces and volumes.min() <= 0:
+            bad = int(np.argmin(volumes))
+            raise MeshFormatError(f"cell {bad} has non-positive volume {volumes[bad]:.3e}")
+
+    return SubdomainGrid(
+        dim=dim,
+        ambient_dim=ambient,
+        nodes=nodes,
+        cell_centres=cell_centres,
+        geometric_cell_measures=volumes,
+        face_centres=face_centres,
+        face_normals=face_normals,
+        geometric_face_measures=face_measures,
+        face_cells=face_cells,
+        face_nodes=_incidence(face_ptr, face_idx, nodes.shape[0]),
+        cell_nodes=_incidence(cell_ptr, cell_idx, nodes.shape[0]),
+        aperture=aperture,
+        internal_boundary=np.zeros(n_faces, dtype=bool),
+        kind=kind,
+    )
+
+
 def validate_grid(grid: SubdomainGrid) -> None:
     """Check the structural invariants of a subdomain grid.
 
@@ -165,3 +319,4 @@ def validate_grid(grid: SubdomainGrid) -> None:
         scale_area = np.abs(vec).max()
         if np.abs(closure).max() > 1e-12 * max(scale_area, 1e-300):
             raise MeshError("cells are not geometrically closed")
+

@@ -26,8 +26,9 @@ is finite. Cells declared
 automatically when no ``faces`` block is present. ``explicit`` cells
 (boxes, general polytopes) require the ``faces`` block, where ``cell_minus``
 is ``-1`` on one-sided faces and polygon nodes are listed in boundary order.
-Geometry (centroids, measures, normals) is recomputed on load; face normals
-point outward from ``cell_plus``.
+Geometry (centroids, measures, normals) is recomputed on load by
+``grids.build_grid``, the builder of generated grids too; face normals point
+outward from ``cell_plus``.
 """
 from __future__ import annotations
 
@@ -36,10 +37,9 @@ import itertools
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sps
 
 from ..errors import MeshFormatError
-from .grids import SubdomainGrid, cell_faces_of
+from .grids import SubdomainGrid, build_grid, by_width
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 FORMAT_NAME = "fracfv-mesh"
@@ -47,136 +47,8 @@ FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# Geometry of general cells described by nodes and faces
+# Reader
 # ---------------------------------------------------------------------------
-
-
-def _by_width(ptr: np.ndarray):
-    """For each width among the runs ``ptr[i]:ptr[i + 1]``: the positions
-    ``i`` of the runs of that width, and the slots of their entries as one
-    (runs, width) array."""
-    widths = np.diff(ptr)
-    for width in np.unique(widths):
-        positions = np.flatnonzero(widths == width)
-        yield positions, ptr[positions, None] + np.arange(width)
-
-
-def _incidence(ptr: np.ndarray, idx: np.ndarray, n_nodes: int) -> sps.csc_matrix:
-    """Boolean incidence, sparse (n_nodes, n_entities), of entities whose
-    nodes are ``idx[ptr[i]:ptr[i + 1]]``."""
-    incidence = sps.csc_matrix((np.ones(idx.size, dtype=bool), idx, ptr), (n_nodes, ptr.size - 1))
-    incidence.sum_duplicates()  # and sorts each entity's nodes
-    return incidence
-
-
-def _polygon_geometry(nodes: np.ndarray, ptr: np.ndarray, idx: np.ndarray):
-    """Areas, unit normals and centroids of planar polygons in 3D, polygon
-    ``i`` with the nodes ``idx[ptr[i]:ptr[i + 1]]`` in boundary order. Each is
-    split into a fan of triangles about its node mean; all polygons with the
-    same node count are done at once."""
-    n_faces = ptr.size - 1
-    areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
-    for faces, slots in _by_width(ptr):
-        pts = nodes[idx[slots]]
-        ahead = np.roll(pts, -1, axis=1)
-        ref = pts.mean(axis=1, keepdims=True)
-        cross = np.cross(pts - ref, ahead - ref)
-        tri_areas = 0.5 * np.linalg.norm(cross, axis=2)
-        area = tri_areas.sum(axis=1)
-        if area.min() <= 0.0:
-            raise MeshFormatError("degenerate polygon face")
-        total = 0.5 * cross.sum(axis=1)
-        areas[faces] = area
-        normals[faces] = total / np.linalg.norm(total, axis=1, keepdims=True)
-        weighted = np.einsum("fk,fkd->fd", tri_areas, ref + pts + ahead) / 3.0
-        centroids[faces] = weighted / area[:, None]
-    return areas, normals, centroids
-
-
-def _build_grid_from_entities(
-    dim: int,
-    nodes: np.ndarray,
-    cell_nodes: tuple[np.ndarray, np.ndarray],
-    face_nodes: tuple[np.ndarray, np.ndarray],
-    face_cells: np.ndarray,
-    aperture: float,
-    kind: str,
-) -> SubdomainGrid:
-    """The grid of cells and faces with the node lists ``(ptr, idx)`` of
-    ``cell_nodes`` and ``face_nodes``."""
-    (cell_ptr, cell_idx), (face_ptr, face_idx) = cell_nodes, face_nodes
-    n_cells, n_faces, ambient = cell_ptr.size - 1, face_ptr.size - 1, nodes.shape[1]
-
-    cell_centres = np.zeros((n_cells, ambient))
-    for cells, slots in _by_width(cell_ptr):
-        cell_centres[cells] = nodes[cell_idx[slots]].mean(axis=1)
-
-    # Face centroids, measures and unit normals, then normals oriented
-    # outward from the plus cell.
-    c_plus, c_minus = face_cells.T
-    face_normals = None  # unless the face alone fixes it, the adjacent cell does
-    if dim == 3:
-        face_measures, face_normals, face_centres = _polygon_geometry(nodes, face_ptr, face_idx)
-    elif dim == 2:
-        if np.any(np.diff(face_ptr) != 2):
-            raise MeshFormatError("faces of 2D cells must have two nodes")
-        ends = nodes[face_idx.reshape(n_faces, 2)]
-        edges = ends[:, 1] - ends[:, 0]
-        face_measures = np.linalg.norm(edges, axis=1)
-        if n_faces and face_measures.min() <= 0:
-            raise MeshFormatError("zero-length face")
-        face_centres = ends.mean(axis=1)
-        along = edges / face_measures[:, None]
-        if ambient == 2:
-            face_normals = np.column_stack([along[:, 1], -along[:, 0]])
-    else:  # point faces of 1D cells; 0D cells have no faces
-        if np.any(np.diff(face_ptr) != 1):
-            raise MeshFormatError("point faces must have one node")
-        face_centres = nodes[face_idx]
-        face_measures = np.ones(n_faces)
-    outward = face_centres - cell_centres[np.where(c_plus >= 0, c_plus, c_minus)]
-    if face_normals is None:
-        if dim == 2:  # in-plane perpendicular of an edge of a 2D cell in 3D
-            face_normals = outward - np.sum(outward * along, axis=1, keepdims=True) * along
-        else:
-            face_normals = outward
-        lengths = np.linalg.norm(face_normals, axis=1)
-        if n_faces and lengths.min() <= 0:
-            raise MeshFormatError(f"cannot orient face {int(np.argmin(lengths))}")
-        face_normals = face_normals / lengths[:, None]
-    # Flip normals that point into their anchor cell; a face stored with only
-    # a minus side keeps its normal pointing into that side.
-    flip = (np.sum(face_normals * outward, axis=1) < 0) != (c_plus < 0)
-    face_normals[flip] *= -1.0
-
-    # Cell volumes by the divergence theorem over outward-oriented faces.
-    if dim == 0:
-        cell_measures = np.ones(n_cells)
-    else:
-        cf = cell_faces_of(face_cells, n_cells).tocoo()
-        offsets = face_centres[cf.row] - cell_centres[cf.col]
-        contrib = face_measures[cf.row] * np.sum(face_normals[cf.row] * offsets, axis=1)
-        cell_measures = np.bincount(cf.col, weights=cf.data * contrib / dim, minlength=n_cells)
-    if dim > 0 and n_faces and cell_measures.min() <= 0:
-        bad = int(np.argmin(cell_measures))
-        raise MeshFormatError(f"cell {bad} has non-positive volume {cell_measures[bad]:.3e}")
-
-    return SubdomainGrid(
-        dim=dim,
-        ambient_dim=ambient,
-        nodes=nodes,
-        cell_centres=cell_centres,
-        geometric_cell_measures=cell_measures,
-        face_centres=face_centres,
-        face_normals=face_normals,
-        geometric_face_measures=face_measures,
-        face_cells=face_cells,
-        face_nodes=_incidence(face_ptr, face_idx, nodes.shape[0]),
-        cell_nodes=_incidence(cell_ptr, cell_idx, nodes.shape[0]),
-        aperture=aperture,
-        internal_boundary=np.zeros(n_faces, dtype=bool),
-        kind=kind,
-    )
 
 
 def _derive_simplex_faces(dim: int, cell_nodes):
@@ -199,11 +71,6 @@ def _derive_simplex_faces(dim: int, cell_nodes):
     face_cells[:, 0] = np.flatnonzero(first) // (dim + 1)
     face_cells[np.cumsum(first)[order[again - 1]] - 1, 1] = order[again] // (dim + 1)
     return facets[first], face_cells
-
-
-# ---------------------------------------------------------------------------
-# Reader
-# ---------------------------------------------------------------------------
 
 
 def _take(lines, count: int) -> list[str]:
@@ -328,9 +195,7 @@ def load_mesh(path) -> MixedDimensionalMesh:
         _expect(line, "end")
         kind = "simplex" if cell_type == "simplex" else "cartesian"
         subdomains.append(
-            _build_grid_from_entities(
-                dim, nodes, cell_nodes, face_nodes, face_cells, aperture, kind
-            )
+            build_grid(dim, nodes, cell_nodes, face_nodes, face_cells, aperture, kind)
         )
 
     n_intf = _expect(next(lines, None), "interfaces", 1)[0]
@@ -363,14 +228,14 @@ def _ordered_face_nodes(grid: SubdomainGrid) -> np.ndarray:
     with the nodes of each 3D polygon ordered along its boundary.
 
     Polygons are sorted by angle about their node mean in an orthonormal
-    basis of their plane; all polygons with the same node count share one
-    stacked SVD.
+    basis of their plane; polygons with the same node count share stacked
+    SVDs.
     """
     fn = grid.face_nodes.tocsc()
     nodes = fn.indices.copy()
     if grid.dim < 3:
         return nodes
-    for _, slots in _by_width(fn.indptr):
+    for _, slots in by_width(fn.indptr):
         if slots.shape[1] <= 3:
             continue
         node_rows = nodes[slots]

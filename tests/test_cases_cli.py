@@ -136,6 +136,26 @@ def test_invalid_physics_override_rejected(tmp_path, capsys, args, message):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "args,key",
+    [
+        (["2", "--override", "ratio=0"], "ratio"),
+        (["1.3", "--resolution", "4", "--override", "k_conductive=-1"], "k_conductive"),
+        (["4", "--override", "k_upper=-1", "--override", "n_steps=2"], "k_upper"),
+        (["1.1", "--override", "k_i=0"], "k_i"),
+    ],
+    ids=["2-ratio0", "1.3-knegative", "4-knegative", "1.1-k0"],
+)
+def test_permeability_refusal_names_its_override(tmp_path, capsys, args, key):
+    """A permeability or case 2 anisotropy ratio that is not positive is
+    refused in one ``error:`` line that names its override, and exit 1."""
+    assert main(["run", *args, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: override {key}=") and err.count("\n") == 1
+    assert "positive definite" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_case4_halves_are_isotropic_tensors():
     problem, mesh, _ = cases.case4_problem(8, k_upper=3e-2, k_lower=7e-4)
     upper = mesh.subdomains[0].cell_centres[:, 2] > 0.5

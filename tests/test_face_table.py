@@ -795,7 +795,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
                 parents.append({"permeability": md["permeability"]})
                 apertures.extend(md["aperture_sources"])
         tensor = loop_intersection_tensor(rule, parents, ambient)
-        g = cartesian._point_grid(np.array(coords), ambient, min(apertures))
+        g = cartesian.structured_grid(ambient, [], [], dict(enumerate(coords)), min(apertures))
         g.metadata = {
             "role": "intersection",
             "name": "point_" + "_".join(f"{c:g}" for c in coords),

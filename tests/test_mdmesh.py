@@ -10,6 +10,7 @@ from fracfv.mdmesh import (
     build_cartesian_with_fractures,
     validate_grid,
 )
+from fracfv.mdmesh.cartesian import split_faces
 from fracfv.tensors import PermeabilityTensor
 
 
@@ -105,6 +106,47 @@ class TestCartesianBuilder:
         )
         with pytest.raises(FractureAlignmentError):
             build_cartesian_with_fractures(spec, 2)
+
+
+UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+
+class TestCartesianRefusals:
+    def test_active_axis_without_a_cell(self):
+        with pytest.raises(MeshError, match="each active axis needs at least one cell"):
+            build_cartesian_with_fractures(FractureNetworkSpec(domain=UNIT_SQUARE), (2, 0))
+
+    def test_boundary_face_cannot_be_split(self, unit_square_4):
+        grid = unit_square_4.subdomains[0]
+        face = int(np.flatnonzero(grid.boundary_faces)[0])
+        with pytest.raises(MeshError, match=f"cannot split boundary face {face}"):
+            split_faces(grid, [face])
+
+    @pytest.mark.parametrize(
+        "nodes,message",
+        [
+            ([0.0, 0.6, 0.4, 1.0], "axis 0: explicit node coordinates must be strictly increasing"),
+            ([0.0, 0.5, 0.9], "axis 0: explicit node coordinates must span the domain"),
+        ],
+        ids=["not-increasing", "short-of-the-domain"],
+    )
+    def test_explicit_node_coordinates(self, nodes, message):
+        with pytest.raises(MeshError, match=message):
+            build_cartesian_with_fractures(FractureNetworkSpec(domain=UNIT_SQUARE), (nodes, 2))
+
+    def test_fracture_in_a_line(self):
+        spec = FractureNetworkSpec(
+            domain=((0.0, 1.0),), fractures=[FracturePatch(0, 0.5, (), 1e-2, 1.0, "p")]
+        )
+        with pytest.raises(MeshError, match="fractures require an ambient dimension of at least 2"):
+            build_cartesian_with_fractures(spec, 2)
+
+    def test_patch_with_empty_extent(self):
+        spec = FractureNetworkSpec(
+            domain=UNIT_SQUARE, fractures=[FracturePatch(0, 0.5, ((0.5, 0.5),), 1e-2, 1.0, "f")]
+        )
+        with pytest.raises(MeshError, match="fracture 'f' has empty extent on axis 1"):
+            build_cartesian_with_fractures(spec, 4)
 
 
 def _example_meshes():

@@ -625,6 +625,59 @@ def test_malformed_document_rejected(tmp_path, text, message):
         load_mesh(path)
 
 
+# One unit-cube cell with explicit faces, each polygon in boundary order.
+UNIT_CUBE_CELL = "\n".join(
+    ["fracfv-mesh 1", "ambient 3", "subdomains 1", "subdomain 0", "dim 3", "aperture 1", "nodes 8"]
+    + [f"{i & 1} {i >> 1 & 1} {i >> 2}" for i in range(8)]
+    + ["cells 1 explicit", "0 1 2 3 4 5 6 7", "faces 6", "0 -1 : 0 2 6 4", "0 -1 : 1 3 7 5",
+       "0 -1 : 0 1 5 4", "0 -1 : 2 3 7 6", "0 -1 : 0 1 3 2", "0 -1 : 4 5 7 6", "end",
+       "interfaces 0", "end", ""]
+)
+# One unit segment whose faces are its end nodes; node 2 lies at its centre.
+UNIT_SEGMENT_CELL = "\n".join(
+    ["fracfv-mesh 1", "ambient 1", "subdomains 1", "subdomain 0", "dim 1", "aperture 1", "nodes 3",
+     "0", "1", "0.5", "cells 1 explicit", "0 1", "faces 2", "0 -1 : 0", "0 -1 : 1", "end",
+     "interfaces 0", "end", ""]
+)
+
+
+@pytest.mark.parametrize(
+    "text", [UNIT_CUBE_CELL, UNIT_SEGMENT_CELL, UNIT_SQUARE_CELL], ids=["cube", "segment", "square"]
+)
+def test_unit_cell_documents_load(tmp_path, text):
+    path = tmp_path / "cell.txt"
+    path.write_text(text)
+    assert np.isclose(load_mesh(path).subdomains[0].cell_volumes[0], 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (UNIT_CUBE_CELL.replace(": 0 1 3 2", ": 0 1 1 0"), "degenerate polygon face"),
+        (UNIT_SQUARE_CELL.replace(": 0 1\n", ": 0 1 3\n"), "faces of 2D cells must have two nodes"),
+        (UNIT_SQUARE_CELL.replace(": 0 1\n", ": 0 0\n"), "zero-length face"),
+        (UNIT_SEGMENT_CELL.replace(": 0\n", ": 0 1\n"), "point faces must have one node"),
+        (UNIT_SEGMENT_CELL.replace(": 1\n", ": 2\n"), "cannot orient face 1"),
+        (UNIT_SQUARE_CELL.split("faces 4")[0] + "faces 1\n0 -1 : 0 3\nend\ninterfaces 0\nend\n",
+         "cell 0 has non-positive volume"),
+        (TRIANGLE_PAIR.split("0 1\n1 1")[0], "unexpected end of mesh document"),
+        (TRIANGLE_PAIR.split("subdomain 0")[0], "unexpected end of mesh document"),
+        (TRIANGLE_PAIR.replace("dim 2", "dims 2"), "expected 'dim', found 'dims'"),
+        (TRIANGLE_PAIR.replace("subdomain 0", "subdomain 1"), "subdomain 0 out of order (found 1)"),
+    ],
+    ids=[
+        "degenerate-polygon", "edge-of-three-nodes", "zero-length-edge", "point-face-of-two-nodes",
+        "face-at-cell-centre", "zero-volume", "end-in-node-block", "end-before-subdomain",
+        "wrong-keyword", "subdomain-out-of-order",
+    ],
+)
+def test_degenerate_or_truncated_document_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=re.escape(message)):
+        load_mesh(path)
+
+
 def test_missing_cell_type_rejected(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(UNIT_SQUARE_CELL.replace("cells 1 explicit", "cells 1"))

@@ -17,7 +17,7 @@ from fracfv.errors import (
     EliminationError,
     MeshError,
 )
-from fracfv.fvdiscretize import assemble_tpfa, flow_bc, transport_bc
+from fracfv.fvdiscretize import assemble_mpfa, assemble_tpfa, flow_bc, transport_bc
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 from fracfv.mdmesh.grids import validate_grid
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
@@ -200,5 +200,6 @@ class TestBoundaryConditionRefusals:
         g = unit_square_4.subdomains[0]
         ext = np.flatnonzero(g.external_boundary)
         bc = transport_bc(g).set_dirichlet(ext[1:], 0.0)
-        with pytest.raises(BoundaryConditionError, match=f"without conditions: \\[{ext[0]}\\]"):
-            assemble_tpfa(g, tensor_field(1.0, g.n_cells, 2), bc)
+        for assemble in (assemble_tpfa, assemble_mpfa):
+            with pytest.raises(BoundaryConditionError, match=f"without conditions: \\[{ext[0]}\\]"):
+                assemble(g, tensor_field(1.0, g.n_cells, 2), bc)
