@@ -13,11 +13,13 @@ Dirichlet values enter at the continuity points, Neumann fluxes are imposed
 on the sub-face (internal-boundary faces as zero flux; the interdimensional
 coupling carries their actual flux).
 
-The regions are computed in batches. Every (cell, node) corner's gradient
-matrix is inverted in one stacked call. Regions with the same signature
-(numbers of sub-faces, cells and unknowns) are assembled, checked and solved
-as stacks, in blocks of bounded size. Each node's entries are accumulated in
-the order a node-by-node assembly would use, so batching changes no sum.
+The regions are computed in batches: chunks of consecutive nodes with about
+4,096 sub-faces each, so that only the outputs grow with the grid. In a
+chunk, every (cell, node) corner's gradient matrix is inverted in one stacked
+call, and regions with the same signature (numbers of sub-faces, cells and
+unknowns) are assembled, checked and solved as stacks, in blocks of bounded
+size. Each node's entries are accumulated in the order a node-by-node
+assembly would use, so neither chunks nor blocks change a sum.
 
 The regions write their sub-face fluxes as one CSR matrix S (sub-face x
 cell), whose rows are taken in node order. The face fluxes are the sparse
@@ -42,7 +44,8 @@ DEFAULT_ETA = {"cartesian": 0.0, "simplex": 1.0 / 3.0}
 INTERIOR, NEUMANN_SUB, DIRICHLET_SUB = 0, 1, 2
 
 # Regions of one signature are solved in blocks whose largest stacks hold
-# about this many numbers, so that memory stays bounded on any grid.
+# about this many numbers, and regions are built in chunks of an eighth as
+# many sub-faces, so that memory stays bounded on any grid.
 BLOCK_ENTRIES = 1 << 15
 
 
@@ -63,13 +66,6 @@ def _plane_basis(grid: SubdomainGrid) -> np.ndarray:
             "multipoint discretization requires planar lower-dimensional subdomains"
         )
     return vt[:d]
-
-
-def _sub_faces(grid: SubdomainGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Node and face of every sub-face, ordered by node, then face."""
-    fn = grid.face_nodes.tocoo()
-    order = np.lexsort((fn.col, fn.row))
-    return fn.row[order].astype(int), fn.col[order].astype(int)
 
 
 def _corners(face_cells: np.ndarray, sub_node: np.ndarray, sub_face: np.ndarray):
@@ -127,6 +123,15 @@ def _singular(stack: np.ndarray) -> list[tuple[int, np.linalg.LinAlgError]]:
     return errors
 
 
+def _signature_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(table, axis=0, return_inverse=True)`` for a table of counts
+    with three columns, found by sorting one integer key per row."""
+    base = int(table.max(initial=0)) + 1
+    key = (table[:, 0] * base + table[:, 1]) * base + table[:, 2]
+    _, first, group_of = np.unique(key, return_index=True, return_inverse=True)
+    return table[first], group_of
+
+
 def _interaction_regions(grid, permeability, bc, eta):
     """Solve every interaction region of a grid with faces.
 
@@ -142,87 +147,41 @@ def _interaction_regions(grid, permeability, bc, eta):
     d = grid.dim
     face_cells = grid.face_cells
     nodes_per_face = np.asarray(grid.face_nodes.sum(axis=0)).ravel().astype(int)
+    area_share = grid.face_areas / nodes_per_face
     # Failures as (node, rank within the node, cell, message, cause); the
     # lowest is raised, as a node-by-node assembly would: within a node,
     # corner failures (rank 0) come first in cell order, then a singular
     # local system (rank 1).
     failures = []
 
-    sub_node, sub_face = _sub_faces(grid)
-    n_regions = np.unique(sub_node).size
+    # Sub-faces: the (node, face) incidences, by node, then face.
+    node_faces = grid.face_nodes.tocsr()
+    node_faces.sort_indices()
+    face_ptr = node_faces.indptr
 
-    # Corners: each cell of a region must have d faces at the node.
-    corner_sub, place_of, corner_node, corner_cell, counts = _corners(face_cells, sub_node, sub_face)
-    wrong = np.flatnonzero(counts != d)
-    if wrong.size:
-        k = wrong[0]
-        node, cell = int(corner_node[k]), int(corner_cell[k])
-        message = f"cell {cell} has {counts[k]} faces at node {node}, expected {d}"
-        failures.append((node, 0, cell, message, None))
-        keep = ~np.isin(sub_node, corner_node[wrong])
-        sub_node, sub_face = sub_node[keep], sub_face[keep]
-        corner_sub, place_of, corner_node, corner_cell, _ = _corners(face_cells, sub_node, sub_face)
-    n_sub, n_corners = sub_face.size, corner_cell.size
-    # Each corner's sub-faces, by face; place_of[s, side] is corner * d plus
-    # the position of sub-face s in the corner on that side.
-    corner_sub = corner_sub.reshape(n_corners, d)
-
-    # Regions: nodes with sub-faces, numbered in node order.
-    region_start = np.flatnonzero(np.diff(sub_node, prepend=-1))
-    region_of_sub = np.cumsum(np.diff(sub_node, prepend=-1) != 0) - 1
-    region_node = sub_node[region_start]
-    corner_region = np.searchsorted(region_node, corner_node)
-    corner_start = np.searchsorted(corner_region, np.arange(region_node.size))
-    local_cell = np.arange(n_corners) - corner_start[corner_region]
-    cells_of_region = np.diff(np.append(corner_start, n_corners))
-
-    # Per corner: the flux rows from one stacked gradient inversion.
-    x_cont = (1.0 - eta) * grid.face_centres[sub_face] + eta * grid.nodes[sub_node]
-    sub_area = grid.face_areas[sub_face] / nodes_per_face[sub_face]
-    flux_rows, singular_corners = _corner_flux_rows(
-        grid, permeability, basis, x_cont, sub_area, sub_face, corner_sub, corner_cell
-    )
-    if singular_corners:
-        k, exc = singular_corners[0]
-        node = int(corner_node[k])
-        failures.append((node, 0, int(corner_cell[k]), f"degenerate region at node {node}", exc))
-    row_sums = flux_rows.sum(axis=2)
-
-    # Classify sub-faces and number the unknowns per region. one_side is
-    # the table column of the cell a one-sided sub-face belongs to (0 for
-    # two-sided ones: their fluxes are evaluated from the plus cell).
-    one_side = (face_cells[sub_face, 0] < 0).astype(int)
-    on_boundary = grid.internal_boundary[sub_face]
-    # Complete conditions leave every other sub-face Dirichlet.
-    neumann = on_boundary | (bc.kind[sub_face] == NEUMANN)
-    kind = np.where(np.all(face_cells[sub_face] >= 0, axis=1), INTERIOR, DIRICHLET_SUB)
-    kind[(kind == DIRICHLET_SUB) & neumann] = NEUMANN_SUB
-    is_unknown = (kind == INTERIOR) | (kind == NEUMANN_SUB)
-    before = np.cumsum(is_unknown) - is_unknown
-    unknown_of = np.where(is_unknown, before - before[region_start[region_of_sub]], -1)
-    n_unknown = np.bincount(region_of_sub[is_unknown], minlength=region_node.size)
-
-    dirichlet_value = np.zeros(n_sub)
-    neumann_flux = np.zeros(n_sub)
-    for s in np.flatnonzero((kind == DIRICHLET_SUB) | ((kind == NEUMANN_SUB) & ~on_boundary)):
-        if kind[s] == DIRICHLET_SUB:
-            dirichlet_value[s] = bc.value_at(int(sub_face[s]), x_cont[s])
-        else:
-            neumann_flux[s] = bc.value_at(int(sub_face[s])) * sub_area[s]
+    # Classify faces. face_side is the table column of the cell a one-sided
+    # face belongs to (0 for two-sided ones: their fluxes are evaluated from
+    # the plus cell). Complete conditions leave every other face Dirichlet.
+    face_side = (face_cells[:, 0] < 0).astype(int)
+    neumann = grid.internal_boundary | (bc.kind == NEUMANN)
+    face_kind = np.where(np.all(face_cells >= 0, axis=1), INTERIOR, DIRICHLET_SUB)
+    face_kind[(face_kind == DIRICHLET_SUB) & neumann] = NEUMANN_SUB
 
     # Outputs per sub-face, in sub-face (node-by-node) order: one slot per
-    # cell of the region for each sub-face whose flux is evaluated, and one
-    # boundary term, the Neumann flux or the evaluated constant part.
-    evaluated = (kind == INTERIOR) | (kind == DIRICHLET_SUB)
-    n_slots = np.where(evaluated, cells_of_region[region_of_sub], 0)
+    # cell at its node for each sub-face whose flux is evaluated, and one
+    # boundary term, the Neumann flux or the evaluated constant part. A cell
+    # at a node holds d of the node's face sides, or the assembly fails.
+    cells_at_node = node_faces @ np.count_nonzero(face_cells >= 0, axis=1) // d
+    n_slots = np.repeat(cells_at_node, np.diff(face_ptr))
+    n_slots[face_kind[node_faces.indices] == NEUMANN_SUB] = 0
     # Slot columns and row pointers in scipy's index dtype, so that the
     # sparse matrix made of them below holds them without a copy.
     index = np.int32 if max(n_slots.sum(), grid.n_cells) < 2**31 else np.int64
     slot_ptr = np.concatenate([[0], np.cumsum(n_slots)]).astype(index)
-    first_slot = slot_ptr[:-1]
+    del n_slots
     slot_val = np.zeros(slot_ptr[-1])
     slot_col = np.zeros(slot_ptr[-1], dtype=index)
-    boundary_term = np.where(kind == NEUMANN_SUB, (1.0 - 2.0 * one_side) * neumann_flux, 0.0)
+    boundary_term = np.zeros(face_ptr[-1])
 
     def solve(block: np.ndarray, n_s: int, n_loc: int, n_unk: int) -> float:
         """Solve a block of regions with one signature, and write the outputs
@@ -308,34 +267,100 @@ def _interaction_regions(grid, permeability, bc, eta):
             cell_coeffs += np.where(free[:, None], row[:, j, None] * u[:, :n_loc], 0.0)
             const_term += row[:, j] * np.where(free, u[:, n_loc], dirichlet_value[other])
         cell_coeffs[np.arange(s.size), local_cell[corner]] -= row_sums[corner, pos]
-        slots = first_slot[s][:, None] + np.arange(n_loc)
+        slots = slot_ptr[first + s][:, None] + np.arange(n_loc)
         slot_val[slots] = cell_coeffs
         slot_col[slots] = corner_cell[corner_start[block[r]][:, None] + np.arange(n_loc)]
-        boundary_term[s] = const_term
+        boundary_term[first + s] = const_term
         return cond_max
 
-    # Signatures: regions with equal counts of sub-faces, cells and
-    # unknowns share stacks of local systems.
-    signatures, group_of = np.unique(
-        np.column_stack([np.diff(np.append(region_start, n_sub)), cells_of_region, n_unknown]),
-        axis=0,
-        return_inverse=True,
-    )
-    group_of = group_of.ravel()
+    # Chunks of consecutive nodes, of about BLOCK_ENTRIES // 8 sub-faces: a
+    # chunk ends after the node whose sub-faces reach a multiple of that.
+    # Only the outputs above are grid-sized; solve reads the chunk's tables.
+    ends = np.flatnonzero(np.diff(face_ptr // (BLOCK_ENTRIES // 8))) + 1
+    ends = np.append(ends[face_ptr[ends] < face_ptr[-1]], grid.n_nodes)
     max_condition = 0.0
-    for group, (n_s, n_loc, n_unk) in enumerate(signatures):
-        members = np.flatnonzero(group_of == group)
-        per_block = max(1, BLOCK_ENTRIES // (n_s * (n_loc + 1) + n_unk * n_unk))
-        for block in np.split(members, np.arange(per_block, members.size, per_block)):
-            max_condition = max(max_condition, solve(block, n_s, n_loc, n_unk))
+    for lo, hi in zip(np.append(0, ends[:-1]), ends):
+        first = face_ptr[lo]
+        sub_face = node_faces.indices[first : face_ptr[hi]]
+        sub_node = np.repeat(np.arange(lo, hi), np.diff(face_ptr[lo : hi + 1]))
 
-    if failures:
-        node, _, _, message, cause = min(failures, key=lambda f: f[:3])
-        raise SingularLocalSystemError(node, message) from cause
+        # Corners: each cell of a region must have d faces at the node.
+        corners = _corners(face_cells, sub_node, sub_face)
+        corner_sub, place_of, corner_node, corner_cell, counts = corners
+        wrong = np.flatnonzero(counts != d)
+        if wrong.size:
+            k = wrong[0]
+            node, cell = int(corner_node[k]), int(corner_cell[k])
+            message = f"cell {cell} has {counts[k]} faces at node {node}, expected {d}"
+            failures.append((node, 0, cell, message, None))
+            keep = ~np.isin(sub_node, corner_node[wrong])
+            sub_node, sub_face = sub_node[keep], sub_face[keep]
+            corner_sub, place_of, corner_node, corner_cell, _ = _corners(
+                face_cells, sub_node, sub_face
+            )
+        n_sub, n_corners = sub_face.size, corner_cell.size
+        # Each corner's sub-faces, by face; place_of[s, side] is corner * d
+        # plus the position of sub-face s in the corner on that side.
+        corner_sub = corner_sub.reshape(n_corners, d)
 
-    sub_flux = sps.csr_matrix((slot_val, slot_col, slot_ptr), shape=(n_sub, grid.n_cells))
-    return sub_face, sub_flux, boundary_term, {
-        "mpfa_regions": n_regions,
+        # Regions: the chunk's nodes with sub-faces, numbered in node order.
+        region_start = np.flatnonzero(np.diff(sub_node, prepend=-1))
+        region_of_sub = np.cumsum(np.diff(sub_node, prepend=-1) != 0) - 1
+        region_node = sub_node[region_start]
+        corner_region = np.searchsorted(region_node, corner_node)
+        corner_start = np.searchsorted(corner_region, np.arange(region_node.size))
+        local_cell = np.arange(n_corners) - corner_start[corner_region]
+        cells_of_region = np.diff(np.append(corner_start, n_corners))
+
+        # Per corner: the flux rows from one stacked gradient inversion.
+        x_cont = (1.0 - eta) * grid.face_centres[sub_face] + eta * grid.nodes[sub_node]
+        sub_area = area_share[sub_face]
+        flux_rows, singular_corners = _corner_flux_rows(
+            grid, permeability, basis, x_cont, sub_area, sub_face, corner_sub, corner_cell
+        )
+        if singular_corners:
+            k, exc = singular_corners[0]
+            node, cell = int(corner_node[k]), int(corner_cell[k])
+            failures.append((node, 0, cell, f"degenerate region at node {node}", exc))
+        row_sums = flux_rows.sum(axis=2)
+
+        # Number the unknowns per region; read the boundary data.
+        kind, one_side = face_kind[sub_face], face_side[sub_face]
+        on_boundary = grid.internal_boundary[sub_face]
+        is_unknown = (kind == INTERIOR) | (kind == NEUMANN_SUB)
+        before = np.cumsum(is_unknown) - is_unknown
+        unknown_of = np.where(is_unknown, before - before[region_start[region_of_sub]], -1)
+        n_unknown = np.bincount(region_of_sub[is_unknown], minlength=region_node.size)
+
+        dirichlet_value = np.zeros(n_sub)
+        neumann_flux = np.zeros(n_sub)
+        for s in np.flatnonzero((kind == DIRICHLET_SUB) | ((kind == NEUMANN_SUB) & ~on_boundary)):
+            if kind[s] == DIRICHLET_SUB:
+                dirichlet_value[s] = bc.value_at(int(sub_face[s]), x_cont[s])
+            else:
+                neumann_flux[s] = bc.value_at(int(sub_face[s])) * sub_area[s]
+        # The Neumann sub-faces' boundary terms; solve writes the others'.
+        boundary_term[first : first + n_sub] = (1.0 - 2.0 * one_side) * neumann_flux
+        evaluated = (kind == INTERIOR) | (kind == DIRICHLET_SUB)
+
+        # Signatures: regions with equal counts of sub-faces, cells and
+        # unknowns share stacks of local systems.
+        signatures, group_of = _signature_groups(
+            np.column_stack([np.diff(np.append(region_start, n_sub)), cells_of_region, n_unknown])
+        )
+        for group, (n_s, n_loc, n_unk) in enumerate(signatures):
+            members = np.flatnonzero(group_of == group)
+            per_block = max(1, BLOCK_ENTRIES // (n_s * (n_loc + 1) + n_unk * n_unk))
+            for block in np.split(members, np.arange(per_block, members.size, per_block)):
+                max_condition = max(max_condition, solve(block, n_s, n_loc, n_unk))
+        # Chunks run in node order: the first to fail holds the lowest failing node.
+        if failures:
+            node, _, _, message, cause = min(failures, key=lambda f: f[:3])
+            raise SingularLocalSystemError(node, message) from cause
+
+    sub_flux = sps.csr_matrix((slot_val, slot_col, slot_ptr), shape=(face_ptr[-1], grid.n_cells))
+    return node_faces.indices, sub_flux, boundary_term, {
+        "mpfa_regions": int(np.count_nonzero(np.diff(face_ptr))),
         "mpfa_max_local_condition": float(max_condition),
     }
 

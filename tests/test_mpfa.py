@@ -1,14 +1,21 @@
-"""Multipoint discretization: consistency, exactness, symmetry, error paths."""
+"""Multipoint discretization: consistency, exactness, symmetry, error paths,
+and independence of the node chunks the regions are built in."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_kuhn_mesh, write_triangle_square_mesh
 from test_face_table import loop_assemble_mpfa
 from fracfv.errors import DiscretizationError, SingularLocalSystemError
 from fracfv.fvdiscretize import assemble_mpfa, assemble_tpfa, default_eta, flow_bc
-from fracfv.fvdiscretize.mpfa import _interaction_regions
+from fracfv.fvdiscretize import mpfa
+from fracfv.fvdiscretize.mpfa import _interaction_regions, _signature_groups
+from fracfv.harness.cases import case2_fine_reference
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import (
     FractureNetworkSpec,
@@ -18,6 +25,34 @@ from fracfv.mdmesh import (
 )
 from fracfv.mdmesh.grids import SubdomainGrid
 from fracfv.tensors import tensor_field
+
+
+def _with_face_copies(g, faces):
+    """The grid with a coincident copy of each given interior face, attached
+    to the face's plus cell only. That cell then sees three region faces at
+    the face's nodes, which no planar in-cell gradient can support."""
+    faces = np.asarray(faces)
+    fn = g.face_nodes.tocsc()
+    return SubdomainGrid(
+        dim=g.dim,
+        ambient_dim=g.ambient_dim,
+        nodes=g.nodes,
+        cell_centres=g.cell_centres,
+        geometric_cell_measures=g.geometric_cell_measures,
+        face_centres=np.vstack([g.face_centres, g.face_centres[faces]]),
+        face_normals=np.vstack([g.face_normals, g.face_normals[faces]]),
+        geometric_face_measures=np.concatenate(
+            [g.geometric_face_measures, g.geometric_face_measures[faces]]
+        ),
+        face_cells=np.vstack(
+            [g.face_cells, np.column_stack([g.face_cells[faces, 0], np.full(faces.size, -1)])]
+        ),
+        face_nodes=sps.hstack([fn, fn[:, faces]], format="csc").astype(bool),
+        cell_nodes=g.cell_nodes,
+        aperture=g.aperture,
+        internal_boundary=np.concatenate([g.internal_boundary, np.ones(faces.size, dtype=bool)]),
+        kind=g.kind,
+    )
 
 
 def _entrywise_gap(a, b):
@@ -172,26 +207,8 @@ class TestErrorPaths:
         # no planar in-cell gradient can support.
         g = unit_square_4.subdomains[0]
         f = int(np.flatnonzero(~g.boundary_faces)[0])
-        cell = int(g.face_cells[f, 0])
         fn = g.face_nodes.tocsc()
-        clone = SubdomainGrid(
-            dim=g.dim,
-            ambient_dim=g.ambient_dim,
-            nodes=g.nodes,
-            cell_centres=g.cell_centres,
-            geometric_cell_measures=g.geometric_cell_measures,
-            face_centres=np.vstack([g.face_centres, g.face_centres[f]]),
-            face_normals=np.vstack([g.face_normals, g.face_normals[f]]),
-            geometric_face_measures=np.concatenate(
-                [g.geometric_face_measures, [g.geometric_face_measures[f]]]
-            ),
-            face_cells=np.vstack([g.face_cells, [cell, -1]]),
-            face_nodes=sps.hstack([fn, fn[:, [f]]], format="csc").astype(bool),
-            cell_nodes=g.cell_nodes,
-            aperture=g.aperture,
-            internal_boundary=np.concatenate([g.internal_boundary, [True]]),
-            kind=g.kind,
-        )
+        clone = _with_face_copies(g, [f])
         k = tensor_field(1.0, g.n_cells, 2)
         with pytest.raises(SingularLocalSystemError) as err:
             assemble_mpfa(clone, k, flow_bc(clone))
@@ -214,3 +231,132 @@ class TestErrorPaths:
         k = tensor_field(1.0, g.n_cells, 3)
         with pytest.raises(DiscretizationError, match="planar"):
             assemble_mpfa(g, k, flow_bc(g))
+
+
+# ---------------------------------------------------------------------------
+# Node chunks: the regions are built in chunks of consecutive nodes, sized by
+# mpfa.BLOCK_ENTRIES // 8 sub-faces. No chunk size may change an output.
+# ---------------------------------------------------------------------------
+
+# Block budgets of one region per chunk, of 7 and 64 sub-faces per chunk,
+# and of one chunk for any grid here.
+CHUNK_BUDGETS = [8, 56, 512, 2**33]
+
+
+def _chunk_problem(name, tmp_path):
+    if name == "kuhn":  # the mesh and data of test_face_sums_are_taken_in_node_order
+        path = tmp_path / "kuhn.txt"
+        write_kuhn_mesh(path, 4, 1)
+        g = load_mesh(path).subdomains[0]
+        tensor = np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]])
+        k = tensor_field(tensor, g.n_cells, 3)
+        ext = np.flatnonzero(g.external_boundary)
+        bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: 0.25 + x @ [0.8, -1.4, 0.6])
+        return g, k, bc.set_neumann(ext[1::2], 0.7)
+    if name == "strip":  # case 2's reference, with its thin fracture strip
+        problem, _ = case2_fine_reference(16, 3.0)
+        return problem.mesh.subdomains[0], problem.permeability[0], problem.bcs[0]
+    # An embedded fracture plane, split along the line where a second crosses it.
+    spec = FractureNetworkSpec(
+        domain=((0.0, 1.0),) * 3,
+        fractures=[
+            FracturePatch(2, 0.5, ((0.0, 1.0), (0.0, 1.0)), 1e-3, 1.0, "f"),
+            FracturePatch(0, 0.5, ((0.0, 1.0), (0.0, 1.0)), 1e-3, 1.0, "g"),
+        ],
+    )
+    g = build_cartesian_with_fractures(spec, 4).subdomains[1]
+    assert g.dim == 2 and g.internal_boundary.any()
+    tensor = np.array([[2.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    ext = np.flatnonzero(g.external_boundary)
+    bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: x @ [0.4, -1.2, 0.3])
+    return g, tensor_field(tensor, g.n_cells, 3), bc.set_neumann(ext[1::2], -0.4)
+
+
+def _bits(disc):
+    flux = disc.flux_cell
+    arrays = (flux.data, flux.indices, flux.indptr, disc.flux_boundary)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], disc.diagnostics
+
+
+@pytest.mark.parametrize("name", ["kuhn", "strip", "plane"])
+def test_chunk_size_changes_no_output(name, tmp_path, monkeypatch):
+    g, k, bc = _chunk_problem(name, tmp_path)
+    reference = _bits(assemble_mpfa(g, k, bc))
+    corners = mpfa._corners
+    chunks = []
+    monkeypatch.setattr(mpfa, "_corners", lambda *args: chunks.append(1) or corners(*args))
+    for entries in CHUNK_BUDGETS:
+        monkeypatch.setattr(mpfa, "BLOCK_ENTRIES", entries)
+        chunks.clear()
+        assert _bits(assemble_mpfa(g, k, bc)) == reference, entries
+        # _corners runs once per chunk on grids without degenerate corners.
+        regions = reference[1]["mpfa_regions"]
+        if entries == 8:
+            assert len(chunks) == regions
+        elif entries == 2**33:
+            assert len(chunks) == 1
+        else:
+            assert 1 < len(chunks) < regions
+
+
+@pytest.mark.parametrize("entries", CHUNK_BUDGETS)
+def test_lowest_failing_node_is_raised_across_chunks(entries, monkeypatch):
+    # Nodes are numbered with x slowest. A singular local system at the
+    # nodes of a zero-permeability block at small x, and a cell with three
+    # faces at a node at large x, which a whole-grid check finds before any
+    # local system is solved. The lower node is raised, as a node-by-node
+    # assembly raises it.
+    square = FractureNetworkSpec(domain=((0.0, 1.0),) * 2)
+    g = build_cartesian_with_fractures(square, 8).subdomains[0]
+    top = np.flatnonzero(~g.boundary_faces & (g.face_centres[:, 0] > 0.8))[0]
+    clone = _with_face_copies(g, [top])
+    k = tensor_field(1.0, g.n_cells, 2)
+    k[np.all(np.abs(g.cell_centres - [0.25, 0.5]) < 0.13, axis=1)] = 0.0
+    with pytest.raises(SingularLocalSystemError) as oracle:
+        loop_assemble_mpfa(clone, k, flow_bc(clone))
+    monkeypatch.setattr(mpfa, "BLOCK_ENTRIES", entries)
+    with pytest.raises(SingularLocalSystemError) as err:
+        assemble_mpfa(clone, k, flow_bc(clone))
+    assert err.value.node == oracle.value.node
+    assert str(err.value) == str(oracle.value)
+    assert str(err.value).startswith("singular local system")
+    # More than two 64-sub-face chunks lie between the two faults.
+    face_ptr = clone.face_nodes.tocsr().indptr
+    first_top_node = g.face_nodes.tocsc()[:, top].indices.min()
+    assert face_ptr[first_top_node] - face_ptr[err.value.node + 1] > 2 * 64
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(*[st.integers(0, 3) | st.integers(0, 5000)] * 3), min_size=0, max_size=40
+    )
+)
+def test_signature_key_groups_as_unique_rows(rows):
+    table = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    signatures, group_of = _signature_groups(table)
+    expected, inverse = np.unique(table, axis=0, return_inverse=True)
+    assert np.array_equal(signatures, expected)
+    assert np.array_equal(group_of, inverse.ravel())
+
+
+def test_assembly_memory_is_bounded_by_its_result():
+    # The regions are built chunk by chunk, so at 128 x 128 the traced peak
+    # of the assembly stays below four times the traced size of its result
+    # (measured at about 2.6 times; a whole-grid build of the tables took
+    # about 6.4 times).
+    square = FractureNetworkSpec(domain=((0.0, 1.0),) * 2)
+    g = build_cartesian_with_fractures(square, 128).subdomains[0]
+    k = tensor_field(np.array([[2.0, 0.8], [0.8, 1.0]]), g.n_cells, 2)
+    ext = np.flatnonzero(g.external_boundary)
+    bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: 0.5 + x @ [1.3, -0.7])
+    bc.set_neumann(ext[1::2], 0.2)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        disc = assemble_mpfa(g, k, bc)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert disc.flux_cell.shape == (g.n_faces, g.n_cells)
+    assert peak - start < 4.0 * (held - start)
