@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .coupling import GlobalSystem
 from .errors import EliminationError, UnsupportedSourceError
-from .linsolve import as_csr, direct_solve
+from .linsolve import NULL_ROW_SUM_EPS, as_csr, direct_solve
 
 
 @dataclass
@@ -169,15 +169,19 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     dropped.
 
     Raises:
-        UnsupportedSourceError: A source or boundary contribution sits in an
-            eliminated cell; there is no cell left to carry it.
+        UnsupportedSourceError: An eliminated cell with a non-zero right-hand
+            side or a row sum beyond round-off (a Dirichlet face), neither of
+            which the star can carry.
     """
     eliminated = np.unique(_eliminated_dofs(system.mesh, eliminated))
-    n = system.matrix.shape[0]
+    a = as_csr(system.matrix)
+    n = a.shape[0]
     elim_mask = np.zeros(n, dtype=bool)
     elim_mask[eliminated] = True
-    if np.any(system.rhs[eliminated] != 0.0):
-        bad = eliminated[system.rhs[eliminated] != 0.0]
+    rows, ones = a[eliminated], np.ones(n)
+    dirichlet = np.abs(rows @ ones) > NULL_ROW_SUM_EPS * np.finfo(float).eps * (abs(rows) @ ones)
+    bad = eliminated[(system.rhs[eliminated] != 0.0) | dirichlet]
+    if bad.size:
         raise UnsupportedSourceError(
             f"eliminated cells {bad.tolist()} carry sources or boundary data; "
             "the Star-Delta reduction has no cell to attach them to"
@@ -229,7 +233,6 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     # cell's two-point coupling t_i into the star gives way to its half
     # transmissibility alpha_i, and the star, whose diagonal is the total
     # branch conductance, is condensed out through its spokes.
-    a = as_csr(system.matrix)
     a_kk = a[kept][:, kept] + sps.csr_matrix((alpha - t, (loc, loc)), shape=(kept.size,) * 2)
     spokes = sps.csr_matrix((alpha, (loc, star)), shape=(kept.size, n_comp))
     return ReducedSystem(

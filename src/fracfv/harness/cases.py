@@ -32,7 +32,7 @@ from ..elimination import (
 )
 from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
-from ..linsolve import condition_number, direct_solve, factorize
+from ..linsolve import direct_solve, solve_with_condition
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
 from ..mdmesh.cartesian import _intersection_tensor
 from ..tensors import PermeabilityTensor, as_tensor, tensor_field
@@ -246,12 +246,6 @@ def _network_permeabilities(mesh, matrix_permeability):
     ]
 
 
-def _solve_with_condition(matrix, rhs) -> tuple[np.ndarray, float]:
-    """Solution and 2-norm condition number of one system, from one LU factor."""
-    lu = factorize(matrix)
-    return direct_solve(matrix, rhs, factor=lu), condition_number(matrix, factor=lu)
-
-
 def _reduction(system, p_full, cond_full, tag: str, eliminated=None):
     """One reduction ("schur" or "star_delta") of ``system`` and its solve.
 
@@ -260,7 +254,7 @@ def _reduction(system, p_full, cond_full, tag: str, eliminated=None):
     and the condition ratio R_C.
     """
     reduced = (schur_reduce if tag == "schur" else star_delta_reduce)(system, eliminated)
-    p_kept, cond = _solve_with_condition(reduced.matrix, reduced.rhs)
+    p_kept, cond = solve_with_condition(reduced.matrix, reduced.rhs)
     volumes = system.mesh.all_cell_volumes()[reduced.kept]
     summary = {
         "pressure_error": l2_error(p_kept, p_full[reduced.kept], volumes),
@@ -311,7 +305,7 @@ def _flow_and_tracer(
     """
     mesh = system.mesh
     with _timed(timings, "full_solve"):
-        p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
+        p_full, cond_full = solve_with_condition(system.matrix, system.rhs)
     tracer_bcs = zero_tracer_bcs(mesh)
     with _timed(timings, "full_transport"):
         graph = flux_graph_from_system(system, p_full)
@@ -411,7 +405,7 @@ def case11_problem(
 def _case11_point(problem, mesh) -> dict:
     """Full solve and both reductions of one permeability combination."""
     system = problem.assemble()
-    p_full, cond_full = _solve_with_condition(system.matrix, system.rhs)
+    p_full, cond_full = solve_with_condition(system.matrix, system.rhs)
     point = {
         "cond_full": cond_full,
         "conservation": conservation_residual(system, p_full),
@@ -919,7 +913,7 @@ def _study_12(build, spec, p, timings) -> _Study:
     with _timed(timings, "coarse"):
         problem, mesh = build(n)
         system = problem.assemble()
-        p_none, cond_full = _solve_with_condition(system.matrix, system.rhs)
+        p_none, cond_full = solve_with_condition(system.matrix, system.rhs)
 
     fine_dims = fine_mesh.dof_dims()
     fine_volumes = fine_mesh.all_cell_volumes()

@@ -294,3 +294,10 @@ def condition_number(matrix, factor: spla.SuperLU | None = None) -> float:
     normal = _largest_eigenvalue(n, lambda x: csr.T @ (csr @ x))
     inverse = _largest_eigenvalue(n, lambda x: lu.solve(lu.solve(x, trans="T")))
     return float(np.sqrt(normal * inverse))
+
+
+def solve_with_condition(matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solution of A x = b and the 2-norm condition number of A, both from
+    one LU factor."""
+    lu = factorize(matrix)
+    return direct_solve(matrix, rhs, factor=lu), condition_number(matrix, factor=lu)

@@ -128,13 +128,13 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
     """Duplicate interior faces so each copy attaches to one cell only.
 
     The kept copy stays with the cell that saw the normal as outward; the new
-    copy (appended at the end) attaches to the other cell with its normal
-    flipped to point outward. Both copies are tagged as internal boundary.
-    Returns the new copy of each given face. The grid is modified in place.
+    copy (appended at the end) attaches to the other cell. ``build_grid``
+    derives the new geometry, as loading the saved grid would. Both copies
+    are tagged as internal boundary. Returns the new copy of each given
+    face. The grid is modified in place.
     """
     faces = np.asarray(faces, dtype=int)
-    n_old = grid.n_faces
-    new_faces = n_old + np.arange(faces.size)
+    new_faces = grid.n_faces + np.arange(faces.size)
     if faces.size == 0:
         return new_faces
     pairs = grid.face_cells[faces]
@@ -143,23 +143,13 @@ def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
         raise MeshError(f"cannot split boundary face {faces[one_sided[0]]}")
     table = np.vstack([grid.face_cells, np.column_stack([pairs[:, 1], np.full(faces.size, -1)])])
     table[faces, 1] = -1
-    grid.face_cells = table
-
-    def dup(arr):
-        return np.concatenate([arr, arr[faces]], axis=0)
-
-    grid.face_centres = dup(grid.face_centres)
-    normals = dup(grid.face_normals)
-    normals[n_old:] = -normals[n_old:]  # outward from the second cell
-    grid.face_normals = normals
-    grid.geometric_face_measures = dup(grid.geometric_face_measures)
-
-    fn = grid.face_nodes.tocsc()
-    grid.face_nodes = sps.hstack([fn, fn[:, faces]], format="csc").astype(bool)
-
+    fn, cn = grid.face_nodes.tocsc(), grid.cell_nodes.tocsc()
+    fn = sps.hstack([fn, fn[:, faces]], format="csc")
+    node_lists = (cn.indptr, cn.indices), (fn.indptr, fn.indices)
+    split = build_grid(grid.dim, grid.nodes, *node_lists, table, grid.aperture, grid.kind)
     internal = np.concatenate([grid.internal_boundary, np.ones(faces.size, dtype=bool)])
     internal[faces] = True
-    grid.internal_boundary = internal
+    vars(grid).update(vars(split), internal_boundary=internal, metadata=grid.metadata)
     return new_faces
 
 

@@ -42,8 +42,9 @@ class SubdomainGrid:
             the cell the normal points out of (sign +1 in ``cell_faces``),
             column 1 the cell it points into (sign -1), and -1 marks a
             missing side. ``split_faces`` keeps it current.
-        face_nodes: Incidence, sparse (n_nodes, n_faces), boolean.
-        cell_nodes: Incidence, sparse (n_nodes, n_cells), boolean.
+        face_nodes: Incidence, sparse (n_nodes, n_faces), boolean; each
+            face's nodes in the order built or read (3D: boundary order).
+        cell_nodes: Incidence, sparse (n_nodes, n_cells), boolean; sorted.
         aperture: The subdomain's aperture (length); 1 for the
             top-dimensional subdomain.
         internal_boundary: Boolean mask of faces created by splitting along
@@ -151,17 +152,16 @@ def by_width(ptr: np.ndarray):
 
 def _incidence(ptr: np.ndarray, idx: np.ndarray, n_nodes: int) -> sps.csc_matrix:
     """Boolean incidence, sparse (n_nodes, n_entities), of entities whose
-    nodes are ``idx[ptr[i]:ptr[i + 1]]``."""
-    incidence = sps.csc_matrix((np.ones(idx.size, dtype=bool), idx, ptr), (n_nodes, ptr.size - 1))
-    incidence.sum_duplicates()  # and sorts each entity's nodes
-    return incidence
+    nodes are ``idx[ptr[i]:ptr[i + 1]]``, kept in that order."""
+    return sps.csc_matrix((np.ones(idx.size, dtype=bool), idx, ptr), (n_nodes, ptr.size - 1))
 
 
 def _polygon_geometry(nodes: np.ndarray, ptr: np.ndarray, idx: np.ndarray):
     """Areas, unit normals and centroids of planar polygons in 3D, polygon
     ``i`` with the nodes ``idx[ptr[i]:ptr[i + 1]]`` in boundary order. Each is
     split into a fan of triangles about its node mean; polygons with the
-    same node count are done a block at a time."""
+    same node count are done a block at a time. A polygon of zero area, or
+    one that lists a node twice, raises MeshFormatError."""
     n_faces = ptr.size - 1
     areas, normals, centroids = np.zeros(n_faces), np.zeros((n_faces, 3)), np.zeros((n_faces, 3))
     for faces, slots in by_width(ptr):
@@ -173,6 +173,10 @@ def _polygon_geometry(nodes: np.ndarray, ptr: np.ndarray, idx: np.ndarray):
         area = tri_areas.sum(axis=1)
         if area.min() <= 0.0:
             raise MeshFormatError("degenerate polygon face")
+        ranked = np.sort(idx[slots], axis=1)
+        twice = np.flatnonzero(np.any(ranked[:, 1:] == ranked[:, :-1], axis=1))
+        if twice.size:
+            raise MeshFormatError(f"face {faces[twice[0]]} lists a node twice")
         total = 0.5 * cross.sum(axis=1)
         areas[faces] = area
         normals[faces] = total / np.linalg.norm(total, axis=1, keepdims=True)
@@ -192,13 +196,15 @@ def build_grid(
 ) -> SubdomainGrid:
     """The grid of cells and faces with the node lists ``(ptr, idx)`` of
     ``cell_nodes`` and ``face_nodes``, 3D polygons' nodes in boundary order.
+    It keeps each face's list as given and each cell's sorted.
 
     Cell centres are node means. Faces get centroids, measures and unit
     normals that point out of the cell in column 0 of ``face_cells``; cell
     measures follow by the divergence theorem. A point cell has measure one.
 
     Raises:
-        MeshFormatError: A face or cell whose geometry is degenerate.
+        MeshFormatError: A face or cell whose geometry is degenerate, or a
+            polygon that lists a node twice.
     """
     (cell_ptr, cell_idx), (face_ptr, face_idx) = cell_nodes, face_nodes
     n_cells, n_faces, ambient = cell_ptr.size - 1, face_ptr.size - 1, nodes.shape[1]
@@ -261,6 +267,8 @@ def build_grid(
             bad = int(np.argmin(volumes))
             raise MeshFormatError(f"cell {bad} has non-positive volume {volumes[bad]:.3e}")
 
+    cell_incidence = _incidence(cell_ptr, cell_idx, nodes.shape[0])
+    cell_incidence.sum_duplicates()  # and sorts each cell's nodes
     return SubdomainGrid(
         dim=dim,
         ambient_dim=ambient,
@@ -272,7 +280,7 @@ def build_grid(
         geometric_face_measures=face_measures,
         face_cells=face_cells,
         face_nodes=_incidence(face_ptr, face_idx, nodes.shape[0]),
-        cell_nodes=_incidence(cell_ptr, cell_idx, nodes.shape[0]),
+        cell_nodes=cell_incidence,
         aperture=aperture,
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind=kind,

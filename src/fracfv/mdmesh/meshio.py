@@ -25,8 +25,8 @@ is finite. Cells declared
 ``simplex`` must list exactly d+1 nodes; their facets are derived
 automatically when no ``faces`` block is present. ``explicit`` cells
 (boxes, general polytopes) require the ``faces`` block, where ``cell_minus``
-is ``-1`` on one-sided faces and polygon nodes are listed in boundary order.
-Geometry (centroids, measures, normals) is recomputed on load by
+is ``-1`` on one-sided faces and polygon nodes are listed in boundary order,
+each once. Geometry (centroids, measures, normals) is recomputed on load by
 ``grids.build_grid``, the builder of generated grids too; face normals point
 outward from ``cell_plus``.
 """
@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MeshFormatError
-from .grids import SubdomainGrid, build_grid, by_width
+from .grids import SubdomainGrid, build_grid
 from .mdmesh import InterfaceMap, MixedDimensionalMesh
 
 FORMAT_NAME = "fracfv-mesh"
@@ -223,31 +223,6 @@ def load_mesh(path) -> MixedDimensionalMesh:
 # ---------------------------------------------------------------------------
 
 
-def _ordered_face_nodes(grid: SubdomainGrid) -> np.ndarray:
-    """The nodes of every face, face by face as in the CSC ``face_nodes``,
-    with the nodes of each 3D polygon ordered along its boundary.
-
-    Polygons are sorted by angle about their node mean in an orthonormal
-    basis of their plane; polygons with the same node count share stacked
-    SVDs.
-    """
-    fn = grid.face_nodes.tocsc()
-    nodes = fn.indices.copy()
-    if grid.dim < 3:
-        return nodes
-    for _, slots in by_width(fn.indptr):
-        if slots.shape[1] <= 3:
-            continue
-        node_rows = nodes[slots]
-        shifted = grid.nodes[node_rows] - grid.nodes[node_rows].mean(axis=1, keepdims=True)
-        _, _, vt = np.linalg.svd(shifted, full_matrices=False)
-        angles = np.arctan2(
-            np.einsum("fkd,fd->fk", shifted, vt[:, 1]), np.einsum("fkd,fd->fk", shifted, vt[:, 0])
-        )
-        nodes[slots] = np.take_along_axis(node_rows, np.argsort(angles, axis=1), axis=1)
-    return nodes
-
-
 def _index_lines(widths: np.ndarray, values: np.ndarray, prefix: str = "") -> str:
     """One line per entry of ``widths``: ``prefix``, then that many integers
     from ``values`` separated by spaces. The ``%d`` fields of ``prefix`` take
@@ -272,11 +247,10 @@ def save_mesh(mesh: MixedDimensionalMesh, path) -> None:
             handle.write(_index_lines(np.diff(cn.indptr), cn.indices))
             if grid.n_faces or grid.dim > 0:
                 handle.write(f"faces {grid.n_faces}\n")
-                indptr = grid.face_nodes.tocsc().indptr
-                values = np.insert(
-                    _ordered_face_nodes(grid), np.repeat(indptr[:-1], 2), grid.face_cells.ravel()
-                )
-                handle.write(_index_lines(np.diff(indptr), values, "%d %d : "))
+                fn = grid.face_nodes.tocsc()
+                line_starts = np.repeat(fn.indptr[:-1], 2)
+                values = np.insert(fn.indices, line_starts, grid.face_cells.ravel())
+                handle.write(_index_lines(np.diff(fn.indptr), values, "%d %d : "))
             handle.write("end\n")
         handle.write(f"interfaces {len(mesh.interfaces)}\n")
         for intf in mesh.interfaces:

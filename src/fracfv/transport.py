@@ -95,9 +95,9 @@ def flux_graph_from_reduced(reduced: ReducedSystem, p_kept: np.ndarray) -> FluxG
     """Connection data of a reduced solve, in kept-local indices.
 
     Internal and interface fluxes come directly from the reduced connection
-    stencil; boundary fluxes are reconstructed on the kept subdomains.
-    Boundary data on eliminated subdomains is not representable here (their
-    external faces carry no-flow conditions in the supported cases).
+    stencil; boundary fluxes are reconstructed on the subdomains without an
+    eliminated cell. The others may have no Dirichlet or non-zero Neumann
+    data (TransportError), as their boundary flows are not representable.
     """
     system = reduced.system
     if system is None:
@@ -111,7 +111,10 @@ def flux_graph_from_reduced(reduced: ReducedSystem, p_kept: np.ndarray) -> FluxG
     for sd, disc in enumerate(system.discs):
         locs = kept_local[mesh.subdomain_slice(sd)]
         if np.any(locs < 0):
-            continue  # eliminated subdomain
+            bc = system.bcs[sd]
+            if np.any((bc.kind == DIRICHLET) | (bc.value != 0.0)):
+                raise TransportError(f"subdomain {sd} has eliminated cells and boundary flow")
+            continue
         fluxes = reconstruct_fluxes(disc, p_kept[locs])
         boundary.append(_boundary_flows(sd, mesh.subdomains[sd], fluxes, locs))
     return FluxGraph(

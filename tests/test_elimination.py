@@ -1,5 +1,7 @@
 """Intersection-cell elimination: Schur complement and Star-Delta."""
 
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,7 @@ from fracfv.elimination import (
     star_delta_reduce,
 )
 from fracfv.errors import EliminationError, UnsupportedSourceError
-from fracfv.harness.cases import case4_problem, case11_problem, case13_problem
+from fracfv.harness.cases import _dirichlet_planes, case4_problem, case11_problem, case13_problem
 from fracfv.linsolve import as_csr, condition_number, direct_solve
 
 
@@ -230,6 +232,18 @@ class TestStarDelta:
         assert injection_dof in mesh.intersection_dofs()
         with pytest.raises(UnsupportedSourceError):
             star_delta_reduce(system, mesh.intersection_dofs())
+
+    def test_dirichlet_outlet_on_eliminated_cell_rejected(self):
+        # A zero pressure on the intersection line's y = 1 end face adds only
+        # to the eliminated block's diagonal, which the star would drop.
+        problem, mesh = case13_problem(4, k_blocking=1e6, aperture=1e-2)
+        build = _dirichlet_planes((0, 0.0, 1.0), (1, 1.0, 0.0))
+        bcs = [build(sd, grid) for sd, grid in enumerate(mesh.subdomains)]
+        system = replace(problem, bcs=bcs).assemble()
+        line = mesh.intersection_dofs()
+        assert not system.rhs[line].any()
+        with pytest.raises(UnsupportedSourceError, match=re.escape(f"cells [{line[-1]}] carry")):
+            star_delta_reduce(system)
 
     def test_reduction_conserves_constants(self):
         problem, mesh = case11_problem(4, 2.0, 0.5)

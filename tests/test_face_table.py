@@ -57,7 +57,6 @@ from fracfv.linsolve import CG_MIN_ROWS, _certified_stieltjes_3d, as_csr, direct
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
 from fracfv.mdmesh import cartesian
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
-from fracfv.mdmesh.meshio import _ordered_face_nodes
 from fracfv.tensors import PermeabilityTensor, as_tensor, tensor_field
 
 # ---------------------------------------------------------------------------
@@ -437,17 +436,6 @@ def loop_match_centres(candidates, targets, tol):
         if j is not None and np.linalg.norm(candidates[i] - targets[j]) <= tol:
             pairs.append((i, j))
     return pairs
-
-
-def loop_ordered_face_nodes(grid, face):
-    fn = grid.face_nodes.tocsc()
-    node_list = list(fn.indices[fn.indptr[face] : fn.indptr[face + 1]])
-    if grid.dim < 3 or len(node_list) <= 3:
-        return node_list
-    shifted = grid.nodes[node_list] - grid.nodes[node_list].mean(axis=0)
-    _, _, vt = np.linalg.svd(shifted, full_matrices=False)
-    order = np.argsort(np.arctan2(shifted @ vt[1], shifted @ vt[0]))
-    return [node_list[i] for i in order]
 
 
 def loop_star_delta_reduce(system, eliminated=None):
@@ -1188,15 +1176,6 @@ def test_distance_corrected_interfaces_match_loop_oracle():
             mesh, index, perms[intf.higher], perms[intf.lower], distance_correction=True
         )
         _check_interface(c, mesh, index, perms[intf.higher], perms[intf.lower], True)
-
-
-@pytest.mark.parametrize("build", [lambda: cases.case13_problem(4)[1], lambda: cases.case4_problem(8)[1]])
-def test_ordered_face_nodes_match_loop(build):
-    for grid in build().subdomains:
-        ordered, indptr = _ordered_face_nodes(grid), grid.face_nodes.tocsc().indptr
-        assert [list(ordered[a:b]) for a, b in zip(indptr[:-1], indptr[1:])] == [
-            loop_ordered_face_nodes(grid, f) for f in range(grid.n_faces)
-        ]
 
 
 # ---------------------------------------------------------------------------

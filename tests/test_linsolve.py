@@ -224,6 +224,23 @@ class TestConditionNumber:
         assert condition_number(a, factor=lu) == condition_number(a)
         assert condition_number(a) == pytest.approx(dense_condition(a), rel=1e-12)
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+    def test_solve_with_condition_factors_once(self, monkeypatch, symmetric):
+        rng = np.random.default_rng(11)
+        b = sps.random(300, 300, density=0.02, random_state=rng, data_rvs=rng.standard_normal)
+        if symmetric:
+            b = b + b.T
+        a = (b + sps.diags(np.asarray(abs(b).sum(axis=1)).ravel() + 1.0)).tocsr()
+        rhs = rng.standard_normal(300)
+        lu = factorize(a)
+        x_expected, cond_expected = direct_solve(a, rhs, factor=lu), condition_number(a, factor=lu)
+        factors = []
+        monkeypatch.setattr(linsolve, "factorize", lambda m: factors.append(m) or factorize(m))
+        x, cond = linsolve.solve_with_condition(a, rhs)
+        assert len(factors) == 1
+        assert x.tobytes() == x_expected.tobytes()
+        assert cond == cond_expected
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
         n=st.integers(2, 120),

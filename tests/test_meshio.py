@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import UNIT_SQUARE_CELL, write_kuhn_mesh, write_triangle_square_mesh
 from fracfv.errors import ConformityError, MeshError, MeshFormatError
 from fracfv.harness.cases import case4_problem, case11_problem, case13_problem
+from fracfv.harness.cli import main
 from fracfv.mdmesh import (
     FractureNetworkSpec,
     FracturePatch,
@@ -28,7 +29,7 @@ from fracfv.mdmesh import (
 )
 from fracfv.mdmesh.grids import SubdomainGrid, cell_faces_of, validate_grid
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
-from fracfv.mdmesh.meshio import _derive_simplex_faces, _ordered_face_nodes
+from fracfv.mdmesh.meshio import _derive_simplex_faces
 
 TRIANGLE_PAIR = """fracfv-mesh 1
 ambient 2
@@ -56,9 +57,10 @@ end
 
 
 def _face_node_lists(grid):
-    """Each face's nodes, 3D polygons' in boundary order."""
-    ordered, indptr = _ordered_face_nodes(grid), grid.face_nodes.tocsc().indptr
-    return [ordered[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+    """Each face's nodes in the order the grid stores them, 3D polygons'
+    along their boundary."""
+    fn = grid.face_nodes.tocsc()
+    return [fn.indices[a:b] for a, b in zip(fn.indptr[:-1], fn.indptr[1:])]
 
 
 def loop_save_mesh(mesh, path):
@@ -137,11 +139,11 @@ def _loop_by_length(lists):
 
 
 def _loop_incidence(node_lists, n_nodes):
-    counts = np.fromiter(map(len, node_lists), dtype=int, count=len(node_lists))
-    rows = np.fromiter(itertools.chain.from_iterable(node_lists), dtype=int, count=counts.sum())
-    cols = np.repeat(np.arange(len(node_lists)), counts)
+    """CSC incidence whose column i holds ``node_lists[i]`` in list order."""
+    indptr = np.cumsum([0] + [len(node_list) for node_list in node_lists])
+    rows = np.fromiter(itertools.chain.from_iterable(node_lists), dtype=int, count=indptr[-1])
     return sps.csc_matrix(
-        (np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n_nodes, len(node_lists))
+        (np.ones(rows.size, dtype=bool), rows, indptr), shape=(n_nodes, len(node_lists))
     )
 
 
@@ -214,7 +216,7 @@ def _loop_build_grid(
         geometric_face_measures=face_measures,
         face_cells=table,
         face_nodes=_loop_incidence(face_node_lists, nodes.shape[0]),
-        cell_nodes=_loop_incidence(cell_node_lists, nodes.shape[0]),
+        cell_nodes=_loop_incidence([sorted(set(c)) for c in cell_node_lists], nodes.shape[0]),
         aperture=aperture,
         internal_boundary=np.zeros(n_faces, dtype=bool),
         kind=kind,
@@ -283,14 +285,15 @@ def _assert_identical(a, b, name):
         assert a == b, name
 
 
-def _assert_loads_like_loop(path):
-    """``load_mesh`` gives the oracle's mesh bit for bit: every grid field
-    with its dtype, the CSC arrays of the node incidences, and the
+def _assert_same_mesh(mesh, oracle, skip=()):
+    """``mesh`` is ``oracle`` bit for bit: every grid field not named in
+    ``skip`` with its dtype, the CSC arrays of the node incidences, and the
     interface pairs."""
-    mesh, oracle = load_mesh(path), loop_load_mesh(path)
     assert len(mesh.subdomains) == len(oracle.subdomains)
     for grid, expected in zip(mesh.subdomains, oracle.subdomains):
         for field in dataclasses.fields(grid):
+            if field.name in skip:
+                continue
             a, b = getattr(grid, field.name), getattr(expected, field.name)
             if sps.issparse(b):
                 assert a.format == b.format == "csc", field.name
@@ -302,6 +305,11 @@ def _assert_loads_like_loop(path):
     for intf, expected in zip(mesh.interfaces, oracle.interfaces):
         assert (intf.higher, intf.lower) == (expected.higher, expected.lower)
         _assert_identical(intf.face_cell_pairs, expected.face_cell_pairs, "face_cell_pairs")
+
+
+def _assert_loads_like_loop(path):
+    """``load_mesh`` gives the oracle's mesh bit for bit."""
+    _assert_same_mesh(load_mesh(path), loop_load_mesh(path))
 
 
 def test_triangle_pair_import(tmp_path):
@@ -650,6 +658,13 @@ def test_unit_cell_documents_load(tmp_path, text):
     assert np.isclose(load_mesh(path).subdomains[0].cell_volumes[0], 1.0, rtol=1e-14)
 
 
+def test_face_listing_a_node_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "cell.txt"
+    path.write_text(UNIT_CUBE_CELL.replace(": 0 1 3 2", ": 0 1 3 2 2"))
+    assert main(["validate-mesh", str(path)]) == 2
+    assert "face 4 lists a node twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
@@ -791,6 +806,41 @@ def test_layout_leaves_the_mesh_unchanged(layout_documents, data):
     path = folder / "relaid.txt"
     path.write_text(_relaid(text, layouts))
     _assert_loads_like_loop(path)
+
+
+@st.composite
+def fractured_networks(draw):
+    """A 2D or 3D network of one to three fractures, some crossing, on axes
+    of two to four cells of random widths."""
+    dim = draw(st.sampled_from([2, 3]))
+    widths = st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4)
+    axes = [np.concatenate([[0.0], np.cumsum(draw(widths))]) for _ in range(dim)]
+    planes = set()
+    for _ in range(draw(st.integers(1, 3))):
+        axis = draw(st.integers(0, dim - 1))
+        planes.add((axis, draw(st.integers(1, axes[axis].size - 2))))
+    patches = []
+    for axis, index in sorted(planes):
+        extents = []
+        for k in range(dim):
+            if k != axis:
+                lo = draw(st.integers(0, axes[k].size - 2))
+                hi = draw(st.integers(lo + 1, axes[k].size - 1))
+                extents.append((axes[k][lo], axes[k][hi]))
+        patches.append(FracturePatch(axis, axes[axis][index], tuple(extents), 1e-3, 1.0))
+    spec = FractureNetworkSpec(tuple((0.0, a[-1]) for a in axes), patches)
+    return build_cartesian_with_fractures(spec, axes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mesh=fractured_networks())
+def test_saved_network_reloads_bit_for_bit(tmp_path_factory, mesh):
+    folder = tmp_path_factory.mktemp("round-trip")
+    save_mesh(mesh, folder / "saved.txt")
+    loaded = load_mesh(folder / "saved.txt")
+    save_mesh(loaded, folder / "again.txt")
+    assert (folder / "saved.txt").read_bytes() == (folder / "again.txt").read_bytes()
+    _assert_same_mesh(loaded, mesh, skip={"metadata"})
 
 
 def test_derived_faces_match_loop_on_preset_simplex_meshes(tmp_path):

@@ -1,14 +1,17 @@
 """Upwind transport: operator structure, stepping, probing, accounting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracfv.elimination import schur_reduce
 from fracfv.errors import InflowBoundaryError, ProbeError, TransportError
 from fracfv.fvdiscretize import transport_bc
-from fracfv.harness.cases import case13_problem, zero_tracer_bcs
+from fracfv.harness.cases import _dirichlet_planes, case13_problem, zero_tracer_bcs
 from fracfv.harness.export import write_series_csv
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, build_cartesian_with_fractures
@@ -16,6 +19,7 @@ from fracfv.transport import (
     FluxGraph,
     TracerSimulation,
     factorize_step,
+    flux_graph_from_reduced,
     flux_graph_from_system,
     resolve_probe,
     upwind_operator,
@@ -253,6 +257,19 @@ class TestCaseTransport:
         t_fine = np.array([t for t, _ in sims[100]][::2])
         assert np.abs(t_coarse - t_fine).max() <= 1e-10
         assert np.abs(coarse - fine).max() <= 0.01
+
+
+def test_reduced_graph_refuses_boundary_flow_on_eliminated_cells():
+    # Each end face of the intersection line carries a flux of 100 here. The
+    # reduced graph has no cell to attach them to; dropping them lost 100 of
+    # the full graph's 20,101 outflow.
+    problem, mesh = case13_problem(4, k_blocking=1e6, aperture=1e-2)
+    build = _dirichlet_planes((1, 0.0, 1.0), (1, 1.0, 0.0))
+    bcs = [build(sd, grid) for sd, grid in enumerate(mesh.subdomains)]
+    reduced = schur_reduce(replace(problem, bcs=bcs).assemble())
+    p_kept = direct_solve(reduced.matrix, reduced.rhs)
+    with pytest.raises(TransportError, match="subdomain 3 has eliminated cells and boundary flow"):
+        flux_graph_from_reduced(reduced, p_kept)
 
 
 class TestMonitor:
