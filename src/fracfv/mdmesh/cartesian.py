@@ -4,8 +4,9 @@ Fracture patches are axis-aligned hyperplane pieces that must coincide with
 face planes of the requested Cartesian grid. Crossing patches spawn
 intersection subdomains of successively lower dimension, down to points.
 Faces of a grid that coincide with an immersed lower-dimensional subdomain
-are duplicated (one copy per side), so the immersed subdomain acts as an
-internal boundary of the host grid.
+are found from the two grids' boxes of node indices, tagged as internal
+boundary and, where they have a cell on each side, duplicated (one copy per
+side), so the immersed subdomain acts as an internal boundary of the host.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sps
 
 from ..errors import FractureAlignmentError, FractureOverlapError, MeshError
 from ..tensors import PermeabilityTensor, as_tensor
@@ -65,23 +65,10 @@ class FractureNetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def structured_grid(
-    ambient_dim: int,
-    active_axes: list[int],
-    axis_nodes: list[np.ndarray],
-    fixed_coords: dict[int, float],
-    aperture: float,
-) -> SubdomainGrid:
-    """Tensor-product box grid of dimension ``d = len(active_axes)`` in N-space.
-
-    ``axis_nodes[j]`` holds the increasing node coordinates along
-    ``active_axes[j]``; every other axis ``k`` stays at ``fixed_coords[k]``
-    (d = 0 gives a point). This lays out the nodes, the cells' and faces'
-    node lists and the face-cell table, and ``build_grid`` derives the
-    geometry as it does for a loaded mesh. Nodes and cells go in C order over
-    the active axes; faces in one block per active axis, each in C order,
-    with normals along the axis, out of the cell before the face.
-    """
+def _layout(ambient_dim: int, active_axes: list, axis_nodes: list, fixed_coords: dict) -> tuple:
+    """The node lists and face-cell table of a tensor-product box grid, as
+    ``(dim, nodes, cell node lists, face nodes, face-cell table)``; the face
+    nodes are one row per face. See ``structured_grid`` for the order."""
     d = len(active_axes)
     cell_shape = tuple(len(a) - 1 for a in axis_nodes)
     if min(cell_shape, default=1) < 1:
@@ -100,10 +87,11 @@ def structured_grid(
         starts = itertools.product(*[(0, 1) if i in span else (0,) for i in range(d)])
         return np.column_stack(
             [node_id[tuple(map(slice, s, np.add(s, shape)))].ravel() for s in starts]
-        )[:, order].ravel()
+        )[:, order]
 
     cell_id = np.arange(int(np.prod(cell_shape))).reshape(cell_shape)
-    face_idx, face_cells = [np.zeros(0, dtype=int)], [np.zeros((0, 2), dtype=int)]
+    width = max(1, 2 ** (d - 1))
+    face_nodes, face_cells = [np.zeros((0, width), dtype=int)], [np.zeros((0, 2), dtype=int)]
     around = [0, 1, 3, 2] if d == 3 else slice(None)  # a 3D face's corners in boundary order
     for j in range(d):
         # The cells before and after each face along axis j; -1 off the ends.
@@ -111,74 +99,66 @@ def structured_grid(
         before = padded[(slice(None),) * j + (slice(None, -1),)]
         after = padded[(slice(None),) * j + (slice(1, None),)]
         face_cells.append(np.column_stack([before.ravel(), after.ravel()]))
-        face_idx.append(corners(before.shape, [i for i in range(d) if i != j], around))
-    face_idx, cell_idx = np.concatenate(face_idx), corners(cell_shape, range(d))
+        face_nodes.append(corners(before.shape, [i for i in range(d) if i != j], around))
+    cell_idx = corners(cell_shape, range(d)).ravel()
     cells = (np.arange(0, cell_idx.size + 1, 2**d), cell_idx)
-    faces = (np.arange(0, face_idx.size + 1, max(1, 2 ** (d - 1))), face_idx)
-    table = np.concatenate(face_cells)
-    return build_grid(d, nodes, cells, faces, table, float(aperture), "cartesian")
+    return d, nodes, cells, np.concatenate(face_nodes), np.concatenate(face_cells)
 
 
-# ---------------------------------------------------------------------------
-# Face splitting and geometric matching
-# ---------------------------------------------------------------------------
+def _build(layout: tuple, split: np.ndarray, aperture: float) -> SubdomainGrid:
+    """The grid of a layout, with each face in ``split`` (two-sided) split in two.
 
-
-def split_faces(grid: SubdomainGrid, faces: np.ndarray) -> np.ndarray:
-    """Duplicate interior faces so each copy attaches to one cell only.
-
-    The kept copy stays with the cell that saw the normal as outward; the new
-    copy (appended at the end) attaches to the other cell. ``build_grid``
-    derives the new geometry, as loading the saved grid would. Both copies
-    are tagged as internal boundary. Returns the new copy of each given
-    face. The grid is modified in place.
+    The face keeps the cell that sees its normal as outward; its copy,
+    appended at the end in the order given, takes the other cell, so its
+    normal points the other way. ``build_grid`` derives the geometry.
     """
-    faces = np.asarray(faces, dtype=int)
-    new_faces = grid.n_faces + np.arange(faces.size)
-    if faces.size == 0:
-        return new_faces
-    pairs = grid.face_cells[faces]
-    one_sided = np.flatnonzero((pairs < 0).any(axis=1))
-    if one_sided.size:
-        raise MeshError(f"cannot split boundary face {faces[one_sided[0]]}")
-    table = np.vstack([grid.face_cells, np.column_stack([pairs[:, 1], np.full(faces.size, -1)])])
-    table[faces, 1] = -1
-    fn, cn = grid.face_nodes.tocsc(), grid.cell_nodes.tocsc()
-    fn = sps.hstack([fn, fn[:, faces]], format="csc")
-    node_lists = (cn.indptr, cn.indices), (fn.indptr, fn.indices)
-    split = build_grid(grid.dim, grid.nodes, *node_lists, table, grid.aperture, grid.kind)
-    internal = np.concatenate([grid.internal_boundary, np.ones(faces.size, dtype=bool)])
-    internal[faces] = True
-    vars(grid).update(vars(split), internal_boundary=internal, metadata=grid.metadata)
-    return new_faces
+    dim, nodes, cells, face_nodes, table = layout
+    if len(split):  # else the layout's arrays serve as they are, with no copy
+        table = np.vstack([table, np.column_stack([table[split, 1], np.full(len(split), -1)])])
+        table[split, 1] = -1
+        face_nodes = np.vstack([face_nodes, face_nodes[split]])
+    faces = (np.arange(0, face_nodes.size + 1, face_nodes.shape[1]), face_nodes.ravel())
+    return build_grid(dim, nodes, cells, faces, table, float(aperture), "cartesian")
 
 
-def match_centres(candidates: np.ndarray, targets: np.ndarray, tol: float) -> np.ndarray:
-    """Pairs (i, j), shape (n_pairs, 2), with candidates[i] == targets[j]
-    within ``tol``, in ascending candidate order.
+def structured_grid(
+    ambient_dim: int,
+    active_axes: list[int],
+    axis_nodes: list[np.ndarray],
+    fixed_coords: dict[int, float],
+    aperture: float,
+) -> SubdomainGrid:
+    """Tensor-product box grid of dimension ``d = len(active_axes)`` in N-space.
 
-    Points match on their coordinates rounded to multiples of ``tol``; of
-    targets that round alike, the last one counts.
+    ``axis_nodes[j]`` holds the increasing node coordinates along
+    ``active_axes[j]``; every other axis ``k`` stays at ``fixed_coords[k]``
+    (d = 0 gives a point). This lays out the nodes, the cells' and faces'
+    node lists and the face-cell table, and ``build_grid`` derives the
+    geometry as it does for a loaded mesh. Nodes and cells go in C order over
+    the active axes; faces in one block per active axis, each in C order,
+    with normals along the axis, out of the cell before the face.
     """
-    if len(candidates) == 0 or len(targets) == 0:
-        return np.zeros((0, 2), dtype=int)
-    n_targets = len(targets)
-    keys = np.rint(np.concatenate([targets, candidates]) / max(tol, 1e-300))
-    # Group equal keys; each candidate takes its key's highest target index.
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    new_key = np.ones(order.size, dtype=bool)
-    new_key[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
-    key = np.cumsum(new_key) - 1
-    is_target = order < n_targets
-    last_target = np.full(key[-1] + 1, -1)
-    np.maximum.at(last_target, key[is_target], order[is_target])
-    i = order[~is_target] - n_targets
-    j = last_target[key[~is_target]]
-    i, j = i[j >= 0], j[j >= 0]
-    close = np.linalg.norm(candidates[i] - targets[j], axis=1) <= tol
-    pairs = np.column_stack([i[close], j[close]])
-    return pairs[np.argsort(pairs[:, 0])]
+    layout = _layout(ambient_dim, active_axes, axis_nodes, fixed_coords)
+    return _build(layout, np.zeros(0, dtype=int), aperture)
+
+
+def _face_cell_pairs(host: tuple, child: tuple) -> np.ndarray:
+    """Pairs (host face, child cell), shape (n_child_cells, 2), in ascending
+    face order, of a child box that fixes one more axis than its host box.
+
+    The child lies in a plane of host faces across that axis, so its cells
+    sit on faces of that axis's block (see ``structured_grid``), at the
+    child's offsets in the host box.
+    """
+    free = _free_axes(host)
+    j = [i for i, k in enumerate(free) if child[k][0] == child[k][1]][0]
+    cells = [host[k][1] - host[k][0] for k in free]
+    shapes = [[n + (i == block) for i, n in enumerate(cells)] for block in range(len(free))]
+    offset = sum(int(np.prod(shape)) for shape in shapes[:j])
+    # Per host axis, the child's cells; on the axis it fixes, its plane's node.
+    at = [np.arange(child[k][0], child[k][1] + (i == j)) - host[k][0] for i, k in enumerate(free)]
+    faces = offset + np.ravel_multi_index(np.meshgrid(*at, indexing="ij"), shapes[j]).ravel()
+    return np.column_stack([faces, np.arange(faces.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +240,8 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     found. A crossing takes the least aperture of its parents and the
     intersection permeability rule applied to them. Fractures come in patch
     order, points sorted by coordinate, other crossings in the order found.
+    Interface pairs follow from the boxes (``_face_cell_pairs``), and each
+    grid is built once, with its split faces in place.
 
     Parameters:
         spec: Domain box, fracture patches, intersection permeability rule.
@@ -271,8 +253,7 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
     """
     ambient = spec.ambient_dim
     axes = _axis_node_arrays(spec.domain, resolution, ambient)
-    spans = [a[-1] - a[0] for a in axes]
-    tol = 1e-8 * max(spans)
+    tol = 1e-8 * max(a[-1] - a[0] for a in axes)
 
     # Snap and validate patches: (patch, name, box).
     patches = []
@@ -301,30 +282,31 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
                 f"fractures {a_name!r} and {b_name!r} overlap in the same plane"
             )
 
-    matrix = structured_grid(ambient, list(range(ambient)), axes, {}, aperture=1.0)
-    matrix.metadata = {"role": "matrix", "name": "matrix"}
-    subdomains: list[SubdomainGrid] = [matrix]
-    boxes: list = [None]
-    children: list[list[int]] = [[]]  # per subdomain: the subdomains immersed in it
+    # Per subdomain: its layout, box, aperture, metadata and the subdomains
+    # immersed in it. The matrix's box spans the grid.
+    layouts = [_layout(ambient, list(range(ambient)), axes, {})]
+    boxes: list = [tuple((0, a.size - 1) for a in axes)]
+    apertures, metadata = [1.0], [{"role": "matrix", "name": "matrix"}]
+    children: list[list[int]] = [[]]
 
-    def add(box: tuple, aperture: float, metadata: dict, parents: list[int]) -> int:
+    def add(box: tuple, aperture: float, info: dict, parents: list[int]) -> int:
         free = _free_axes(box)
         nodes = [axes[k][box[k][0] : box[k][1] + 1] for k in free]
         fixed = {k: axes[k][lo] for k, (lo, _) in enumerate(box) if k not in free}
-        g = structured_grid(ambient, free, nodes, fixed, aperture)
-        g.metadata = metadata
-        subdomains.append(g)
+        layouts.append(_layout(ambient, free, nodes, fixed))
         boxes.append(box)
+        apertures.append(aperture)
+        metadata.append(info)
         children.append([])
         for i in parents:
-            children[i].append(len(subdomains) - 1)
-        return len(subdomains) - 1
+            children[i].append(len(boxes) - 1)
+        return len(boxes) - 1
 
     level = []
     for patch, name, box in patches:
         tensor = as_tensor(patch.permeability, ambient)
-        metadata = {"role": "fracture", "name": name, "permeability": tensor}
-        level.append(add(box, float(patch.aperture), metadata, [0]))
+        info = {"role": "fracture", "name": name, "permeability": tensor}
+        level.append(add(box, float(patch.aperture), info, [0]))
 
     rule = spec.intersection_permeability
     while level:
@@ -339,47 +321,47 @@ def build_cartesian_with_fractures(spec: FractureNetworkSpec, resolution) -> Mix
             order.sort()  # points, by coordinate
         level = []
         for box in order:
-            parents = [subdomains[i].metadata for i in found[box]]
+            parents = [metadata[i] for i in found[box]]
             tensors = [p["permeability"] for p in parents]
             if _free_axes(box):
                 name = "x".join(p["name"] for p in parents)
             else:
                 name = "point_" + "_".join(f"{axes[k][lo]:g}" for k, (lo, _) in enumerate(box))
-            metadata = {
+            info = {
                 "role": "intersection",
                 "name": name,
                 "permeability": _intersection_tensor(rule, tensors, ambient),
             }
-            aperture = min(subdomains[i].aperture for i in found[box])
-            level.append(add(box, aperture, metadata, found[box]))
+            aperture = min(apertures[i] for i in found[box])
+            level.append(add(box, aperture, info, found[box]))
 
-    # Split host faces and build interface maps, top dimension downward: each
-    # subdomain meets only those immersed in it, the matrix every fracture and
-    # the parents of a crossing that crossing. Subdomains come in descending
-    # dimension and children in ascending index.
+    # Each subdomain meets only those immersed in it: the matrix every
+    # fracture, and the parents of a crossing that crossing. Its faces under
+    # them are internal boundary; the two-sided ones are split, one copy per
+    # side, and the one-sided ones (where a subdomain ends on another) kept.
+    # Then each grid is built once. Interfaces come in host order, children
+    # in ascending index.
+    subdomains: list[SubdomainGrid] = []
     interfaces: list[InterfaceMap] = []
-    match_tol = 1e-10 * max(spans)
-    for hi_idx, lows in enumerate(children):
-        higher = subdomains[hi_idx]
-        matches_per_lower = []
-        for lo_idx in lows:
-            pairs = match_centres(higher.face_centres, subdomains[lo_idx].cell_centres, match_tol)
-            if pairs.size:
-                matches_per_lower.append((lo_idx, pairs))
-        if not matches_per_lower:
-            continue
-        all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
-        to_split = all_faces[~higher.boundary_faces[all_faces]]
-        twin = np.full(higher.n_faces, -1)
-        twin[to_split] = split_faces(higher, to_split)
-        higher.internal_boundary[all_faces] = True
-        for lo_idx, pairs in matches_per_lower:
+    for host, lows in enumerate(children):
+        pairs = [_face_cell_pairs(boxes[host], boxes[lo]) for lo in lows]
+        matched = np.unique(np.concatenate([p[:, 0] for p in pairs] + [np.zeros(0, dtype=int)]))
+        table = layouts[host][-1]
+        split = matched[(table[matched] >= 0).all(axis=1)]
+        twin = np.full(len(table), -1)
+        twin[split] = len(table) + np.arange(split.size)
+        grid = _build(layouts[host], split, apertures[host])
+        grid.internal_boundary[matched] = True
+        grid.internal_boundary[len(table) :] = True
+        grid.metadata = metadata[host]
+        subdomains.append(grid)
+        for lo, p in zip(lows, pairs):
             # Each pair on a split face is followed by the pair of its copy.
-            split = twin[pairs[:, 0]] >= 0
-            rows = np.repeat(pairs, np.where(split, 2, 1), axis=0)
-            copies = np.cumsum(np.where(split, 2, 1))[split] - 1
-            rows[copies, 0] = twin[pairs[split, 0]]
-            interfaces.append(InterfaceMap(hi_idx, lo_idx, rows))
+            doubled = twin[p[:, 0]] >= 0
+            rows = np.repeat(p, np.where(doubled, 2, 1), axis=0)
+            copies = np.cumsum(np.where(doubled, 2, 1))[doubled] - 1
+            rows[copies, 0] = twin[p[doubled, 0]]
+            interfaces.append(InterfaceMap(host, lo, rows))
 
     mesh = MixedDimensionalMesh(subdomains, interfaces)
     mesh.validate()

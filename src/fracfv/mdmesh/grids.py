@@ -41,14 +41,16 @@ class SubdomainGrid:
         face_cells: Face-neighbour table, integer (n_faces, 2): column 0 holds
             the cell the normal points out of (sign +1 in ``cell_faces``),
             column 1 the cell it points into (sign -1), and -1 marks a
-            missing side. ``split_faces`` keeps it current.
+            missing side. The Cartesian builder writes it with the faces
+            split along immersed subdomains already in place.
         face_nodes: Incidence, sparse (n_nodes, n_faces), boolean; each
             face's nodes in the order built or read (3D: boundary order).
         cell_nodes: Incidence, sparse (n_nodes, n_cells), boolean; sorted.
         aperture: The subdomain's aperture (length); 1 for the
             top-dimensional subdomain.
-        internal_boundary: Boolean mask of faces created by splitting along
-            immersed lower-dimensional subdomains (or matched to them).
+        internal_boundary: Boolean mask of faces that lie on an immersed
+            lower-dimensional subdomain: the faces matched to its cells and
+            the split copies of the two-sided ones.
         kind: "cartesian" or "simplex"; steers discretization defaults.
         metadata: Free-form construction info (fracture names, parents, ...).
     """

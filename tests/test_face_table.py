@@ -4,21 +4,21 @@ The per-face loop versions of TPFA assembly, interface coupling, flux-graph
 construction, upwind assembly and face-node ordering are kept here as
 reference oracles. They read the signed incidence ``cell_faces`` (derived
 from the table by ``cell_faces_of``) row by row, never the table itself. So
-are the per-node loop version of MPFA assembly, the tuple-key loop that
-matched face and cell centres, the per-pair Star-Delta loop that updated the
-kept block entry by entry, the per-component Schur complement that filled
-dense kept-width blocks, and the network builder that wrote each level of
-the fracture hierarchy out by hand. The array versions and the one crossing
-rule must reproduce them on all six preset cases, on a perturbed simplex mesh
-and on random fracture networks; the Schur complement is also held to a
-dense block elimination. The transport step factored in cell order by
+are the per-node loop version of MPFA assembly, the per-pair Star-Delta loop
+that updated the kept block entry by entry, the per-component Schur
+complement that filled dense kept-width blocks, and the network builder that
+wrote each level of the fracture hierarchy out by hand, matched face and cell
+centres by a tuple-key loop and built each split grid twice. The array
+versions, the one crossing rule and the index rule for interface pairs must
+reproduce them on all six preset cases, on a perturbed simplex mesh and on
+random fracture networks; the Schur complement is also held to a dense block
+elimination. The transport step factored in cell order by
 minimum degree is the oracle of the flux-ordered factor on the preset cases.
 """
 
 import copy
 import itertools
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -55,7 +55,7 @@ from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, run_case
 from fracfv.linsolve import CG_MIN_ROWS, _certified_stieltjes_3d, as_csr, direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
-from fracfv.mdmesh import cartesian
+from fracfv.mdmesh.grids import build_grid
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
 from fracfv.tensors import PermeabilityTensor, as_tensor, tensor_field
 
@@ -595,8 +595,104 @@ def dense_schur_reduce(matrix, rhs, eliminated):
     return a[np.ix_(k, k)] - a_ke @ solve(a[np.ix_(e, k)]), b[k] - a_ke @ solve(b[e]), back
 
 
+# The builder's helpers as the oracle used them, kept here so that the
+# oracle does not follow changes to ``cartesian``.
+
+
+def oracle_axis_node_arrays(domain, resolution, ambient_dim):
+    if isinstance(resolution, (int, np.integer)):
+        resolution = [int(resolution)] * ambient_dim
+    arrays = []
+    for k, (lo, hi) in enumerate(domain):
+        r = resolution[k]
+        if isinstance(r, (int, np.integer)):
+            arrays.append(np.linspace(lo, hi, int(r) + 1))
+        else:
+            arr = np.asarray(r, dtype=float)
+            if arr.ndim != 1 or arr.size < 2 or np.any(np.diff(arr) <= 0):
+                raise MeshError(f"axis {k}: explicit node coordinates must be strictly increasing")
+            if arr[0] != lo or arr[-1] != hi:
+                raise MeshError(f"axis {k}: explicit node coordinates must span the domain")
+            arrays.append(arr)
+    return arrays
+
+
+def oracle_snap(value, nodes, tol, what):
+    idx = int(np.argmin(np.abs(nodes - value)))
+    if abs(nodes[idx] - value) > tol:
+        raise FractureAlignmentError(f"{what} at {value} does not coincide with a grid plane")
+    return idx
+
+
+def oracle_mean_eigenvalue(tensor):
+    return float(np.trace(tensor.matrix)) / tensor.dim
+
+
+def oracle_structured_grid(ambient_dim, active_axes, axis_nodes, fixed_coords, aperture):
+    """The tensor grid's node lists and face-cell table, handed to ``build_grid``."""
+    d = len(active_axes)
+    cell_shape = tuple(len(a) - 1 for a in axis_nodes)
+    if min(cell_shape, default=1) < 1:
+        raise MeshError("each active axis needs at least one cell")
+    node_shape = [n + 1 for n in cell_shape]
+    node_id = np.arange(int(np.prod(node_shape))).reshape(node_shape)
+    nodes = np.empty((node_id.size, ambient_dim))
+    for k, value in fixed_coords.items():
+        nodes[:, k] = value
+    for k, coords in zip(active_axes, np.meshgrid(*axis_nodes, indexing="ij")):
+        nodes[:, k] = coords.ravel()
+
+    def corners(shape, span, order=slice(None)) -> np.ndarray:
+        # Per entity of the index box shape, its corner nodes along the axes
+        # in span, in ascending order or the given one.
+        starts = itertools.product(*[(0, 1) if i in span else (0,) for i in range(d)])
+        return np.column_stack(
+            [node_id[tuple(map(slice, s, np.add(s, shape)))].ravel() for s in starts]
+        )[:, order].ravel()
+
+    cell_id = np.arange(int(np.prod(cell_shape))).reshape(cell_shape)
+    face_idx, face_cells = [np.zeros(0, dtype=int)], [np.zeros((0, 2), dtype=int)]
+    around = [0, 1, 3, 2] if d == 3 else slice(None)  # a 3D face's corners in boundary order
+    for j in range(d):
+        # The cells before and after each face along axis j; -1 off the ends.
+        padded = np.pad(cell_id, [(int(i == j),) * 2 for i in range(d)], constant_values=-1)
+        before = padded[(slice(None),) * j + (slice(None, -1),)]
+        after = padded[(slice(None),) * j + (slice(1, None),)]
+        face_cells.append(np.column_stack([before.ravel(), after.ravel()]))
+        face_idx.append(corners(before.shape, [i for i in range(d) if i != j], around))
+    face_idx, cell_idx = np.concatenate(face_idx), corners(cell_shape, range(d))
+    cells = (np.arange(0, cell_idx.size + 1, 2**d), cell_idx)
+    faces = (np.arange(0, face_idx.size + 1, max(1, 2 ** (d - 1))), face_idx)
+    table = np.concatenate(face_cells)
+    return build_grid(d, nodes, cells, faces, table, float(aperture), "cartesian")
+
+
+def oracle_split_faces(grid, faces):
+    """Duplicate interior faces in place, each copy appended and attached to
+    the cell that saw the normal as inward; both copies are tagged as internal
+    boundary. Returns the copies, rebuilt by ``build_grid``."""
+    faces = np.asarray(faces, dtype=int)
+    new_faces = grid.n_faces + np.arange(faces.size)
+    if faces.size == 0:
+        return new_faces
+    pairs = grid.face_cells[faces]
+    one_sided = np.flatnonzero((pairs < 0).any(axis=1))
+    if one_sided.size:
+        raise MeshError(f"cannot split boundary face {faces[one_sided[0]]}")
+    table = np.vstack([grid.face_cells, np.column_stack([pairs[:, 1], np.full(faces.size, -1)])])
+    table[faces, 1] = -1
+    fn, cn = grid.face_nodes.tocsc(), grid.cell_nodes.tocsc()
+    fn = sps.hstack([fn, fn[:, faces]], format="csc")
+    node_lists = (cn.indptr, cn.indices), (fn.indptr, fn.indices)
+    split = build_grid(grid.dim, grid.nodes, *node_lists, table, grid.aperture, grid.kind)
+    internal = np.concatenate([grid.internal_boundary, np.ones(faces.size, dtype=bool)])
+    internal[faces] = True
+    vars(grid).update(vars(split), internal_boundary=internal, metadata=grid.metadata)
+    return new_faces
+
+
 def _snapped(value, nodes, tol, what):
-    idx = cartesian._snap(value, nodes, tol, what)
+    idx = oracle_snap(value, nodes, tol, what)
     return nodes[idx], idx
 
 
@@ -608,9 +704,9 @@ def loop_intersection_tensor(rule, parents, ambient_dim):
     if np.isscalar(rule) and not isinstance(rule, str):
         return PermeabilityTensor.isotropic(float(rule), ambient_dim)
     if rule == "min":
-        return min(tensors, key=cartesian._mean_eigenvalue)
+        return min(tensors, key=oracle_mean_eigenvalue)
     if rule == "harmonic":
-        means = [cartesian._mean_eigenvalue(t) for t in tensors]
+        means = [oracle_mean_eigenvalue(t) for t in tensors]
         return PermeabilityTensor.isotropic(len(means) / sum(1.0 / m for m in means), ambient_dim)
     raise MeshError(f"unknown intersection permeability rule {rule!r}")
 
@@ -620,7 +716,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
     patch pairs, 3D lines from patch pairs, 3D points from line pairs, each
     with its own parent records for the intersection permeability rule."""
     ambient = spec.ambient_dim
-    axes = cartesian._axis_node_arrays(spec.domain, resolution, ambient)
+    axes = oracle_axis_node_arrays(spec.domain, resolution, ambient)
     spans = [a[-1] - a[0] for a in axes]
     tol = 1e-8 * max(spans)
 
@@ -665,7 +761,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
             )
 
     subdomains = []
-    matrix = cartesian.structured_grid(ambient, list(range(ambient)), axes, {}, aperture=1.0)
+    matrix = oracle_structured_grid(ambient, list(range(ambient)), axes, {}, aperture=1.0)
     matrix.metadata = {"role": "matrix", "name": "matrix"}
     subdomains.append(matrix)
 
@@ -677,7 +773,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
 
     fracture_sds = []
     for p in patches:
-        g = cartesian.structured_grid(
+        g = oracle_structured_grid(
             ambient,
             p["in_plane_axes"],
             [restricted(axis, *ext) for axis, ext in zip(p["in_plane_axes"], p["extents"])],
@@ -736,7 +832,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
         parents = [{"permeability": p["permeability"]} for p in seg["patches"]]
         tensor = loop_intersection_tensor(rule, parents, ambient)
         aperture = min(p["aperture"] for p in seg["patches"])
-        g = cartesian.structured_grid(
+        g = oracle_structured_grid(
             ambient, [seg["axis"]], [restricted(seg["axis"], *seg["range"])], seg["fixed"], aperture
         )
         names = [p["name"] for p in seg["patches"]]
@@ -783,7 +879,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
                 parents.append({"permeability": md["permeability"]})
                 apertures.extend(md["aperture_sources"])
         tensor = loop_intersection_tensor(rule, parents, ambient)
-        g = cartesian.structured_grid(ambient, [], [], dict(enumerate(coords)), min(apertures))
+        g = oracle_structured_grid(ambient, [], [], dict(enumerate(coords)), min(apertures))
         g.metadata = {
             "role": "intersection",
             "name": "point_" + "_".join(f"{c:g}" for c in coords),
@@ -802,7 +898,8 @@ def loop_build_cartesian_with_fractures(spec, resolution):
             matches_per_lower = []
             for lo_idx in by_dim.get(d_high - 1, []):
                 lower = subdomains[lo_idx]
-                pairs = cartesian.match_centres(higher.face_centres, lower.cell_centres, match_tol)
+                pairs = loop_match_centres(higher.face_centres, lower.cell_centres, match_tol)
+                pairs = np.array(pairs, dtype=int).reshape(-1, 2)
                 if pairs.size:
                     matches_per_lower.append((lo_idx, pairs))
             if not matches_per_lower:
@@ -810,7 +907,7 @@ def loop_build_cartesian_with_fractures(spec, resolution):
             all_faces = np.unique(np.concatenate([pairs[:, 0] for _, pairs in matches_per_lower]))
             to_split = all_faces[~higher.boundary_faces[all_faces]]
             twin = np.full(higher.n_faces, -1)
-            twin[to_split] = cartesian.split_faces(higher, to_split)
+            twin[to_split] = oracle_split_faces(higher, to_split)
             higher.internal_boundary[all_faces] = True
             for lo_idx, pairs in matches_per_lower:
                 # Each pair on a split face is followed by the pair of its copy.
@@ -909,11 +1006,6 @@ def _check_reduced_graph(graph, reduced, p_kept):
     _check_boundary(graph.boundary, loop_flux_graph_boundary_from_reduced(reduced, p_kept))
 
 
-def _check_match(pairs, candidates, targets, tol):
-    assert pairs.shape == (pairs.shape[0], 2)
-    assert [tuple(p) for p in pairs.tolist()] == loop_match_centres(candidates, targets, tol)
-
-
 def _check_upwind(result, graph, transport_bcs):
     operator, inflow = loop_upwind_operator(graph, transport_bcs)
     _close_sparse(result[0], operator)
@@ -954,12 +1046,11 @@ class Spies:
 
     def __init__(self, monkeypatch):
         self.calls = dict.fromkeys(
-            ["build", "match", "tpfa", "mpfa", "interface", "system", "reduced", "upwind",
+            ["build", "tpfa", "mpfa", "interface", "system", "reduced", "upwind",
              "star_delta", "schur"],
             0,
         )
         self._wrap(monkeypatch, cases, "build_cartesian_with_fractures", "build", _check_build)
-        self._wrap(monkeypatch, cartesian, "match_centres", "match", _check_match)
         self._wrap(monkeypatch, coupling, "assemble_tpfa", "tpfa", _check_tpfa)
         self._wrap(monkeypatch, coupling, "assemble_mpfa", "mpfa", _check_mpfa)
         self._wrap(monkeypatch, coupling, "discretize_interface", "interface", _check_interface)
@@ -999,7 +1090,7 @@ SMALL_CASES = [
 def test_cases_match_loop_oracles(monkeypatch, case, resolution, overrides):
     spies = Spies(monkeypatch)
     run_case(CaseSpec(case=case, resolution=resolution, overrides=overrides))
-    assert spies.calls["build"] > 0 and spies.calls["interface"] > 0 and spies.calls["match"] > 0
+    assert spies.calls["build"] > 0 and spies.calls["interface"] > 0
     if case != "2":  # case 2 discretizes every subdomain by MPFA
         assert spies.calls["tpfa"] > 0
     if case in ("2", "3"):
@@ -1258,10 +1349,6 @@ def _build_against_oracles(spec, res):
     the hand-written hierarchy builder makes with the tuple-key matching loop.
     Where that builder raises, the new one must raise the same error; the
     draw is then rejected."""
-
-    def loop(*args):
-        return np.array(loop_match_centres(*args), dtype=int).reshape(-1, 2)
-
     try:
         mesh = build_cartesian_with_fractures(spec, res)
     except MeshError as err:
@@ -1269,8 +1356,7 @@ def _build_against_oracles(spec, res):
             loop_build_cartesian_with_fractures(spec, res)
         assert str(oracle_err.value) == str(err)
         assume(False)
-    with mock.patch.object(cartesian, "match_centres", loop):
-        _check_build(mesh, spec, res)
+    _check_build(mesh, spec, res)
     return mesh
 
 
@@ -1308,6 +1394,53 @@ def test_random_networks(network):
         assert str(oracle_err.value) == str(err)
     else:
         _check_star_delta(star, system)
+
+
+@st.composite
+def node_networks(draw):
+    """A network on explicit, strictly increasing and non-uniform axis nodes,
+    as (spec, axis node arrays). Patch ends fall on the planes of other
+    patches, where they form T-junctions, and on the domain boundary, as
+    often as anywhere else. Node gaps are at least 1/5000 of the span, far
+    above the oracle's centre-matching tolerance of 1e-10 of it."""
+    dim = draw(st.sampled_from([2, 3]))
+    lo, hi = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.5)]))
+    axes = []
+    for _ in range(dim):
+        gaps = np.array(draw(st.lists(st.integers(1, 1000), min_size=2, max_size=5)), float)
+        nodes = lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+        nodes[-1] = hi
+        axes.append(nodes)
+    plane = st.integers(0, dim - 1).flatmap(
+        lambda axis: st.tuples(st.just(axis), st.integers(1, axes[axis].size - 2))
+    )
+    planes = draw(st.lists(plane, min_size=2, max_size=4, unique=True))
+    patches = []
+    for n, (axis, index) in enumerate(planes):
+        extents = []
+        for k in range(dim):
+            if k == axis:
+                continue
+            last = axes[k].size - 1
+            stops = sorted({0, last} | {i for a, i in planes if a == k})
+            start = draw(st.sampled_from(stops[:-1]) | st.integers(0, last - 1))
+            later = [i for i in stops if i > start]
+            end = draw(st.sampled_from(later) | st.integers(start + 1, last))
+            extents.append((axes[k][start], axes[k][end]))
+        aperture = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+        permeability = 10.0 ** draw(st.integers(-4, 4))
+        coordinate = axes[axis][index]
+        patches.append(
+            FracturePatch(axis, coordinate, tuple(extents), aperture, permeability, f"p{n}")
+        )
+    rule = draw(st.sampled_from(["min", "harmonic"]))
+    return FractureNetworkSpec(((lo, hi),) * dim, patches, intersection_permeability=rule), axes
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(node_networks())
+def test_random_node_networks_match_loop_builder(network):
+    _build_against_oracles(*network)
 
 
 def _matrix_dirichlet(sd, grid):
@@ -1407,24 +1540,3 @@ def test_random_networks_mpfa_match_loop_oracle(network):
         _check_mpfa(disc, g, k, bc)
     p = direct_solve(system.matrix, system.rhs)
     assert conservation_residual(system, p) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-def test_match_centres_matches_tuple_key_loop(seed, dim):
-    # Points on a lattice of spacing tol/2, with repeats, signed zeros and
-    # jitter across rounding boundaries and the tolerance.
-    rng = np.random.default_rng(seed)
-    tol = 1e-3
-
-    def lattice(n):
-        return rng.integers(-4, 5, (n, dim)) * (tol / 2)
-
-    targets = lattice(rng.integers(1, 30))
-    jitter = rng.choice([0.0, 0.3, 0.51], targets.shape) * rng.choice([-1, 1], targets.shape)
-    targets = targets + jitter * tol
-    targets[rng.random(targets.shape) < 0.1] = -0.0
-    candidates = np.concatenate([targets, lattice(rng.integers(0, 30))])
-    candidates = candidates[rng.permutation(len(candidates))]
-    candidates = candidates + rng.choice([0.0, 0.2, 0.7], candidates.shape) * tol
-    _check_match(cartesian.match_centres(candidates, targets, tol), candidates, targets, tol)

@@ -10,7 +10,8 @@ from fracfv.mdmesh import (
     build_cartesian_with_fractures,
     validate_grid,
 )
-from fracfv.mdmesh.cartesian import split_faces
+from fracfv.harness.cases import case4_problem, case13_problem
+from fracfv.mdmesh import cartesian
 from fracfv.tensors import PermeabilityTensor
 
 
@@ -80,6 +81,42 @@ class TestCartesianBuilder:
         assert sorted(pairs) == [1, 2]
         mesh.validate()
 
+    @pytest.mark.parametrize("base", [(4,), (2, 2)], ids=["2d", "3d"])
+    def test_fracture_couples_to_its_own_plane_only(self, base):
+        # A second grid plane 1e-11 above the fracture lies within any
+        # centre-matching tolerance of it; the fracture still meets one
+        # plane of faces, one pair per cell and side.
+        nodes = [0.0, 0.25, 0.5, 0.5 + 1e-11, 0.75, 1.0]
+        dim = len(base) + 1
+        extents = ((0.0, 1.0),) * (dim - 1)
+        spec = FractureNetworkSpec(
+            ((0.0, 1.0),) * dim, [FracturePatch(dim - 1, 0.5, extents, 1e-2, 1.0, "f")]
+        )
+        mesh = build_cartesian_with_fractures(spec, (*base, nodes))
+        matrix, fracture = mesh.subdomains
+        (interface,) = mesh.interfaces
+        faces, cells = interface.face_cell_pairs.T
+        assert fracture.n_cells == int(np.prod(base))
+        assert interface.n_pairs == 2 * fracture.n_cells
+        assert np.array_equal(np.bincount(cells), np.full(fracture.n_cells, 2))
+        assert np.all(matrix.face_centres[faces, dim - 1] == 0.5)
+        assert np.count_nonzero(matrix.internal_boundary) == interface.n_pairs
+
+    @pytest.mark.parametrize(
+        "problem,resolution", [(case13_problem, 4), (case4_problem, 8)], ids=["1.3", "4"]
+    )
+    def test_each_grid_is_built_once(self, monkeypatch, problem, resolution):
+        original, built = cartesian.build_grid, []
+
+        def recorded(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(cartesian, "build_grid", recorded)
+        mesh = problem(resolution)[1]
+        assert len(built) == len(mesh.subdomains)
+        assert all(g is b for g, b in zip(mesh.subdomains, built))
+
     def test_misaligned_fracture_rejected(self):
         spec = FractureNetworkSpec(
             domain=((0.0, 1.0), (0.0, 1.0)),
@@ -115,12 +152,6 @@ class TestCartesianRefusals:
     def test_active_axis_without_a_cell(self):
         with pytest.raises(MeshError, match="each active axis needs at least one cell"):
             build_cartesian_with_fractures(FractureNetworkSpec(domain=UNIT_SQUARE), (2, 0))
-
-    def test_boundary_face_cannot_be_split(self, unit_square_4):
-        grid = unit_square_4.subdomains[0]
-        face = int(np.flatnonzero(grid.boundary_faces)[0])
-        with pytest.raises(MeshError, match=f"cannot split boundary face {face}"):
-            split_faces(grid, [face])
 
     @pytest.mark.parametrize(
         "nodes,message",
