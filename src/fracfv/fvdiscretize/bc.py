@@ -66,6 +66,12 @@ class BoundaryConditionSet:
         self._assign(faces, value, NEUMANN)
         return self
 
+    @property
+    def functional(self) -> np.ndarray:
+        """Mask of the faces whose data is a function of the point; the
+        others hold their constant in ``value``."""
+        return self._owner >= 0
+
     def value_at(self, face: int, point: np.ndarray | None = None) -> float:
         """Boundary value of a face, honoring functional data at ``point``.
 

@@ -21,11 +21,12 @@ unknowns) are assembled, checked and solved as stacks, in blocks of bounded
 size. Each node's entries are accumulated in the order a node-by-node
 assembly would use, so neither chunks nor blocks change a sum.
 
-The regions write their sub-face fluxes as one CSR matrix S (sub-face x
-cell), whose rows are taken in node order. The face fluxes are the sparse
-product P @ S with the face x sub-face incidence P, and the face boundary
-terms P times the sub-face ones; both add up each face's sub-faces in node
-order, so every face sum is the one a node-by-node assembly would take.
+Each evaluated face's row of the face x cell flux matrix holds every cell
+at one of its nodes; the matrix is laid out once, with zero values. After
+each chunk, the chunk's sub-face fluxes and boundary terms are added into
+the face rows and face terms one by one in sub-face order, which is node
+order, starting from zero: every face sum is the one a node-by-node assembly
+would take.
 """
 
 from __future__ import annotations
@@ -132,13 +133,45 @@ def _signature_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table[first], group_of
 
 
+def _face_rows(grid: SubdomainGrid, evaluated: np.ndarray) -> sps.csr_matrix:
+    """The face x cell flux matrix with zero values: in the row of each
+    ``evaluated`` face, every cell at one of its nodes, in ascending order."""
+    rows = (sps.diags(evaluated.astype(float)) @ grid.face_nodes.T @ grid.cell_nodes).tocsr()
+    rows.sort_indices()
+    rows.data[:] = 0.0
+    return rows
+
+
+def _positions(matrix: sps.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where the entries (rows, cols) sit in ``matrix.data``, for rows of
+    ``cols`` that are each an ascending subset of the sorted ``matrix`` row
+    in ``rows``: a binary search run on all entries at once. Entry j of such
+    a subset lies j to j + (row length - subset length) places into the row;
+    each step keeps the part of that range from its middle on if the column
+    lies there."""
+    cols = cols.astype(matrix.indices.dtype)
+    base = matrix.indptr[rows] + np.arange(cols.shape[1], dtype=matrix.indptr.dtype)
+    size = matrix.indptr[rows + 1] - matrix.indptr[rows] - (cols.shape[1] - 1)
+    while size.max(initial=0) > 1:
+        half = size // 2
+        base = base + half * (matrix.indices[base + half] <= cols)
+        size = size - half
+    return base
+
+
+def _add_chunk(flux_cell, flux_boundary, sub_face, slot_pos, slot_val, boundary_term):
+    """Add a chunk's sub-face slots into the face rows and its sub-face
+    boundary terms into the face terms, one by one in sub-face order."""
+    np.add.at(flux_cell.data, slot_pos, slot_val)
+    np.add.at(flux_boundary, sub_face, boundary_term)
+
+
 def _interaction_regions(grid, permeability, bc, eta):
     """Solve every interaction region of a grid with faces.
 
-    Returns per sub-face (in node-by-node order) its face; the sub-face
-    fluxes per unit cell pressure, a CSR matrix of shape (sub-face, cell)
-    with one row of slots per sub-face, in cell order; the boundary term of
-    each sub-face; and the diagnostics.
+    Returns the face fluxes per unit cell pressure, a canonical CSR matrix
+    of shape (face, cell) without stored zeros; the face boundary terms; and
+    the diagnostics.
 
     Raises:
         SingularLocalSystemError: At the lowest-numbered degenerate node.
@@ -167,121 +200,16 @@ def _interaction_regions(grid, permeability, bc, eta):
     face_kind = np.where(np.all(face_cells >= 0, axis=1), INTERIOR, DIRICHLET_SUB)
     face_kind[(face_kind == DIRICHLET_SUB) & neumann] = NEUMANN_SUB
 
-    # Outputs per sub-face, in sub-face (node-by-node) order: one slot per
-    # cell at its node for each sub-face whose flux is evaluated, and one
-    # boundary term, the Neumann flux or the evaluated constant part. A cell
-    # at a node holds d of the node's face sides, or the assembly fails.
-    cells_at_node = node_faces @ np.count_nonzero(face_cells >= 0, axis=1) // d
-    n_slots = np.repeat(cells_at_node, np.diff(face_ptr))
-    n_slots[face_kind[node_faces.indices] == NEUMANN_SUB] = 0
-    # Slot columns and row pointers in scipy's index dtype, so that the
-    # sparse matrix made of them below holds them without a copy.
-    index = np.int32 if max(n_slots.sum(), grid.n_cells) < 2**31 else np.int64
-    slot_ptr = np.concatenate([[0], np.cumsum(n_slots)]).astype(index)
-    del n_slots
-    slot_val = np.zeros(slot_ptr[-1])
-    slot_col = np.zeros(slot_ptr[-1], dtype=index)
-    boundary_term = np.zeros(face_ptr[-1])
+    # Outputs: the face rows and one boundary term per face.
+    flux_cell = _face_rows(grid, face_kind != NEUMANN_SUB)
+    flux_boundary = np.zeros(grid.n_faces)
 
-    def solve(block: np.ndarray, n_s: int, n_loc: int, n_unk: int) -> float:
-        """Solve a block of regions with one signature, and write the outputs
-        of their sub-faces. Returns the largest local condition number."""
-        # The block's sub-faces, region by region, and their regions' ranks.
-        subs = (region_start[block][:, None] + np.arange(n_s)).ravel()
-        rank = np.repeat(np.arange(block.size), n_s)
-        # Solutions [U | u0]: continuity-point pressures of the unknowns as
-        # U @ cell pressures + u0; a zero row when there are none.
-        solved = np.zeros((block.size, max(n_unk, 1), n_loc + 1))
-        cond_max = 0.0
-        if n_unk:
-            # Flux expressions in equation order: an interior sub-face's
-            # equation adds the flux from its plus cell and subtracts that
-            # from its minus cell; a Neumann sub-face's takes the flux from
-            # its one cell.
-            n_expr = np.where(kind[subs] == INTERIOR, 2, np.where(kind[subs] == NEUMANN_SUB, 1, 0))
-            e = np.repeat(np.arange(subs.size), n_expr)
-            e_sub = subs[e]
-            side = np.where(
-                kind[e_sub] == INTERIOR,
-                np.arange(e.size) - (np.cumsum(n_expr) - n_expr)[e],
-                one_side[e_sub],
-            )
-            sign = 1.0 - 2.0 * side
-            corner, pos = np.divmod(place_of[e_sub, side], d)
-            eq = rank[e] * n_unk + unknown_of[e_sub]
-            coeff = sign[:, None] * flux_rows[corner, pos]
-            other = corner_sub[corner]
-            free = unknown_of[other] >= 0
-            # Local systems M u = [P | c]: P maps the region's cell
-            # pressures, c holds the boundary data.
-            width = n_loc + 1
-            local = np.zeros((block.size, n_unk, n_unk))
-            flat = (eq[:, None] * n_unk + unknown_of[other])[free]
-            np.add.at(local.reshape(-1), flat, coeff[free])
-            # An equation's Dirichlet terms precede its Neumann flux, as in
-            # a node-by-node assembly.
-            neumann = np.flatnonzero(kind[subs] == NEUMANN_SUB)
-            rhs = np.zeros((block.size, n_unk, width))
-            np.add.at(
-                rhs.reshape(-1),
-                np.concatenate([
-                    eq * width + local_cell[corner],
-                    np.broadcast_to(eq[:, None] * width + n_loc, free.shape)[~free],
-                    (rank[neumann] * n_unk + unknown_of[subs[neumann]]) * width + n_loc,
-                ]),
-                np.concatenate([
-                    sign * row_sums[corner, pos],
-                    -(coeff * dirichlet_value[other])[~free],
-                    neumann_flux[subs[neumann]],
-                ]),
-            )
-            cond = np.linalg.cond(local)
-            scale = np.abs(local).max(axis=(1, 2))
-            singular = ~np.isfinite(cond) | ((scale > 0) & (1.0 / cond < 1e-12))
-            if singular.any():
-                node = int(region_node[block[np.argmax(singular)]])
-                failures.append((node, 1, 0, f"singular local system at node {node}", None))
-                return cond_max
-            cond_max = float(cond.max())
-            if not failures:
-                try:
-                    solved[:, :n_unk] = np.linalg.solve(local, rhs)
-                except np.linalg.LinAlgError:
-                    k, exc = _singular(local)[0]
-                    node = int(region_node[block[k]])
-                    failures.append((node, 1, 0, f"singular local system at node {node}", exc))
-        if failures:
-            return cond_max
-
-        # Sub-face fluxes along the stored normal, evaluated from one side.
-        s = subs[evaluated[subs]]
-        r = rank[evaluated[subs]]
-        corner, pos = np.divmod(place_of[s, one_side[s]], d)
-        row = flux_rows[corner, pos]
-        cell_coeffs = np.zeros((s.size, n_loc))
-        const_term = np.zeros(s.size)
-        for j in range(d):
-            other = corner_sub[corner, j]
-            free = unknown_of[other] >= 0
-            u = solved[r, np.maximum(unknown_of[other], 0)]
-            cell_coeffs += np.where(free[:, None], row[:, j, None] * u[:, :n_loc], 0.0)
-            const_term += row[:, j] * np.where(free, u[:, n_loc], dirichlet_value[other])
-        cell_coeffs[np.arange(s.size), local_cell[corner]] -= row_sums[corner, pos]
-        slots = slot_ptr[first + s][:, None] + np.arange(n_loc)
-        slot_val[slots] = cell_coeffs
-        slot_col[slots] = corner_cell[corner_start[block[r]][:, None] + np.arange(n_loc)]
-        boundary_term[first + s] = const_term
-        return cond_max
-
-    # Chunks of consecutive nodes, of about BLOCK_ENTRIES // 8 sub-faces: a
-    # chunk ends after the node whose sub-faces reach a multiple of that.
-    # Only the outputs above are grid-sized; solve reads the chunk's tables.
-    ends = np.flatnonzero(np.diff(face_ptr // (BLOCK_ENTRIES // 8))) + 1
-    ends = np.append(ends[face_ptr[ends] < face_ptr[-1]], grid.n_nodes)
-    max_condition = 0.0
-    for lo, hi in zip(np.append(0, ends[:-1]), ends):
-        first = face_ptr[lo]
-        sub_face = node_faces.indices[first : face_ptr[hi]]
+    def solve_chunk(lo: int, hi: int) -> float:
+        """Build and solve the regions of the nodes lo to hi - 1, and add
+        their outputs into the face rows and terms; returns their largest
+        local condition number. The chunk's tables live only while it runs,
+        so that the next chunk reuses their memory."""
+        sub_face = node_faces.indices[face_ptr[lo] : face_ptr[hi]]
         sub_node = np.repeat(np.arange(lo, hi), np.diff(face_ptr[lo : hi + 1]))
 
         # Corners: each cell of a region must have d faces at the node.
@@ -332,22 +260,128 @@ def _interaction_regions(grid, permeability, bc, eta):
         unknown_of = np.where(is_unknown, before - before[region_start[region_of_sub]], -1)
         n_unknown = np.bincount(region_of_sub[is_unknown], minlength=region_node.size)
 
-        dirichlet_value = np.zeros(n_sub)
-        neumann_flux = np.zeros(n_sub)
-        for s in np.flatnonzero((kind == DIRICHLET_SUB) | ((kind == NEUMANN_SUB) & ~on_boundary)):
-            if kind[s] == DIRICHLET_SUB:
+        # Constant data is read as one array, functional data at its points.
+        dirichlet = kind == DIRICHLET_SUB
+        prescribed = (kind == NEUMANN_SUB) & ~on_boundary
+        dirichlet_value = np.where(dirichlet, bc.value[sub_face], 0.0)
+        neumann_flux = np.where(prescribed, bc.value[sub_face] * sub_area, 0.0)
+        for s in np.flatnonzero((dirichlet | prescribed) & bc.functional[sub_face]):
+            if dirichlet[s]:
                 dirichlet_value[s] = bc.value_at(int(sub_face[s]), x_cont[s])
             else:
                 neumann_flux[s] = bc.value_at(int(sub_face[s])) * sub_area[s]
-        # The Neumann sub-faces' boundary terms; solve writes the others'.
-        boundary_term[first : first + n_sub] = (1.0 - 2.0 * one_side) * neumann_flux
-        evaluated = (kind == INTERIOR) | (kind == DIRICHLET_SUB)
+        evaluated = (kind == INTERIOR) | dirichlet
+
+        # One slot per cell at its node for each evaluated sub-face, and one
+        # boundary term per sub-face: the Neumann flux, or the constant part
+        # of the evaluated flux, which solve writes.
+        n_slots = np.where(evaluated, cells_of_region[region_of_sub], 0)
+        slot_ptr = np.append(0, np.cumsum(n_slots))
+        slot_val = np.zeros(slot_ptr[-1])
+        slot_pos = np.zeros(slot_ptr[-1], dtype=flux_cell.indptr.dtype)
+        boundary_term = (1.0 - 2.0 * one_side) * neumann_flux
+
+        def solve(block: np.ndarray, n_s: int, n_loc: int, n_unk: int) -> float:
+            """Solve a block of regions with one signature, and write the
+            outputs of their sub-faces. Returns the largest local condition
+            number."""
+            # The block's sub-faces, region by region, and their regions' ranks.
+            subs = (region_start[block][:, None] + np.arange(n_s)).ravel()
+            rank = np.repeat(np.arange(block.size), n_s)
+            # Solutions [U | u0]: continuity-point pressures of the unknowns as
+            # U @ cell pressures + u0; a zero row when there are none.
+            solved = np.zeros((block.size, max(n_unk, 1), n_loc + 1))
+            cond_max = 0.0
+            if n_unk:
+                # Flux expressions in equation order: an interior sub-face's
+                # equation adds the flux from its plus cell and subtracts that
+                # from its minus cell; a Neumann sub-face's takes the flux from
+                # its one cell.
+                n_expr = np.where(
+                    kind[subs] == INTERIOR, 2, np.where(kind[subs] == NEUMANN_SUB, 1, 0)
+                )
+                e = np.repeat(np.arange(subs.size), n_expr)
+                e_sub = subs[e]
+                side = np.where(
+                    kind[e_sub] == INTERIOR,
+                    np.arange(e.size) - (np.cumsum(n_expr) - n_expr)[e],
+                    one_side[e_sub],
+                )
+                sign = 1.0 - 2.0 * side
+                corner, pos = np.divmod(place_of[e_sub, side], d)
+                eq = rank[e] * n_unk + unknown_of[e_sub]
+                coeff = sign[:, None] * flux_rows[corner, pos]
+                other = corner_sub[corner]
+                free = unknown_of[other] >= 0
+                # Local systems M u = [P | c]: P maps the region's cell
+                # pressures, c holds the boundary data.
+                width = n_loc + 1
+                local = np.zeros((block.size, n_unk, n_unk))
+                flat = (eq[:, None] * n_unk + unknown_of[other])[free]
+                np.add.at(local.reshape(-1), flat, coeff[free])
+                # An equation's Dirichlet terms precede its Neumann flux, as in
+                # a node-by-node assembly.
+                neumann = np.flatnonzero(kind[subs] == NEUMANN_SUB)
+                rhs = np.zeros((block.size, n_unk, width))
+                np.add.at(
+                    rhs.reshape(-1),
+                    np.concatenate([
+                        eq * width + local_cell[corner],
+                        np.broadcast_to(eq[:, None] * width + n_loc, free.shape)[~free],
+                        (rank[neumann] * n_unk + unknown_of[subs[neumann]]) * width + n_loc,
+                    ]),
+                    np.concatenate([
+                        sign * row_sums[corner, pos],
+                        -(coeff * dirichlet_value[other])[~free],
+                        neumann_flux[subs[neumann]],
+                    ]),
+                )
+                cond = np.linalg.cond(local)
+                scale = np.abs(local).max(axis=(1, 2))
+                singular = ~np.isfinite(cond) | ((scale > 0) & (1.0 / cond < 1e-12))
+                if singular.any():
+                    node = int(region_node[block[np.argmax(singular)]])
+                    failures.append((node, 1, 0, f"singular local system at node {node}", None))
+                    return cond_max
+                cond_max = float(cond.max())
+                if not failures:
+                    try:
+                        solved[:, :n_unk] = np.linalg.solve(local, rhs)
+                    except np.linalg.LinAlgError:
+                        k, exc = _singular(local)[0]
+                        node = int(region_node[block[k]])
+                        failures.append((node, 1, 0, f"singular local system at node {node}", exc))
+            if failures:
+                return cond_max
+
+            # Sub-face fluxes along the stored normal, evaluated from one side,
+            # into the slots of the cells at their nodes.
+            s = subs[evaluated[subs]]
+            r = rank[evaluated[subs]]
+            slots = slot_ptr[s][:, None] + np.arange(n_loc)
+            cols = corner_cell[corner_start[block[r]][:, None] + np.arange(n_loc)]
+            slot_pos[slots] = _positions(flux_cell, sub_face[s][:, None], cols)
+            corner, pos = np.divmod(place_of[s, one_side[s]], d)
+            row = flux_rows[corner, pos]
+            cell_coeffs = np.zeros((s.size, n_loc))
+            const_term = np.zeros(s.size)
+            for j in range(d):
+                other = corner_sub[corner, j]
+                free = unknown_of[other] >= 0
+                u = solved[r, np.maximum(unknown_of[other], 0)]
+                cell_coeffs += np.where(free[:, None], row[:, j, None] * u[:, :n_loc], 0.0)
+                const_term += row[:, j] * np.where(free, u[:, n_loc], dirichlet_value[other])
+            cell_coeffs[np.arange(s.size), local_cell[corner]] -= row_sums[corner, pos]
+            slot_val[slots] = cell_coeffs
+            boundary_term[s] = const_term
+            return cond_max
 
         # Signatures: regions with equal counts of sub-faces, cells and
         # unknowns share stacks of local systems.
         signatures, group_of = _signature_groups(
             np.column_stack([np.diff(np.append(region_start, n_sub)), cells_of_region, n_unknown])
         )
+        max_condition = 0.0
         for group, (n_s, n_loc, n_unk) in enumerate(signatures):
             members = np.flatnonzero(group_of == group)
             per_block = max(1, BLOCK_ENTRIES // (n_s * (n_loc + 1) + n_unk * n_unk))
@@ -357,9 +391,19 @@ def _interaction_regions(grid, permeability, bc, eta):
         if failures:
             node, _, _, message, cause = min(failures, key=lambda f: f[:3])
             raise SingularLocalSystemError(node, message) from cause
+        _add_chunk(flux_cell, flux_boundary, sub_face, slot_pos, slot_val, boundary_term)
+        return max_condition
 
-    sub_flux = sps.csr_matrix((slot_val, slot_col, slot_ptr), shape=(face_ptr[-1], grid.n_cells))
-    return node_faces.indices, sub_flux, boundary_term, {
+    # Chunks of consecutive nodes, of about BLOCK_ENTRIES // 8 sub-faces: a
+    # chunk ends after the node whose sub-faces reach a multiple of that.
+    # Only the outputs above are grid-sized.
+    ends = np.flatnonzero(np.diff(face_ptr // (BLOCK_ENTRIES // 8))) + 1
+    ends = np.append(ends[face_ptr[ends] < face_ptr[-1]], grid.n_nodes)
+    max_condition = max(solve_chunk(lo, hi) for lo, hi in zip(np.append(0, ends[:-1]), ends))
+
+    # A face sum that cancels to zero is dropped, as scipy's sparse products do.
+    flux_cell.eliminate_zeros()
+    return flux_cell, flux_boundary, {
         "mpfa_regions": int(np.count_nonzero(np.diff(face_ptr))),
         "mpfa_max_local_condition": float(max_condition),
     }
@@ -391,22 +435,9 @@ def assemble_mpfa(
             diagnostics={"mpfa_regions": 0, "mpfa_max_local_condition": 0.0},
         )
 
-    sub_face, sub_flux, boundary_term, diagnostics = _interaction_regions(
+    flux_cell, flux_boundary, diagnostics = _interaction_regions(
         grid, permeability, bc, default_eta(grid)
     )
-    # Face sums as products with the face x sub-face incidence P. Scipy's
-    # product (Gustavson, ACM TOMS 4, 1978) adds up row f of P @ S over
-    # face f's sub-faces in ascending order, which is node order, and
-    # leaves each row's columns unsorted. It drops sums that cancel to
-    # zero, but does not promise to, so they are dropped here too.
-    n_sub = sub_face.size
-    incidence = sps.csr_matrix(
-        (np.ones(n_sub), (sub_face, np.arange(n_sub))), shape=(n_faces, n_sub)
-    )
-    flux_cell = incidence @ sub_flux
-    flux_cell.eliminate_zeros()
-    flux_cell.sort_indices()
-    flux_boundary = incidence @ boundary_term
     return SubdomainDiscretization(
         flux_cell=flux_cell, flux_boundary=flux_boundary, div=div, diagnostics=diagnostics
     )

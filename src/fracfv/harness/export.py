@@ -3,6 +3,7 @@ JSON reports."""
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import warnings
@@ -104,8 +105,10 @@ def export_field_vtk(mesh: MixedDimensionalMesh, values: np.ndarray, path) -> Pa
     return path
 
 
+@functools.cache
 def build_identifier() -> str:
-    """git describe of the tree holding this source, or the package version."""
+    """git describe of the tree holding this source, or the package version;
+    found once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

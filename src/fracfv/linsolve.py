@@ -33,7 +33,10 @@ keeps a diagonal pivot unless it is below 1% of its column (Li, ACM TOMS 31,
 2005). A lower-triangular matrix, such as a transport step matrix in flux
 order, keeps its natural order instead and is factored with no fill. The
 factor of a matrix serves its solves and its condition number, which Lanczos
-(ARPACK) takes from the largest eigenvalues of A and of A^-1."""
+(ARPACK) takes from the largest eigenvalues of A and of A^-1. A factor whose
+pivot ratio is below 1e-14 is refused; the ratio is read from ``lu.U``,
+which makes SuperLU keep copies of L and U, except where the condition
+number of ``solve_with_condition`` already bounds it."""
 
 from __future__ import annotations
 
@@ -53,6 +56,11 @@ def as_csr(matrix) -> sps.csr_matrix:
     return csr
 
 
+def _abs(csr: sps.csr_matrix) -> sps.csr_matrix:
+    """|A| sharing A's index arrays: only its data is new."""
+    return sps.csr_matrix((np.abs(csr.data), csr.indices, csr.indptr), shape=csr.shape)
+
+
 def _is_lower_triangular(csr: sps.csr_matrix) -> bool:
     rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
     return bool(np.all(csr.indices <= rows))
@@ -63,47 +71,53 @@ def _is_lower_triangular(csr: sps.csr_matrix) -> bool:
 NULL_ROW_SUM_EPS = 64
 
 
-def factorize(matrix) -> spla.SuperLU:
+def factorize(matrix, *, pivot_guard: bool = True) -> spla.SuperLU:
     """LU-factorize a square sparse matrix deterministically.
 
     A lower-triangular matrix is factored in its natural order, any other by
-    minimum degree on A^T + A.
+    minimum degree on A^T + A. ``pivot_guard=False`` leaves the pivot check
+    to the caller (see ``solve_with_condition``).
 
     Raises:
         SingularMatrixError: On a connected component whose rows all sum to
             round-off, such as a pure-Neumann subdomain, or on exactly
-            singular pivots.
+            singular pivots; with the guard, on a pivot ratio below 1e-14.
     """
     csr = as_csr(matrix)
     n, m = csr.shape
     if n != m:
         raise SingularMatrixError(f"matrix is not square: {csr.shape}")
     ones = np.ones(n)
-    if not _anchored(csr, csr @ ones, NULL_ROW_SUM_EPS * np.finfo(float).eps * (abs(csr) @ ones)):
+    if not _anchored(csr, csr @ ones, NULL_ROW_SUM_EPS * np.finfo(float).eps * (_abs(csr) @ ones)):
         raise SingularMatrixError(
             "matrix is numerically singular: the rows of a connected component sum to "
             "round-off, so the constant on that component is a null vector"
         )
-    lower = _is_lower_triangular(csr)
     try:
         lu = spla.splu(
             csr.tocsc(),
-            permc_spec="NATURAL" if lower else "MMD_AT_PLUS_A",
+            permc_spec="NATURAL" if _is_lower_triangular(csr) else "MMD_AT_PLUS_A",
             diag_pivot_thresh=0.01,
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise SingularMatrixError(f"sparse LU factorization failed: {exc}") from exc
+    if pivot_guard:
+        _check_pivots(csr, lu)
+    return lu
+
+
+def _check_pivots(csr: sps.csr_matrix, lu: spla.SuperLU) -> None:
+    """Refuse a factor whose smallest pivot is below 1e-14 of its largest."""
     # Reading lu.U makes SuperLU keep copies of L and U for the factor's life;
     # a lower-triangular A factored with no row swap has its diagonal as pivots.
-    unswapped = lower and np.array_equal(lu.perm_r, np.arange(n))
+    unswapped = _is_lower_triangular(csr) and np.array_equal(lu.perm_r, np.arange(csr.shape[0]))
     pivots = np.abs(csr.diagonal() if unswapped else lu.U.diagonal())
     smallest, largest = pivots.min(), pivots.max()
     if largest == 0.0 or smallest / largest < 1e-14:
         raise SingularMatrixError(
             f"matrix is numerically singular: pivot ratio {smallest:.3e} / {largest:.3e}"
         )
-    return lu
 
 
 CG_MIN_ROWS = 200  # below this LU is about as fast (README, "Linear solver")
@@ -126,8 +140,26 @@ def _anchored(csr: sps.csr_matrix, sums: np.ndarray, floor) -> bool:
     whose sum ``sums`` exceeds ``floor`` (per row) in magnitude. A component
     without one, such as a pure-Neumann subdomain, may carry a floating null
     space."""
-    n_comp, labels = connected_components(csr, directed=False)
+    n_comp, labels = _components(csr)
     return bool(np.bincount(labels[np.abs(sums) > floor], minlength=n_comp).all())
+
+
+def _components(csr: sps.csr_matrix) -> tuple[int, np.ndarray]:
+    """The connected components of A's graph. Where no edge joins two strong
+    components, as in a matrix with a symmetric pattern, the strong
+    components are the connected ones, found without the transposed copy
+    that scipy's undirected search makes."""
+    n_comp, labels = connected_components(csr, directed=True, connection="strong")
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    if rows.size:
+        neighbours, starts = labels[csr.indices], csr.indptr[rows]
+        own = labels[rows]
+        if not (
+            np.array_equal(np.minimum.reduceat(neighbours, starts), own)
+            and np.array_equal(np.maximum.reduceat(neighbours, starts), own)
+        ):
+            return connected_components(csr, directed=False)
+    return n_comp, labels
 
 
 def _certified_stieltjes_3d(csr: sps.csr_matrix) -> bool:
@@ -136,10 +168,11 @@ def _certified_stieltjes_3d(csr: sps.csr_matrix) -> bool:
     n = csr.shape[0]
     if n != csr.shape[1] or csr.nnz <= 5.5 * n:
         return False
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
     diag = csr.diagonal()
-    # Off-diagonal zeros are refused: stored, they would join components.
-    if not (np.all(diag > 0) and np.all(csr.data[csr.indices != rows] < 0)) or (csr - csr.T).nnz:
+    # With a positive diagonal, all stored, the other nnz - n entries are off
+    # it. Off-diagonal zeros are refused: stored, they would join components.
+    negative = np.count_nonzero(csr.data < 0)
+    if not (np.all(diag > 0) and negative == csr.nnz - n) or (csr - csr.T).nnz:
         return False
     sums = csr @ np.ones(n)
     return _anchored(csr, sums, 1e-8 * diag) and bool(
@@ -166,7 +199,7 @@ def _backward_error(csr: sps.csr_matrix, abs_a: sps.csr_matrix, x, b) -> float:
 
 def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Conjugate gradients on D^-1/2 A D^-1/2 to ``CG_BACKWARD_ERROR``."""
-    inv_diag, abs_a = 1.0 / csr.diagonal(), abs(csr)
+    inv_diag, abs_a = 1.0 / csr.diagonal(), _abs(csr)
     x, r = np.zeros_like(b), b.copy()
     p = z = inv_diag * r
     rz = r @ z
@@ -196,7 +229,7 @@ def _jacobi_bicgstab(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
     ``CG_BACKWARD_ERROR``; None after a breakdown, after
     ``BICGSTAB_STALL_STEPS`` steps that do not cut the best backward error
     tenfold, or after ``BICGSTAB_MAX_ITERATIONS`` steps that miss it."""
-    inv_diag, abs_a = 1.0 / csr.diagonal(), abs(csr)
+    inv_diag, abs_a = 1.0 / csr.diagonal(), _abs(csr)
     x, r = np.zeros_like(b), b.copy()
     shadow, p, v = b.copy(), np.zeros_like(b), np.zeros_like(b)
     rho = alpha = omega = 1.0
@@ -257,7 +290,7 @@ def direct_solve(matrix, rhs: np.ndarray, factor: spla.SuperLU | None = None) ->
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solution contains non-finite entries (singular matrix?)")
     residual = np.linalg.norm(csr @ x - b)
-    scale = np.abs(csr).sum(axis=1).max() * np.linalg.norm(x) + np.linalg.norm(b)
+    scale = _abs(csr).sum(axis=1).max() * np.linalg.norm(x) + np.linalg.norm(b)
     if residual > 1e-8 * max(scale, 1e-300):
         raise SingularMatrixError(
             f"solve residual {residual:.3e} exceeds breakdown threshold (near-singular matrix)"
@@ -296,8 +329,43 @@ def condition_number(matrix, factor: spla.SuperLU | None = None) -> float:
     return float(np.sqrt(normal * inverse))
 
 
+# Where kappa_2(A) is at most this, a factor that passes
+# ``_gershgorin_spd_candidate`` has a pivot ratio of at least
+# 1 / kappa_2(A): 100 times the guard's 1e-14.
+PIVOT_GUARD_CONDITION = 1e12
+
+
+def _gershgorin_spd_candidate(csr: sps.csr_matrix, lu: spla.SuperLU) -> bool:
+    """Whether A is exactly symmetric with a positive diagonal, each row's
+    absolute off-diagonal sum at most (1 + 64 eps) times its diagonal entry,
+    and factored with its diagonal pivots (``perm_r == perm_c``)."""
+    diag = csr.diagonal()
+    if not (np.all(diag > 0) and np.array_equal(lu.perm_r, lu.perm_c)):
+        return False
+    off_diagonal = _abs(csr) @ np.ones(csr.shape[0]) - diag
+    tolerance = 1.0 + NULL_ROW_SUM_EPS * np.finfo(float).eps
+    return bool(np.all(off_diagonal <= tolerance * diag)) and not (csr - csr.T).nnz
+
+
 def solve_with_condition(matrix, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Solution of A x = b and the 2-norm condition number of A, both from
-    one LU factor."""
-    lu = factorize(matrix)
-    return direct_solve(matrix, rhs, factor=lu), condition_number(matrix, factor=lu)
+    one LU factor.
+
+    The factor's pivot ratio is read from ``lu.U``, which keeps a copy of L
+    and U, only where the condition number does not bound it: for a matrix
+    that passes ``_gershgorin_spd_candidate`` with kappa_2(A) at most
+    ``PIVOT_GUARD_CONDITION``, A is positive definite and every pivot lies in
+    [lambda_min(A), max a_ii], so the ratio is at least 1 / kappa_2(A).
+
+    Raises:
+        SingularMatrixError: As ``factorize`` and ``direct_solve`` do.
+    """
+    csr = as_csr(matrix)
+    lu = factorize(csr, pivot_guard=False)
+    bounded = _gershgorin_spd_candidate(csr, lu)
+    if not bounded:
+        _check_pivots(csr, lu)
+    cond = condition_number(csr, factor=lu)
+    if bounded and not cond <= PIVOT_GUARD_CONDITION:
+        _check_pivots(csr, lu)
+    return direct_solve(csr, rhs, factor=lu), cond

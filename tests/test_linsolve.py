@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_reductions_symmetric, write_kuhn_mesh, x_dirichlet
@@ -235,7 +236,11 @@ class TestConditionNumber:
         lu = factorize(a)
         x_expected, cond_expected = direct_solve(a, rhs, factor=lu), condition_number(a, factor=lu)
         factors = []
-        monkeypatch.setattr(linsolve, "factorize", lambda m: factors.append(m) or factorize(m))
+        monkeypatch.setattr(
+            linsolve,
+            "factorize",
+            lambda m, **options: factors.append(m) or factorize(m, **options),
+        )
         x, cond = linsolve.solve_with_condition(a, rhs)
         assert len(factors) == 1
         assert x.tobytes() == x_expected.tobytes()
@@ -266,6 +271,82 @@ class TestConditionNumber:
                 cond = dense_condition(point[tag]["reduced"].matrix)
                 assert point[tag]["cond"] == pytest.approx(cond, rel=1e-8)
                 assert point[tag]["r_c"] == pytest.approx(cond_full / cond, rel=1e-8)
+
+
+@st.composite
+def dominant_symmetric(draw):
+    """A symmetric, Gershgorin-dominant matrix with a positive diagonal: a
+    weighted graph Laplacian (a chain plus random edges, conductances spread
+    over up to 1e16) with one or two anchors of 1e-8 to 1 of their diagonal,
+    or, with no edges, a diagonal from 1 down to 10^-spread, spread <= 16."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 64)) / 4
+    if draw(st.booleans()):
+        diagonal = 10.0 ** (-spread * rng.random(n))
+        diagonal[[0, -1]] = 1.0, 10.0**-spread
+        return sps.diags(diagonal, format="csr")
+    extra = draw(st.integers(0, n))
+    i = np.concatenate([np.arange(n - 1), rng.integers(0, n, extra)])
+    j = np.concatenate([np.arange(1, n), rng.integers(0, n, extra)])
+    i, j = i[i != j], j[i != j]
+    weights = 10.0 ** (-spread * rng.random(i.size))
+    edges = sps.csr_matrix((weights, (i, j)), shape=(n, n))
+    edges = edges + edges.T
+    degree = np.asarray(edges.sum(axis=1)).ravel()
+    anchors = rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False)
+    anchor = np.zeros(n)
+    anchor[anchors] = 10.0 ** (-7.9 * rng.random(anchors.size)) * np.maximum(degree[anchors], 1.0)
+    return as_csr(sps.diags(degree + anchor) - edges)
+
+
+class TestPivotGuardBoundByCondition:
+    """``solve_with_condition`` reads ``lu.U`` only where kappa_2(A) does not
+    bound the pivot ratio; it refuses exactly what the guard refuses."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dominant_symmetric())
+    @example(sps.diags([0.737, 3.70e-16, 0.141], format="csr"))  # guard refuses
+    @example(sps.diags([1.0, 1e-13], format="csr"))  # kappa 1e13, guard accepts
+    @example(sps.eye(4, format="csr"))  # kappa 1
+    def test_skips_the_read_only_where_the_guard_accepts(self, a):
+        b = np.random.default_rng(0).standard_normal(a.shape[0])
+        try:
+            lu = factorize(a)
+        except SingularMatrixError as exc:
+            refusal = str(exc)
+        else:
+            refusal = None
+            x_expected = direct_solve(a, b, factor=lu)
+            cond_expected = condition_number(a, factor=lu)
+        reads = []
+        check_pivots = linsolve._check_pivots
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(
+                linsolve, "_check_pivots", lambda *args: reads.append(1) or check_pivots(*args)
+            )
+            if refusal is not None:
+                with pytest.raises(SingularMatrixError) as err:
+                    linsolve.solve_with_condition(a, b)
+                assert str(err.value) == refusal
+                assert "pivot ratio" not in refusal or reads
+                event("refused")
+                return
+            x, cond = linsolve.solve_with_condition(a, b)
+        assert x.tobytes() == x_expected.tobytes()
+        assert cond == cond_expected
+        assert reads == ([] if cond <= linsolve.PIVOT_GUARD_CONDITION else [1])
+        event("read skipped" if not reads else "read, accepted")
+
+    def test_flow_matrices_skip_the_read(self, monkeypatch):
+        reads = []
+        check_pivots = linsolve._check_pivots
+        monkeypatch.setattr(
+            linsolve, "_check_pivots", lambda *args: reads.append(1) or check_pivots(*args)
+        )
+        system = case13_problem(4)[0].assemble()
+        linsolve.solve_with_condition(system.matrix, system.rhs)
+        assert reads == []
 
 
 def backward_error(a, x, b) -> float:
@@ -483,6 +564,24 @@ class TestBiCGSTABRoute:
         x = direct_solve(a, b)
         assert calls == []
         assert np.abs(x - (0.25 + grid.cell_centres @ GRADIENT)).max() <= 1e-10
+
+    def test_allocates_one_abs_data_array(self, monkeypatch):
+        # Beyond the matrix, the route's checks and iteration hold |A|'s data
+        # (A's index arrays are shared) and vectors of A's size: 1.25 data
+        # arrays on 3,072 unknowns. Copies of A's indices and off-diagonal
+        # entries, of all of |A|, and the transposed copy of an undirected
+        # component search took 2.1.
+        _, a, b = tetrahedral_mpfa(8, seed=2)
+        calls = count_factorizations(monkeypatch)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            direct_solve(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak <= a.data.nbytes + 20 * b.nbytes
 
     def test_a_miss_falls_back_to_lu(self, monkeypatch):
         _, a, b = tetrahedral_mpfa(4, seed=1)

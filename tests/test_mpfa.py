@@ -13,8 +13,9 @@ from conftest import write_kuhn_mesh, write_triangle_square_mesh
 from test_face_table import loop_assemble_mpfa
 from fracfv.errors import DiscretizationError, SingularLocalSystemError
 from fracfv.fvdiscretize import assemble_mpfa, assemble_tpfa, default_eta, flow_bc
+from fracfv.fvdiscretize.bc import BoundaryConditionSet
 from fracfv.fvdiscretize import mpfa
-from fracfv.fvdiscretize.mpfa import _interaction_regions, _signature_groups
+from fracfv.fvdiscretize.mpfa import _signature_groups
 from fracfv.harness.cases import case2_fine_reference
 from fracfv.linsolve import direct_solve
 from fracfv.mdmesh import (
@@ -147,9 +148,10 @@ def test_constant_pressure_exactness(unit_square_4):
     assert np.isfinite(disc.diagnostics["mpfa_max_local_condition"])
 
 
-def test_face_sums_are_taken_in_node_order(tmp_path):
+def test_face_sums_are_taken_in_node_order(tmp_path, monkeypatch):
     # Every entry of a face row is the sum of its sub-faces' slots, added one
-    # by one in node order, bit for bit.
+    # by one in node order, bit for bit: each chunk adds the slots of its
+    # sub-faces, node by node, then face by face, after the chunks before it.
     path = tmp_path / "kuhn.txt"
     write_kuhn_mesh(path, 4, 1)
     g = load_mesh(path).subdomains[0]
@@ -157,17 +159,34 @@ def test_face_sums_are_taken_in_node_order(tmp_path):
     ext = np.flatnonzero(g.external_boundary)
     bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: 0.25 + x @ [0.8, -1.4, 0.6])
     bc.set_neumann(ext[1::2], 0.7)
+    chunks = []
+    add_chunk = mpfa._add_chunk
+
+    def record(flux_cell, flux_boundary, *chunk):
+        pattern = (flux_cell.indptr.copy(), flux_cell.indices.copy())
+        chunks.append((*pattern, *(a.copy() for a in chunk)))
+        add_chunk(flux_cell, flux_boundary, *chunk)
+
+    monkeypatch.setattr(mpfa, "_add_chunk", record)
     disc = assemble_mpfa(g, k, bc)
-    sub_face, sub_flux, boundary_term, _ = _interaction_regions(g, k, bc, default_eta(g))
     node_faces = g.face_nodes.tocsr()
     node_faces.sort_indices()
+    sub_face = np.concatenate([chunk[2] for chunk in chunks])
     assert np.array_equal(sub_face, node_faces.indices)  # node by node, then face
-    sums, boundary = {}, np.zeros(g.n_faces)
-    for s, f in enumerate(sub_face.tolist()):
-        start, end = sub_flux.indptr[s], sub_flux.indptr[s + 1]
-        for c, value in zip(sub_flux.indices[start:end].tolist(), sub_flux.data[start:end].tolist()):
+    # Each evaluated sub-face holds one slot per cell at its node, in turn.
+    sub_node = np.repeat(np.arange(g.n_nodes), np.diff(node_faces.indptr))
+    cells_at_node = np.diff(g.cell_nodes.tocsr().indptr)
+    evaluated = np.all(g.face_cells >= 0, axis=1) | np.isin(np.arange(g.n_faces), ext[::2])
+    slot_faces = np.repeat(sub_face, np.where(evaluated[sub_face], cells_at_node[sub_node], 0))
+    sums, boundary, seen = {}, np.zeros(g.n_faces), []
+    for indptr, indices, faces, slot_pos, slot_val, boundary_term in chunks:
+        rows = np.searchsorted(indptr, slot_pos, side="right") - 1
+        seen.append(rows)
+        for f, c, value in zip(rows.tolist(), indices[slot_pos].tolist(), slot_val.tolist()):
             sums[f, c] = sums.get((f, c), 0.0) + value
-        boundary[f] += boundary_term[s]
+        for f, term in zip(faces.tolist(), boundary_term.tolist()):
+            boundary[f] += term
+    assert np.array_equal(np.concatenate(seen), slot_faces)
     flux = disc.flux_cell.tocoo()
     assert disc.flux_cell.has_canonical_format
     assert dict(zip(zip(flux.row.tolist(), flux.col.tolist()), flux.data.tolist())) == {
@@ -340,23 +359,64 @@ def test_signature_key_groups_as_unique_rows(rows):
     assert np.array_equal(group_of, inverse.ravel())
 
 
+def _traced(assemble):
+    """The result of ``assemble()``, the traced memory it still holds and the
+    traced peak while it ran, both above the start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = assemble()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
 def test_assembly_memory_is_bounded_by_its_result():
     # The regions are built chunk by chunk, so at 128 x 128 the traced peak
     # of the assembly stays below four times the traced size of its result
-    # (measured at about 2.6 times; a whole-grid build of the tables took
-    # about 6.4 times).
+    # (measured at about 2.3 times; 2.6 with a sub-face matrix summed by a
+    # sparse product, and a whole-grid build of the tables took about 6.4).
     square = FractureNetworkSpec(domain=((0.0, 1.0),) * 2)
     g = build_cartesian_with_fractures(square, 128).subdomains[0]
     k = tensor_field(np.array([[2.0, 0.8], [0.8, 1.0]]), g.n_cells, 2)
     ext = np.flatnonzero(g.external_boundary)
     bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: 0.5 + x @ [1.3, -0.7])
     bc.set_neumann(ext[1::2], 0.2)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        disc = assemble_mpfa(g, k, bc)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    disc, held, peak = _traced(lambda: assemble_mpfa(g, k, bc))
     assert disc.flux_cell.shape == (g.n_faces, g.n_cells)
-    assert peak - start < 4.0 * (held - start)
+    assert peak < 4.0 * held
+
+
+def test_tetrahedral_assembly_memory_is_bounded_by_its_face_matrix(tmp_path):
+    # The face rows are filled in place, so the traced peak on the perturbed
+    # 3,072-tet Kuhn mesh is the 3.42 MiB face matrix plus tables of the
+    # chunk and block being solved: 2.06 times the face matrix. A sub-face
+    # matrix summed into the face rows by a sparse product took 2.48 times.
+    path = tmp_path / "kuhn.txt"
+    write_kuhn_mesh(path, 8, 2)
+    g = load_mesh(path).subdomains[0]
+    k = tensor_field(np.array([[3.0, 1.0, 0.5], [1.0, 2.0, 0.3], [0.5, 0.3, 1.5]]), g.n_cells, 3)
+    ext = np.flatnonzero(g.external_boundary)
+    bc = flow_bc(g).set_dirichlet(ext, lambda x: x @ [0.8, -1.4, 0.6])
+    disc, _, peak = _traced(lambda: assemble_mpfa(g, k, bc))
+    flux = disc.flux_cell
+    assert peak < 2.25 * (flux.data.nbytes + flux.indices.nbytes + flux.indptr.nbytes)
+
+
+def test_constant_boundary_data_is_read_as_an_array(unit_square_4, monkeypatch):
+    # Only functional data is evaluated face by face, at the continuity points.
+    g = unit_square_4.subdomains[0]
+    k = tensor_field(np.array([[2.0, 0.7], [0.7, 1.5]]), g.n_cells, 2)
+    ext = np.flatnonzero(g.external_boundary)
+    calls = []
+    value_at = BoundaryConditionSet.value_at
+    monkeypatch.setattr(
+        BoundaryConditionSet, "value_at", lambda *args: calls.append(args[1]) or value_at(*args)
+    )
+    assemble_mpfa(g, k, flow_bc(g).set_dirichlet(ext[::2], 1.5).set_neumann(ext[1::2], -0.3))
+    assert calls == []
+    bc = flow_bc(g).set_dirichlet(ext[::2], lambda x: x[0]).set_neumann(ext[1::2], -0.3)
+    assemble_mpfa(g, k, bc)
+    # Each Dirichlet face has one sub-face per node.
+    assert sorted(set(calls)) == ext[::2].tolist() and len(calls) == 2 * ext[::2].size

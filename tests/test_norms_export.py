@@ -496,4 +496,14 @@ class TestReports:
         ).stdout.strip()
         expected = build_identifier()
         monkeypatch.chdir(tmp_path)
+        build_identifier.cache_clear()  # look again, from the other repository
         assert build_identifier() == expected != other
+
+    def test_build_id_is_found_once_per_process(self, monkeypatch):
+        expected = build_identifier()
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("build_identifier started a subprocess")
+
+        monkeypatch.setattr(subprocess, "run", no_subprocess)
+        assert build_identifier() == expected
