@@ -135,8 +135,10 @@ def _signature_groups(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _face_rows(grid: SubdomainGrid, evaluated: np.ndarray) -> sps.csr_matrix:
     """The face x cell flux matrix with zero values: in the row of each
-    ``evaluated`` face, every cell at one of its nodes, in ascending order."""
-    rows = (sps.diags(evaluated.astype(float)) @ grid.face_nodes.T @ grid.cell_nodes).tocsr()
+    ``evaluated`` face, every cell at one of its nodes, in ascending order.
+    A cell is at a node where one of its faces is, as in the regions."""
+    node_cells = grid.face_nodes @ abs(grid.cell_faces)
+    rows = (sps.diags(evaluated.astype(float)) @ grid.face_nodes.T @ node_cells).tocsr()
     rows.sort_indices()
     rows.data[:] = 0.0
     return rows
