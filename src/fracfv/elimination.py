@@ -23,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .coupling import GlobalSystem
 from .errors import EliminationError, UnsupportedSourceError
-from .linsolve import NULL_ROW_SUM_EPS, as_csr, direct_solve
+from .linsolve import anchor_rows, as_csr, direct_solve
 
 
 @dataclass
@@ -178,9 +178,7 @@ def star_delta_reduce(system: GlobalSystem, eliminated: np.ndarray | None = None
     n = a.shape[0]
     elim_mask = np.zeros(n, dtype=bool)
     elim_mask[eliminated] = True
-    rows, ones = a[eliminated], np.ones(n)
-    dirichlet = np.abs(rows @ ones) > NULL_ROW_SUM_EPS * np.finfo(float).eps * (abs(rows) @ ones)
-    bad = eliminated[(system.rhs[eliminated] != 0.0) | dirichlet]
+    bad = eliminated[(system.rhs[eliminated] != 0.0) | anchor_rows(a[eliminated])]
     if bad.size:
         raise UnsupportedSourceError(
             f"eliminated cells {bad.tolist()} carry sources or boundary data; "

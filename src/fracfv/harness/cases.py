@@ -34,8 +34,7 @@ from ..errors import FracfvError
 from ..fvdiscretize import flow_bc, transport_bc
 from ..linsolve import direct_solve, solve_with_condition
 from ..mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures
-from ..mdmesh.cartesian import _intersection_tensor
-from ..tensors import PermeabilityTensor, as_tensor, tensor_field
+from ..tensors import PermeabilityTensor, tensor_field
 from ..transport import (
     TracerSimulation,
     flux_graph_from_reduced,
@@ -276,14 +275,6 @@ def zero_tracer_bcs(mesh):
     return bcs
 
 
-def _transport(graph, tracer_bcs, initial, dt, n_steps, probe=None, sources=None):
-    """Tracer run on a full or reduced flux graph; the probe is sampled from
-    the initial state on."""
-    sim = TracerSimulation(graph, tracer_bcs, initial, dt, source_rates=sources, probe=probe)
-    sim.run(n_steps)
-    return sim
-
-
 def _on_kept(mesh, kept, values) -> np.ndarray:
     """Kept-cell values spread over every dof, zero on the eliminated ones."""
     full = np.zeros(mesh.n_dofs)
@@ -310,7 +301,8 @@ def _flow_and_tracer(
     with _timed(timings, "full_transport"):
         graph = flux_graph_from_system(system, p_full)
         start = np.full(mesh.n_dofs, initial)
-        sim_full = _transport(graph, tracer_bcs, start, dt, n_steps, probe, sources)
+        sim_full = TracerSimulation(graph, tracer_bcs, start, dt, source_rates=sources, probe=probe)
+        sim_full.run(n_steps)
     volumes = mesh.all_cell_volumes()
     reductions = {}
     for tag in tags:
@@ -318,15 +310,15 @@ def _flow_and_tracer(
             reduced, p_kept, summary = _reduction(system, p_full, cond_full, tag, eliminated)
             kept = reduced.kept
             local = np.flatnonzero(kept == probe) if probe is not None else ()
-            sim = _transport(
+            sim = TracerSimulation(
                 flux_graph_from_reduced(reduced, p_kept),
                 tracer_bcs,
                 np.full(kept.size, initial),
                 dt,
-                n_steps,
-                int(local[0]) if len(local) else None,
-                None if sources is None else inherited_source_rates(reduced),
+                source_rates=None if sources is None else inherited_source_rates(reduced),
+                probe=int(local[0]) if len(local) else None,
             )
+            sim.run(n_steps)
         concentrations = sim_full.state.concentrations[kept]
         summary["tracer_error"] = l2_error(sim.state.concentrations, concentrations, volumes[kept])
         summary["mass_error"] = sim.mass_accounting_error
@@ -431,9 +423,7 @@ def sweep_case11(values=(1e-3, 1.0, 1e3), resolution: int = 8, k_i=None, apertur
     points = {}
     for k_h, k_v in itertools.product(values, values):
         spec = _case11_network(k_h, k_v, k_i, aperture)
-        fractures = [as_tensor(f.permeability, 2) for f in spec.fractures]
-        crossing = _intersection_tensor(spec.intersection_permeability, fractures, 2)
-        tensors = [1.0, *fractures, crossing]
+        tensors = [1.0, *(f.permeability for f in spec.fractures), spec.intersection_permeability]
         k = [tensor_field(t, g.n_cells, 2) for t, g in zip(tensors, mesh.subdomains)]
         points[(k_h, k_v)] = _case11_point(replace(problem, permeability=k), mesh)
     matrices = {"k_values": values}
@@ -726,7 +716,10 @@ def _study_3(build, spec, p, timings) -> _Study:
         with _timed(timings, f"solve_transport_{disc}"):
             pressure = direct_solve(system.matrix, system.rhs)
             graph = flux_graph_from_system(system, pressure)
-            sim = _transport(graph, zero_tracer_bcs(mesh), np.ones(mesh.n_dofs), dt, n_steps, probe)
+            sim = TracerSimulation(
+                graph, zero_tracer_bcs(mesh), np.ones(mesh.n_dofs), dt, probe=probe
+            )
+            sim.run(n_steps)
         runs[disc] = {
             "mesh": mesh,
             "system": system,

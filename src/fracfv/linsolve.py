@@ -1,42 +1,44 @@
 """Sparse storage, linear solves and condition numbers.
 
 Matrices are held as scipy CSR with sorted, deduplicated column indices.
-``direct_solve`` without a factor, given a 1-D right-hand side and a matrix of
-at least 200 rows (below which LU is as fast), takes one of two Krylov routes.
+``direct_solve`` without a factor, given a 1-D right-hand side, takes the
+route that one table, ``_krylov_route``, picks from the matrix alone. A
+Krylov route needs at least 200 rows (below which LU is as fast), a positive
+diagonal and, in every connected component, an anchor: a row whose sum
+exceeds 1e-8 times its diagonal.
 
 - Conjugate gradients on D^-1/2 A D^-1/2, D = diag A (Hestenes and Stiefel,
-  1952), take a matrix that passes a certificate: exact symmetry, a positive
-  diagonal, negative stored off-diagonal entries, row sums of at least -64 eps
-  times the diagonal, an anchor in every connected component (a row whose
-  sum exceeds 1e-8 times its diagonal) and more than 5.5 entries per row on
-  average, a 3D stencil. Such a matrix is a nonsingular Stieltjes matrix, by
-  Taussky's theorem, and CG raises rather than return an iterate that misses
-  its stop.
+  1952), take a matrix with more than 5.5 entries per row on average (a 3D
+  stencil), negative stored off-diagonal entries, exact symmetry and row
+  sums of at least -64 eps times the diagonal: a nonsingular Stieltjes
+  matrix, by Taussky's theorem.
 - BiCGSTAB with the Jacobi preconditioner D (van der Vorst, 1992) takes any
-  other matrix with a positive diagonal, an anchor in every component and
-  more than 20 entries per row, such as full-tensor MPFA on tetrahedra
-  (44-61 per row from 4 to 12 cubes; 2D MPFA has at most 8.9, where LU is
-  faster). BiCGSTAB has no convergence proof: a breakdown, 100 steps that
-  do not cut its best backward error tenfold, or 500 steps that miss the
-  stop hand the same call on to LU.
+  other such matrix with more than 20 entries per row, such as full-tensor
+  MPFA on tetrahedra (44-61 per row from 4 to 12 cubes; 2D MPFA has at most
+  8.9, where LU is faster).
 
 Both stop once the componentwise backward error
 max_i |b - A x|_i / (|A| |x| + |b|)_i is at most 1e-14 (Oettli and Prager,
 1964), so x solves exactly a system within 1e-14 of (A, b), entry by entry.
+A route that misses its stop returns no iterate, and the same call goes on
+to LU: CG after n steps; BiCGSTAB, which has no convergence proof, after a
+breakdown, 100 steps that do not cut its best backward error tenfold, or 500
+steps.
 
 Every other matrix, every solve given a ``factor`` and every condition number
 uses a SuperLU factor. A matrix with a connected component whose rows all sum
-to round-off (at most 64 eps times their absolute sums) is refused as
-singular before factoring. The factor follows one fixed policy: a minimum
-degree ordering of A^T + A in symmetric mode, with threshold pivoting that
-keeps a diagonal pivot unless it is below 1% of its column (Li, ACM TOMS 31,
-2005). A lower-triangular matrix, such as a transport step matrix in flux
-order, keeps its natural order instead and is factored with no fill. The
-factor of a matrix serves its solves and its condition number, which Lanczos
-(ARPACK) takes from the largest eigenvalues of A and of A^-1. A factor whose
-pivot ratio is below 1e-14 is refused; the ratio is read from ``lu.U``,
-which makes SuperLU keep copies of L and U, except where the condition
-number of ``solve_with_condition`` already bounds it."""
+to round-off (no row of ``anchor_rows``) is refused as singular before
+factoring. The factor follows one fixed policy: a minimum degree ordering of
+A^T + A in symmetric mode, with threshold pivoting that keeps a diagonal
+pivot unless it is below 1% of its column (Li, ACM TOMS 31, 2005). A
+lower-triangular matrix, such as a transport step matrix in flux order, keeps
+its natural order instead and is factored with no fill. The factor of a
+matrix serves its solves and its condition number, which Lanczos (ARPACK,
+from fixed start and restart vectors, so it repeats exactly) takes from the
+largest eigenvalues of A and of A^-1. A factor whose pivot ratio is below
+1e-14 is refused; the ratio is read from ``lu.U``, which makes SuperLU keep
+copies of L and U, except where the condition number of
+``solve_with_condition`` already bounds it."""
 
 from __future__ import annotations
 
@@ -71,6 +73,14 @@ def _is_lower_triangular(csr: sps.csr_matrix) -> bool:
 NULL_ROW_SUM_EPS = 64
 
 
+def anchor_rows(matrix) -> np.ndarray:
+    """Per row of A, whether |A 1| exceeds ``NULL_ROW_SUM_EPS`` eps |A| 1: a
+    row sum beyond round-off, such as that of a row with Dirichlet data."""
+    csr = as_csr(matrix)
+    ones = np.ones(csr.shape[1])
+    return np.abs(csr @ ones) > NULL_ROW_SUM_EPS * np.finfo(float).eps * (_abs(csr) @ ones)
+
+
 def factorize(matrix, *, pivot_guard: bool = True) -> spla.SuperLU:
     """LU-factorize a square sparse matrix deterministically.
 
@@ -87,8 +97,7 @@ def factorize(matrix, *, pivot_guard: bool = True) -> spla.SuperLU:
     n, m = csr.shape
     if n != m:
         raise SingularMatrixError(f"matrix is not square: {csr.shape}")
-    ones = np.ones(n)
-    if not _anchored(csr, csr @ ones, NULL_ROW_SUM_EPS * np.finfo(float).eps * (_abs(csr) @ ones)):
+    if not _anchored(csr, anchor_rows(csr)):
         raise SingularMatrixError(
             "matrix is numerically singular: the rows of a connected component sum to "
             "round-off, so the constant on that component is a null vector"
@@ -135,13 +144,12 @@ BICGSTAB_MAX_ITERATIONS = 500
 BICGSTAB_STALL_STEPS = 100
 
 
-def _anchored(csr: sps.csr_matrix, sums: np.ndarray, floor) -> bool:
-    """Whether every connected component of A's graph holds an anchor: a row
-    whose sum ``sums`` exceeds ``floor`` (per row) in magnitude. A component
-    without one, such as a pure-Neumann subdomain, may carry a floating null
-    space."""
+def _anchored(csr: sps.csr_matrix, anchors: np.ndarray) -> bool:
+    """Whether every connected component of A's graph holds a row that
+    ``anchors`` marks. A component without one, such as a pure-Neumann
+    subdomain, may carry a floating null space."""
     n_comp, labels = _components(csr)
-    return bool(np.bincount(labels[np.abs(sums) > floor], minlength=n_comp).all())
+    return bool(np.bincount(labels[anchors], minlength=n_comp).all())
 
 
 def _components(csr: sps.csr_matrix) -> tuple[int, np.ndarray]:
@@ -162,32 +170,29 @@ def _components(csr: sps.csr_matrix) -> tuple[int, np.ndarray]:
     return n_comp, labels
 
 
-def _certified_stieltjes_3d(csr: sps.csr_matrix) -> bool:
-    """Whether A is provably a nonsingular Stieltjes matrix (by Taussky's
-    theorem on irreducibly diagonally dominant matrices) with a 3D stencil."""
+def _krylov_route(csr: sps.csr_matrix) -> str | None:
+    """The Krylov method for A x = b without a factor, by the module's rules,
+    cheapest test first: "cg" for a certified nonsingular Stieltjes matrix
+    (Taussky's theorem on irreducibly diagonally dominant matrices) with a 3D
+    stencil, "bicgstab" for another anchored wide stencil, None for LU."""
     n = csr.shape[0]
-    if n != csr.shape[1] or csr.nnz <= 5.5 * n:
-        return False
+    if n != csr.shape[1] or n < CG_MIN_ROWS or csr.nnz <= 5.5 * n:
+        return None
     diag = csr.diagonal()
+    if not np.all(diag > 0):
+        return None
     # With a positive diagonal, all stored, the other nnz - n entries are off
     # it. Off-diagonal zeros are refused: stored, they would join components.
-    negative = np.count_nonzero(csr.data < 0)
-    if not (np.all(diag > 0) and negative == csr.nnz - n) or (csr - csr.T).nnz:
-        return False
+    signed = np.count_nonzero(csr.data < 0) == csr.nnz - n and not (csr - csr.T).nnz
+    wide = csr.nnz > BICGSTAB_MIN_ROW_NNZ * n
+    if not (signed or wide):
+        return None
     sums = csr @ np.ones(n)
-    return _anchored(csr, sums, 1e-8 * diag) and bool(
-        np.all(sums >= -64 * np.finfo(float).eps * diag)
-    )
-
-
-def _anchored_wide_stencil(csr: sps.csr_matrix) -> bool:
-    """Whether A goes to BiCGSTAB: a positive diagonal, an anchor in every
-    component and more than ``BICGSTAB_MIN_ROW_NNZ`` entries per row."""
-    n = csr.shape[0]
-    if n != csr.shape[1] or csr.nnz <= BICGSTAB_MIN_ROW_NNZ * n:
-        return False
-    diag = csr.diagonal()
-    return bool(np.all(diag > 0)) and _anchored(csr, csr @ np.ones(n), 1e-8 * diag)
+    if not _anchored(csr, np.abs(sums) > 1e-8 * diag):
+        return None
+    if signed and np.all(sums >= -NULL_ROW_SUM_EPS * np.finfo(float).eps * diag):
+        return "cg"
+    return "bicgstab" if wide else None
 
 
 def _backward_error(csr: sps.csr_matrix, abs_a: sps.csr_matrix, x, b) -> float:
@@ -197,8 +202,9 @@ def _backward_error(csr: sps.csr_matrix, abs_a: sps.csr_matrix, x, b) -> float:
     return float(np.max(np.abs(b - csr @ x) / np.where(scale > 0, scale, 1.0)))
 
 
-def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Conjugate gradients on D^-1/2 A D^-1/2 to ``CG_BACKWARD_ERROR``."""
+def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
+    """Conjugate gradients on D^-1/2 A D^-1/2 to ``CG_BACKWARD_ERROR``; None
+    where n steps miss it."""
     inv_diag, abs_a = 1.0 / csr.diagonal(), _abs(csr)
     x, r = np.zeros_like(b), b.copy()
     p = z = inv_diag * r
@@ -218,10 +224,7 @@ def _jacobi_cg(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray:
         z = inv_diag * r
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    raise SingularMatrixError(
-        f"conjugate gradients did not reach backward error {CG_BACKWARD_ERROR:g} "
-        f"within {csr.shape[0]} iterations"
-    )
+    return None
 
 
 def _jacobi_bicgstab(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
@@ -263,28 +266,23 @@ def _jacobi_bicgstab(csr: sps.csr_matrix, b: np.ndarray) -> np.ndarray | None:
 
 
 def direct_solve(matrix, rhs: np.ndarray, factor: spla.SuperLU | None = None) -> np.ndarray:
-    """Solve A x = b, by a Krylov method where the module's rules allow and no
-    ``factor`` is given, else by sparse LU with a residual check.
-
-    Conjugate gradients take certified 3D Stieltjes matrices; BiCGSTAB takes
-    anchored wide stencils and leaves a breakdown or a miss to LU.
+    """Solve A x = b, by the Krylov method ``_krylov_route`` names where no
+    ``factor`` is given, else, or where that method misses its stop, by
+    sparse LU with a residual check.
 
     Raises:
         SingularMatrixError: Singular factorization, a non-finite right-hand
-            side, conjugate gradients that miss their backward error, or a
-            residual indicating numerical breakdown.
+            side, or a residual indicating numerical breakdown.
     """
     csr = as_csr(matrix)
     b = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(b)):
         raise SingularMatrixError("right-hand side contains non-finite entries")
-    if factor is None and b.ndim == 1 and csr.shape[0] >= CG_MIN_ROWS:
-        if _certified_stieltjes_3d(csr):
-            return _jacobi_cg(csr, b)
-        if _anchored_wide_stencil(csr):
-            x = _jacobi_bicgstab(csr, b)
-            if x is not None:
-                return x
+    route = _krylov_route(csr) if factor is None and b.ndim == 1 else None
+    if route is not None:
+        x = (_jacobi_cg if route == "cg" else _jacobi_bicgstab)(csr, b)
+        if x is not None:
+            return x
     lu = factor if factor is not None else factorize(csr)
     x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -301,8 +299,10 @@ def direct_solve(matrix, rhs: np.ndarray, factor: spla.SuperLU | None = None) ->
 def _largest_eigenvalue(n: int, matvec) -> float:
     """Largest |eigenvalue| of a symmetric operator, to machine precision."""
     operator = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
-    start = np.random.default_rng(0).standard_normal(n)  # fixed: runs repeat exactly
-    values = spla.eigsh(operator, k=1, which="LM", tol=0, v0=start, return_eigenvectors=False)
+    start = np.random.default_rng(0).standard_normal(n)  # fixed, as is rng: runs repeat exactly
+    values = spla.eigsh(
+        operator, k=1, which="LM", tol=0, v0=start, return_eigenvectors=False, rng=0
+    )
     return float(abs(values[0]))
 
 

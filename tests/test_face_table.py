@@ -53,7 +53,7 @@ from fracfv.fvdiscretize import DIRICHLET, NEUMANN, assemble_mpfa, flow_bc, tran
 from fracfv.fvdiscretize.mpfa import _plane_basis, default_eta
 from fracfv.harness import cases
 from fracfv.harness.cases import CaseSpec, run_case
-from fracfv.linsolve import CG_MIN_ROWS, _certified_stieltjes_3d, as_csr, direct_solve
+from fracfv.linsolve import as_csr, direct_solve
 from fracfv.mdmesh import FractureNetworkSpec, FracturePatch, build_cartesian_with_fractures, load_mesh
 from fracfv.mdmesh.grids import build_grid
 from fracfv.mdmesh.mdmesh import InterfaceMap, MixedDimensionalMesh
